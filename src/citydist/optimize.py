@@ -14,8 +14,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import (
     DemandProfile,
     DomainError,
@@ -528,6 +526,10 @@ def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
     lexicographically smallest matrix (rows compared in order) wins.  Refuses
     instances whose joint grid exceeds the evaluation budget.
     """
+    # Only the grid oracle needs numpy; importing it here keeps it off the
+    # start-up of every other command.
+    import numpy as np
+
     fleet = list(fleet)
     units = list(units)
     if not fleet or not units:

@@ -75,6 +75,10 @@ _SA_KEYS = {"seed", "initial_temperature", "cooling_rate", "steps_per_temperatur
             "min_temperature", "restarts", "penalty_weight", "grid_step"}
 _OPT_KEYS = {"vehicles"}
 
+# libyaml's parser with the same safe constructor and resolver as
+# yaml.SafeLoader; the pure-Python parser only where PyYAML lacks libyaml.
+_YamlLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def _require_mapping(node, path: str) -> dict:
     if not isinstance(node, dict):
@@ -97,15 +101,24 @@ def _check_keys(node: dict, allowed: set, required: set, path: str):
         raise ScenarioParseError(path, f"missing required field(s): {', '.join(sorted(missing))}")
 
 
+def _finite(v, path: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ScenarioParseError(path, "expected a number")
+    try:
+        v = float(v)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ScenarioParseError(path, "expected a finite number")
+    return v
+
+
 def _number(node: dict, key: str, path: str, default=None):
     if key not in node:
         if default is not None:
             return default
         raise ScenarioParseError(path, f"missing required field(s): {key}")
-    v = node[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioParseError(f"{path}.{key}", "expected a number")
-    return float(v)
+    return _finite(node[key], f"{path}.{key}")
 
 
 @dataclass
@@ -231,6 +244,10 @@ def _parse_vehicles(node, path: str) -> dict[str, VehicleType]:
         p = f"{path}[{vid}]"
         if vid in vehicles:
             raise ScenarioReferenceError(p, f"duplicate vehicle id '{vid}'")
+        footprint = item.get("max_units_footprint", 33)
+        if isinstance(footprint, bool) or not isinstance(footprint, int):
+            raise ScenarioParseError(f"{p}.max_units_footprint",
+                                     "expected an integer")
         tclass = item.get("temperature_class", "A")
         if tclass not in TemperatureClass.__members__:
             raise ScenarioParseError(f"{p}.temperature_class",
@@ -243,7 +260,7 @@ def _parse_vehicles(node, path: str) -> dict[str, VehicleType]:
                 cost_per_km=_number(item, "cost_per_km", p),
                 cost_per_hour=_number(item, "cost_per_hour", p),
                 temperature_class=TemperatureClass(tclass),
-                max_units_footprint=int(_number(item, "max_units_footprint", p, default=33)),
+                max_units_footprint=footprint,
             )
         except DomainError as exc:
             raise ScenarioInvariantError(p, str(exc)) from exc
@@ -410,7 +427,8 @@ def _parse_schemes(node, path: str, vehicles: dict[str, VehicleType]) -> list[di
             template["consolidate_inbound"] = bool(item.get("consolidate_inbound", False))
             weights = item.get("hub_weights")
             if weights is not None:
-                weights = [float(w) for w in _require_list(weights, f"{p}.hub_weights")]
+                weights = [_finite(w, f"{p}.hub_weights[{k}]") for k, w in
+                           enumerate(_require_list(weights, f"{p}.hub_weights"))]
                 if not math.isclose(math.fsum(weights), 1.0, rel_tol=0, abs_tol=1e-9):
                     raise ScenarioInvariantError(
                         f"{p}.hub_weights",
@@ -487,7 +505,7 @@ def parse_scenario(doc: dict, source_path: str | None = None) -> Scenario:
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_YamlLoader)
     except OSError as exc:
         raise ScenarioParseError(str(path), f"cannot read scenario: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -116,3 +116,50 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "valid" in proc.stdout
+
+
+_COLD_PATH_CHILD = """
+import io, json, sys
+from contextlib import redirect_stdout
+from citydist.cli import run
+
+s = sys.argv[1]
+commands = [
+    ["validate", "--scenario", s],
+    ["evaluate", "--scenario", s, "--scheme", "original", "--format", "json"],
+    ["compare", "--scenario", s, "--schemes", "original,original", "--format", "csv"],
+    ["sweep", "--scenario", s, "--scheme", "original", "--layer", "1",
+     "--param", "lead_time_h", "--range", "0.25:8:0.25"],
+]
+oracle = ["optimize", "--scenario", s, "--scheme", "original", "--layer", "1", "--oracle"]
+with redirect_stdout(io.StringIO()):
+    codes = [run(c) for c in commands]
+    numpy_before_oracle = "numpy" in sys.modules
+    codes.append(run(oracle))
+print(json.dumps({"codes": codes, "numpy_before_oracle": numpy_before_oracle,
+                  "numpy_after_oracle": "numpy" in sys.modules}))
+"""
+
+
+def test_cold_path_commands_do_not_import_numpy():
+    # Only the grid oracle needs numpy; every other command must start
+    # without importing it.  A fresh interpreter, because the test process
+    # has numpy loaded already.
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_PATH_CHILD, str(SINGLE_SUPPLIER)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["numpy_before_oracle"] is False
+    assert result["numpy_after_oracle"] is True
+
+
+def test_non_numeric_hub_weights_exit_2(tmp_path, capsys):
+    doc = yaml.safe_load(BORDEAUX.read_text())
+    pi = next(s for s in doc["schemes"] if s["name"] == "pi")
+    pi["hub_weights"] = ["a", "b"]
+    broken = tmp_path / "broken.scenario"
+    broken.write_text(yaml.safe_dump(doc))
+    assert run(["evaluate", "--scenario", str(broken), "--scheme", "pi"]) == 2
+    assert "schemes[pi].hub_weights[0]: expected a number" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from citydist.scenario import (
 )
 from citydist.schemes import evaluate_scheme
 
-from conftest import BORDEAUX, SINGLE_SUPPLIER
+from conftest import BORDEAUX, SCENARIOS, SINGLE_SUPPLIER
 
 
 MINIMAL = """
@@ -80,6 +80,15 @@ def test_single_supplier_scenario_loads():
     assert [share for _, share in rec.supplier.fleet_shares] == [0.1, 0.9]
 
 
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scenario")),
+                         ids=lambda p: p.name)
+def test_load_matches_pure_python_safe_load(path):
+    # load_scenario parses with libyaml where PyYAML has it; the document
+    # must equal the pure-Python safe_load reference
+    reference = parse_scenario(yaml.safe_load(path.read_text(encoding="utf-8")))
+    assert load_scenario(str(path)).to_dict() == reference.to_dict()
+
+
 def test_round_trip_is_fixpoint(tmp_path):
     first = load_scenario(str(BORDEAUX))
     out = tmp_path / "echo.scenario"
@@ -139,6 +148,28 @@ def test_invalid_scenarios_rejected_with_correct_class(description, edits, err):
     doc = _variant(**edits)
     with pytest.raises(err):
         parse_scenario(doc)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("speed_kmh", float("nan")),
+    ("capacity_kg", float("inf")),
+    ("capacity_kg", -float("inf")),
+    ("capacity_kg", 10 ** 400),
+], ids=["speed_nan", "capacity_inf", "capacity_minus_inf", "capacity_huge_int"])
+def test_non_finite_number_rejected_with_path(tmp_path, field, value):
+    path = tmp_path / "nonfinite.scenario"
+    path.write_text(yaml.safe_dump(_variant(**{f"vehicles.0.{field}": value})))
+    with pytest.raises(ScenarioParseError) as e:
+        load_scenario(str(path))
+    assert str(e.value) == f"vehicles[truck].{field}: expected a finite number"
+
+
+@pytest.mark.parametrize("value", [2.7, 30.0, True])
+def test_max_units_footprint_must_be_integer(value):
+    doc = _variant(**{"vehicles.0.max_units_footprint": value})
+    with pytest.raises(ScenarioParseError) as e:
+        parse_scenario(doc)
+    assert str(e.value) == "vehicles[truck].max_units_footprint: expected an integer"
 
 
 def test_missing_cost_per_hour_error_names_vehicle():
