@@ -308,16 +308,37 @@ def _canonical_row(row: list[float]) -> tuple[float, ...]:
     return tuple(row)
 
 
-def _transfer(rows, rng: random.Random, vehicles) -> tuple[int, tuple[float, ...]]:
+def _below(getrandbits, n: int) -> int:
+    """A uniform int in [0, n), n >= 1, drawn as rng.randrange(n) draws it."""
+    # CPython 3.11's Random.randrange(n): rejection on getrandbits(n.bit_length())
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _transfer(rows, rng: random.Random, n_vehicles: int) -> tuple[int, tuple[float, ...]]:
     """Draw one move on the allocation rows: (row index j, new row j).
 
-    A random fraction (up to 0.2) of one unit row moves between two vehicles.
-    The draws are rng.randrange, rng.sample(..., 2) and rng.uniform, in that
-    order, so a seed fixes the sequence of moves.
+    A random fraction (up to 0.2) of one unit row moves from vehicle a to
+    vehicle b.  The draws repeat, bit for bit, those of rng.randrange(len(rows)),
+    rng.sample(range(n_vehicles), 2) and rng.uniform(0.0, 0.2), in that order,
+    taken straight from rng.getrandbits and rng.random; a seed fixes the
+    sequence of moves.
     """
-    j = rng.randrange(len(rows))
-    a, b = rng.sample(vehicles, 2)
-    delta = rng.uniform(0.0, 0.2) or 0.2  # (0, 0.2]
+    getrandbits = rng.getrandbits
+    j = _below(getrandbits, len(rows))
+    a = _below(getrandbits, n_vehicles)
+    if n_vehicles <= 21:  # sample() picks from a list pool up to 21 items
+        b = _below(getrandbits, n_vehicles - 1)
+        if b == a:
+            b = n_vehicles - 1
+    else:  # and from a set of picks above
+        b = _below(getrandbits, n_vehicles)
+        while b == a:
+            b = _below(getrandbits, n_vehicles)
+    delta = 0.2 * rng.random() or 0.2  # (0, 0.2]
     row = list(rows[j])
     moved = min(delta, row[a], 1.0 - row[b])
     row[a] -= moved
@@ -330,7 +351,7 @@ def neighbor_move(allocation: AllocationMatrix, rng: random.Random) -> Allocatio
     n_vehicles = allocation.n_vehicles
     if n_vehicles < 2:
         return allocation
-    j, row = _transfer(allocation.entries, rng, range(n_vehicles))
+    j, row = _transfer(allocation.entries, rng, n_vehicles)
     entries = list(allocation.entries)
     entries[j] = row
     return AllocationMatrix(tuple(entries))
@@ -422,7 +443,11 @@ def simulated_annealing(fleet, units, params: NetworkParams,
     A move changes one row in two columns (a third at most, through the row
     repair), so each step re-evaluates only the columns whose entries
     changed and re-adds the cached column terms in vehicle order: every
-    energy equals a full evaluation bit for bit.
+    energy equals a full evaluation bit for bit.  A move whose canonical row
+    equals the current one (the clipped fraction was 0) only counts as an
+    evaluation and extends the trace: its energy would equal the current
+    one, which it accepts without an acceptance draw and which no best
+    record is above.
     """
     kernel = _ColumnKernel(fleet, units, params, config.penalty_weight)
     n_vehicles, n_units = len(kernel.fleet), len(kernel.units)
@@ -434,7 +459,7 @@ def simulated_annealing(fleet, units, params: NetworkParams,
         return _finish(kernel, rows, external_factors,
                        (kernel.energy(rows)[1],) if keep_trace else None, 1)
 
-    vehicles = list(range(n_vehicles))  # rng.sample draws as from a range, faster
+    vehicle_range = range(n_vehicles)
     best_feasible: tuple[float, tuple] | None = None
     best_any: tuple[float, tuple] | None = None
     trace: list[float] = []
@@ -447,7 +472,7 @@ def simulated_annealing(fleet, units, params: NetworkParams,
         if feasible and (best_feasible is None or energy < best_feasible[0]):
             best_feasible = (energy, rows)
 
-    for column in vehicles:
+    for column in vehicle_range:
         corner = AllocationMatrix.single_vehicle(n_units, n_vehicles, column).entries
         e, _, feas = kernel.energy(corner)
         evaluations += 1
@@ -466,19 +491,24 @@ def simulated_annealing(fleet, units, params: NetworkParams,
         if t0 is None:
             t0 = max(0.1 * abs(e_cur), 1e-6)
         t_min = config.min_temperature if config.min_temperature is not None else 1e-4 * t0
+        random_, exp, column_term = rng.random, math.exp, kernel.column
         t = t0
         while t >= t_min:
             for _ in range(config.steps_per_temperature):
-                j, row = _transfer(current, rng, vehicles)
+                j, row = _transfer(current, rng, n_vehicles)
+                evaluations += 1
                 old = current[j]
+                if row == old:
+                    if keep_trace:
+                        trace.append(best_feasible[0] if best_feasible else best_any[0])
+                    continue
                 candidate = current[:j] + (row,) + current[j + 1:]
                 new_terms = terms.copy()
-                for i in vehicles:
+                for i in vehicle_range:
                     if row[i] != old[i]:
-                        new_terms[i] = kernel.column(candidate, i)
+                        new_terms[i] = column_term(candidate, i)
                 e_new, _, feas = _total(new_terms)
-                evaluations += 1
-                accept = e_new <= e_cur or rng.random() < math.exp(-(e_new - e_cur) / t)
+                accept = e_new <= e_cur or random_() < exp(-(e_new - e_cur) / t)
                 if accept:
                     current, terms, e_cur = candidate, new_terms, e_new
                 if e_new < restart_best[0]:

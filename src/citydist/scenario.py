@@ -113,6 +113,26 @@ def _finite(v, path: str) -> float:
     return v
 
 
+def _integer(v, path: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ScenarioParseError(path, "expected an integer")
+    return v
+
+
+def _name(v, path: str) -> str:
+    """An identifier or a reference to one; checked before any lookup, since
+    a list or a mapping cannot be a dict key."""
+    if not isinstance(v, str) or not v:
+        raise ScenarioParseError(path, "expected a non-empty string")
+    return v
+
+
+def _temperature_class(v, path: str) -> TemperatureClass:
+    if _name(v, path) not in TemperatureClass.__members__:
+        raise ScenarioParseError(path, f"unknown temperature class '{v}'")
+    return TemperatureClass(v)
+
+
 def _number(node: dict, key: str, path: str, default=None):
     if key not in node:
         if default is not None:
@@ -238,20 +258,14 @@ def _parse_vehicles(node, path: str) -> dict[str, VehicleType]:
         p = f"{path}[{i}]"
         item = _require_mapping(item, p)
         _check_keys(item, _VEHICLE_KEYS, _VEHICLE_REQUIRED, p)
-        vid = item["id"]
-        if not isinstance(vid, str) or not vid:
-            raise ScenarioParseError(f"{p}.id", "expected a non-empty string")
+        vid = _name(item["id"], f"{p}.id")
         p = f"{path}[{vid}]"
         if vid in vehicles:
             raise ScenarioReferenceError(p, f"duplicate vehicle id '{vid}'")
-        footprint = item.get("max_units_footprint", 33)
-        if isinstance(footprint, bool) or not isinstance(footprint, int):
-            raise ScenarioParseError(f"{p}.max_units_footprint",
-                                     "expected an integer")
-        tclass = item.get("temperature_class", "A")
-        if tclass not in TemperatureClass.__members__:
-            raise ScenarioParseError(f"{p}.temperature_class",
-                                     f"unknown temperature class '{tclass}'")
+        footprint = _integer(item.get("max_units_footprint", 33),
+                             f"{p}.max_units_footprint")
+        tclass = _temperature_class(item.get("temperature_class", "A"),
+                                    f"{p}.temperature_class")
         try:
             vehicles[vid] = VehicleType(
                 id=vid,
@@ -259,7 +273,7 @@ def _parse_vehicles(node, path: str) -> dict[str, VehicleType]:
                 speed_kmh=_number(item, "speed_kmh", p),
                 cost_per_km=_number(item, "cost_per_km", p),
                 cost_per_hour=_number(item, "cost_per_hour", p),
-                temperature_class=TemperatureClass(tclass),
+                temperature_class=tclass,
                 max_units_footprint=footprint,
             )
         except DomainError as exc:
@@ -275,7 +289,7 @@ def _parse_unit_classes(node, path: str) -> dict[str, float]:
         p = f"{path}[{i}]"
         item = _require_mapping(item, p)
         _check_keys(item, _UNIT_KEYS, _UNIT_KEYS, p)
-        uid = item["id"]
+        uid = _name(item["id"], f"{p}.id")
         if uid in classes:
             raise ScenarioReferenceError(f"{path}[{uid}]", f"duplicate unit class '{uid}'")
         w = _number(item, "avg_weight_kg", p)
@@ -311,25 +325,23 @@ def _parse_suppliers(node, path: str, vehicles: dict[str, VehicleType],
         p = f"{path}[{i}]"
         item = _require_mapping(item, p)
         _check_keys(item, _SUPPLIER_KEYS, {"name", "fleet", "demand"}, p)
-        sname = item["name"]
+        sname = _name(item["name"], f"{p}.name")
         p = f"{path}[{sname}]"
         if sname in names:
             raise ScenarioReferenceError(p, f"duplicate supplier '{sname}'")
         names.add(sname)
 
-        tclasses = item.get("temperature_classes", ["A"])
-        for c in tclasses:
-            if c not in TemperatureClass.__members__:
-                raise ScenarioParseError(f"{p}.temperature_classes",
-                                         f"unknown temperature class '{c}'")
-        tclasses = tuple(TemperatureClass(c) for c in tclasses)
+        tclasses = tuple(
+            _temperature_class(c, f"{p}.temperature_classes[{k}]") for k, c in
+            enumerate(_require_list(item.get("temperature_classes", ["A"]),
+                                    f"{p}.temperature_classes")))
 
         shares = []
         for k, entry in enumerate(_require_list(item["fleet"], f"{p}.fleet")):
             ep = f"{p}.fleet[{k}]"
             entry = _require_mapping(entry, ep)
             _check_keys(entry, _FLEET_KEYS, {"vehicle"}, ep)
-            vid = entry["vehicle"]
+            vid = _name(entry["vehicle"], f"{ep}.vehicle")
             if vid not in vehicles:
                 raise ScenarioReferenceError(f"{ep}.vehicle", f"unknown vehicle '{vid}'")
             shares.append((vehicles[vid], _number(entry, "share", ep, default=1.0)))
@@ -340,7 +352,7 @@ def _parse_suppliers(node, path: str, vehicles: dict[str, VehicleType],
             rp = f"{p}.demand[{k}]"
             row = _require_mapping(row, rp)
             _check_keys(row, _DEMAND_KEYS, {"unit", "stops"}, rp)
-            uid = row["unit"]
+            uid = _name(row["unit"], f"{rp}.unit")
             if uid not in unit_classes:
                 raise ScenarioReferenceError(f"{rp}.unit", f"unknown unit class '{uid}'")
             if uid in seen_units:
@@ -367,7 +379,7 @@ def _parse_suppliers(node, path: str, vehicles: dict[str, VehicleType],
                 f"{p}.fleet", f"no vehicle covers temperature class "
                 f"'{supplier.temperature_classes[0].value}'")
         pos = item.get("pos_count")
-        if pos is not None and (not isinstance(pos, int) or pos < 0):
+        if pos is not None and _integer(pos, f"{p}.pos_count") < 0:
             raise ScenarioParseError(f"{p}.pos_count", "expected a nonnegative integer")
         out.append(SupplierRecord(supplier=supplier, pos_count=pos))
     if not out:
@@ -388,14 +400,14 @@ def _parse_schemes(node, path: str, vehicles: dict[str, VehicleType]) -> list[di
         p = f"{path}[{i}]"
         item = _require_mapping(item, p)
         kind = item.get("type")
-        if kind not in _SCHEME_KEYS:
+        if not isinstance(kind, str) or kind not in _SCHEME_KEYS:
             raise ScenarioParseError(f"{p}.type",
                                      f"expected one of {sorted(_SCHEME_KEYS)}, got {kind!r}")
         _check_keys(item, _SCHEME_KEYS[kind],
                     _SCHEME_KEYS_COMMON | ({"params"} if kind == "original" else
                                            {"shuttle_vehicle", "city_vehicle",
                                             "shuttle_params", "city_params"}), p)
-        name = item["name"]
+        name = _name(item["name"], f"{p}.name")
         p = f"{path}[{name}]"
         if name in names:
             raise ScenarioReferenceError(p, f"duplicate scheme '{name}'")
@@ -405,7 +417,7 @@ def _parse_schemes(node, path: str, vehicles: dict[str, VehicleType]) -> list[di
             template["params"] = _parse_params_block(item["params"], f"{p}.params")
         else:
             for ref in ("shuttle_vehicle", "city_vehicle"):
-                if item[ref] not in vehicles:
+                if _name(item[ref], f"{p}.{ref}") not in vehicles:
                     raise ScenarioReferenceError(f"{p}.{ref}", f"unknown vehicle '{item[ref]}'")
                 template[ref] = item[ref]
             template["shuttle_params"] = _parse_params_block(item["shuttle_params"],
@@ -415,12 +427,12 @@ def _parse_schemes(node, path: str, vehicles: dict[str, VehicleType]) -> list[di
             template["handling_cost_per_delivery"] = _number(
                 item, "handling_cost_per_delivery", p, default=10.0)
         if kind == "pi":
-            hubs = item.get("hub_count", 2)
-            if not isinstance(hubs, int) or hubs < 1:
+            hubs = _integer(item.get("hub_count", 2), f"{p}.hub_count")
+            if hubs < 1:
                 raise ScenarioInvariantError(f"{p}.hub_count", "must be an integer >= 1")
             template["hub_count"] = hubs
             tours = item.get("shuttle_tours_per_hub")
-            if tours is not None and (not isinstance(tours, int) or tours < 1):
+            if tours is not None and _integer(tours, f"{p}.shuttle_tours_per_hub") < 1:
                 raise ScenarioInvariantError(f"{p}.shuttle_tours_per_hub",
                                              "must be an integer >= 1 (or omitted)")
             template["shuttle_tours_per_hub"] = tours
@@ -449,9 +461,7 @@ def _parse_sa(node, path: str) -> SaConfig:
         if key in node and node[key] is not None:
             v = node[key]
             if key in ("seed", "steps_per_temperature", "restarts"):
-                if not isinstance(v, int):
-                    raise ScenarioParseError(f"{path}.{key}", "expected an integer")
-                kwargs[key] = v
+                kwargs[key] = _integer(v, f"{path}.{key}")
             else:
                 kwargs[key] = _number(node, key, path)
     try:

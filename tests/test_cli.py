@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 import yaml
 
 from citydist.cli import run
@@ -163,3 +164,55 @@ def test_non_numeric_hub_weights_exit_2(tmp_path, capsys):
     broken.write_text(yaml.safe_dump(doc))
     assert run(["evaluate", "--scenario", str(broken), "--scheme", "pi"]) == 2
     assert "schemes[pi].hub_weights[0]: expected a number" in capsys.readouterr().err
+
+
+def _validate_mutated(tmp_path, field, value) -> int:
+    """Run `validate` on bordeaux.scenario with one dotted field replaced."""
+    doc = yaml.safe_load(BORDEAUX.read_text())
+    *parents, leaf = field.split(".")
+    node = doc
+    for key in parents:
+        node = node[int(key)] if key.isdigit() else node[key]
+    node[int(leaf) if leaf.isdigit() else leaf] = value
+    broken = tmp_path / "broken.scenario"
+    broken.write_text(yaml.safe_dump(doc))
+    return run(["validate", "--scenario", str(broken)])
+
+
+@pytest.mark.parametrize("field, message", [
+    ("unit_classes.0.id", "unit_classes[0].id: expected a non-empty string"),
+    ("suppliers.0.name", "suppliers[0].name: expected a non-empty string"),
+    ("vehicles.0.temperature_class",
+     "vehicles[van_2p3t_city].temperature_class: expected a non-empty string"),
+    ("suppliers.0.temperature_classes.0",
+     "suppliers[supplier_1].temperature_classes[0]: expected a non-empty string"),
+    ("suppliers.0.fleet.0.vehicle",
+     "suppliers[supplier_1].fleet[0].vehicle: expected a non-empty string"),
+    ("suppliers.0.demand.0.unit",
+     "suppliers[supplier_1].demand[0].unit: expected a non-empty string"),
+    ("schemes.0.name", "schemes[0].name: expected a non-empty string"),
+    ("schemes.0.type", "schemes[0].type: expected one of"),
+    ("schemes.1.shuttle_vehicle", "schemes[ucc].shuttle_vehicle: expected a non-empty string"),
+])
+def test_unhashable_identifier_exits_2_with_path(tmp_path, capsys, field, message):
+    # a list cannot be looked up as an identifier; it used to raise TypeError
+    assert _validate_mutated(tmp_path, field, ["x"]) == 2
+    assert f"scenario error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, good, bad, message", [
+    ("suppliers.0.temperature_classes", ["F"], "AF",
+     "suppliers[supplier_1].temperature_classes: expected a list, got str"),
+    ("suppliers.0.pos_count", 0, True, "suppliers[supplier_1].pos_count: expected an integer"),
+    ("schemes.2.hub_count", 3, True, "schemes[pi].hub_count: expected an integer"),
+    ("schemes.2.shuttle_tours_per_hub", 2, True,
+     "schemes[pi].shuttle_tours_per_hub: expected an integer"),
+    ("sa.seed", 0, True, "sa.seed: expected an integer"),
+    ("sa.steps_per_temperature", 10, True, "sa.steps_per_temperature: expected an integer"),
+    ("sa.restarts", 2, 2.0, "sa.restarts: expected an integer"),
+], ids=["temperature_classes_str", "pos_count_bool", "hub_count_bool",
+        "shuttle_tours_per_hub_bool", "sa_seed_bool", "sa_steps_bool", "sa_restarts_float"])
+def test_wrong_type_exits_2_with_path(tmp_path, capsys, field, good, bad, message):
+    assert _validate_mutated(tmp_path, field, good) == 0
+    assert _validate_mutated(tmp_path, field, bad) == 2
+    assert f"scenario error: {message}" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -26,6 +27,8 @@ from citydist.optimize import (
     neighbor_move,
     objective_value,
     simulated_annealing,
+    _canonical_row,
+    _transfer,
 )
 from citydist.report import to_jsonable
 
@@ -125,19 +128,19 @@ def test_solved_plan_satisfies_all_constraints():
 # ---------------------------------------------------------------- moves
 
 class _ScriptedRng:
-    """Deterministic stand-in for random.Random in move tests."""
+    """Deterministic stand-in for random.Random in move tests: getrandbits
+    returns the scripted values in turn, random() the scripted fraction."""
 
-    def __init__(self, row, pair, delta):
-        self._row, self._pair, self._delta = row, pair, delta
+    def __init__(self, bits, fraction):
+        self._bits, self._fraction = iter(bits), fraction
 
-    def randrange(self, n):
-        return self._row
+    def getrandbits(self, k):
+        value = next(self._bits)
+        assert 0 <= value < 2 ** k
+        return value
 
-    def sample(self, population, k):
-        return list(self._pair)
-
-    def uniform(self, lo, hi):
-        return self._delta
+    def random(self):
+        return self._fraction
 
 
 def test_neighbor_move_single_vehicle_is_identity():
@@ -147,8 +150,47 @@ def test_neighbor_move_single_vehicle_is_identity():
 
 def test_neighbor_move_scripted_transfer():
     allocation = AllocationMatrix(((1.0, 0.0),))
-    moved = neighbor_move(allocation, _ScriptedRng(0, (0, 1), 0.2))
+    # row 0, from vehicle 0; the second draw 0 is vehicle 0 again, which
+    # stands for the last vehicle, 1; a zero fraction moves the full 0.2
+    moved = neighbor_move(allocation, _ScriptedRng((0, 0, 0), 0.0))
     assert moved.entries == ((0.8, 0.2),)
+
+
+def test_transfer_that_moves_nothing_still_canonicalizes():
+    # canonicalizing is not idempotent: this row, reached by the walk,
+    # comes back one ulp off in its middle entry
+    row = (0.23883131223243495, 0.761168687767565, 0.0)
+    # row 0, from vehicle 2 (which carries none of it) to vehicle 1
+    j, new = _transfer((row,), _ScriptedRng((0, 2, 1), 0.5), 3)
+    assert (j, new) == (0, (0.23883131223243495, 0.7611686877675651, 0.0))
+
+
+def _parent_transfer(rows, rng, vehicles):
+    """The draws before getrandbits, kept as the reference they must repeat."""
+    j = rng.randrange(len(rows))
+    a, b = rng.sample(vehicles, 2)
+    delta = rng.uniform(0.0, 0.2) or 0.2  # (0, 0.2]
+    row = list(rows[j])
+    moved = min(delta, row[a], 1.0 - row[b])
+    row[a] -= moved
+    row[b] += moved
+    return j, _canonical_row(row)
+
+
+# 21 and 22 straddle the size at which random.sample switches from a list
+# pool to a set of picks
+@pytest.mark.parametrize("n_vehicles", [*range(2, 12), 21, 22, 30])
+def test_transfer_draws_equal_randrange_sample_uniform(n_vehicles):
+    for seed in range(200):
+        n_rows = 1 + seed % 6
+        rows = AllocationMatrix.uniform(n_rows, n_vehicles).entries
+        ours, reference = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            move = _transfer(rows, ours, n_vehicles)
+            assert move == _parent_transfer(rows, reference, range(n_vehicles))
+            j, row = move
+            rows = rows[:j] + (row,) + rows[j + 1:]
+        assert ours.getstate() == reference.getstate()
 
 
 @settings(max_examples=100)
@@ -204,6 +246,21 @@ def test_sa_best_energy_equals_full_evaluation(fleet, units):
     result = simulated_annealing(fleet, units, PARAMS, config, keep_trace=True)
     assert result.trace[-1] == objective_value(result.allocation, fleet, units, PARAMS,
                                                penalty_weight=config.penalty_weight)
+
+
+def test_sa_seeded_walk_is_pinned():
+    # The interior-optimum instance above: the walk's evaluation count, its
+    # result and its whole trace, as recorded before the walk skipped moves
+    # that leave the row unchanged and drew from getrandbits
+    fleet = [vt("a", 25000, 7), vt("b", 4000, 5), vt("c", 9000, 9)]
+    units = [DeliveryUnitType("u1", 450.0, 43), DeliveryUnitType("u2", 20.0, 5)]
+    config = SaConfig(seed=11, restarts=2, steps_per_temperature=50)
+    result = simulated_annealing(fleet, units, PARAMS, config, keep_trace=True)
+    assert result.evaluations == 18019
+    assert result.allocation.entries == ((0.9519164529101823, 0.0480835470898177, 0.0),
+                                         (0.9157327466564686, 0.08426725334353131, 0.0))
+    assert hashlib.sha256(repr(result.trace).encode()).hexdigest() == \
+        "aa0adc36c551b63723283686ff88b15e4692bf2a6893c90455db43f78d906c5f"
 
 
 def test_sa_trace_is_nonincreasing():
