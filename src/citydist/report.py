@@ -1,7 +1,8 @@
 """Deterministic rendering of reports as text tables, JSON or CSV.
 
 Money, distances and times are rendered with 2 decimals in the tabular
-formats; JSON keeps full precision.  Output carries no timestamps or other
+formats; JSON keeps full precision and is strict: a non-finite objective or
+slack is written as null.  Output carries no timestamps or other
 run-dependent content, so identical invocations are byte-identical.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 from .model import KpiReport
 from .optimize import OptimizationResult
@@ -97,6 +99,11 @@ def _rows_for(obj) -> tuple[list[str], list[list]]:
     raise TypeError(f"cannot render object of type {type(obj).__name__}")
 
 
+def _finite_or_none(x: float) -> float | None:
+    # strict JSON has no Infinity; a divergent plan already reads feasible: false
+    return x if math.isfinite(x) else None
+
+
 def to_jsonable(obj):
     if isinstance(obj, KpiReport):
         return kpi_to_dict(obj)
@@ -125,10 +132,10 @@ def to_jsonable(obj):
     if isinstance(obj, OptimizationResult):
         return {
             "allocation": [list(row) for row in obj.allocation.entries],
-            "objective": obj.objective,
+            "objective": _finite_or_none(obj.objective),
             "feasible": obj.feasible,
             "violations": [{"vehicle": v.vehicle_id, "constraint": v.constraint,
-                            "slack": v.slack} for v in obj.violations],
+                            "slack": _finite_or_none(v.slack)} for v in obj.violations],
             "kpis": kpi_to_dict(obj.kpis),
             "trace": list(obj.trace) if obj.trace is not None else None,
             "evaluations": obj.evaluations,
@@ -139,7 +146,7 @@ def to_jsonable(obj):
 def render(obj, fmt: str = "table") -> str:
     if fmt == "json":
         return json.dumps(to_jsonable(obj), indent=2, sort_keys=True,
-                          allow_nan=True) + "\n"
+                          allow_nan=False) + "\n"
     header, rows = _rows_for(obj)
     if fmt == "csv":
         buf = io.StringIO()

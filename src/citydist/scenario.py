@@ -80,16 +80,18 @@ _OPT_KEYS = {"vehicles"}
 _YamlLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+def _typed(v, kind: type, label: str, path: str):
+    if not isinstance(v, kind):
+        raise ScenarioParseError(path, f"expected {label}, got {type(v).__name__}")
+    return v
+
+
 def _require_mapping(node, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise ScenarioParseError(path, f"expected a mapping, got {type(node).__name__}")
-    return node
+    return _typed(node, dict, "a mapping", path)
 
 
 def _require_list(node, path: str) -> list:
-    if not isinstance(node, list):
-        raise ScenarioParseError(path, f"expected a list, got {type(node).__name__}")
-    return node
+    return _typed(node, list, "a list", path)
 
 
 def _check_keys(node: dict, allowed: set, required: set, path: str):
@@ -436,7 +438,9 @@ def _parse_schemes(node, path: str, vehicles: dict[str, VehicleType]) -> list[di
                 raise ScenarioInvariantError(f"{p}.shuttle_tours_per_hub",
                                              "must be an integer >= 1 (or omitted)")
             template["shuttle_tours_per_hub"] = tours
-            template["consolidate_inbound"] = bool(item.get("consolidate_inbound", False))
+            template["consolidate_inbound"] = _typed(item.get("consolidate_inbound", False),
+                                                      bool, "a boolean",
+                                                      f"{p}.consolidate_inbound")
             weights = item.get("hub_weights")
             if weights is not None:
                 weights = [_finite(w, f"{p}.hub_weights[{k}]") for k, w in
@@ -491,8 +495,8 @@ def parse_scenario(doc: dict, source_path: str | None = None) -> Scenario:
             raise ScenarioReferenceError("optimization.vehicles", f"unknown vehicle '{v}'")
 
     scenario = Scenario(
-        name=str(doc["name"]),
-        description=str(doc.get("description", "")),
+        name=_typed(doc["name"], str, "a string", "name"),
+        description=_typed(doc.get("description", ""), str, "a string", "description"),
         network_defaults=defaults,
         external_factors=_parse_external(doc["external_factors"], "external_factors"),
         vehicles=vehicles,

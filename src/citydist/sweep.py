@@ -1,10 +1,11 @@
 """One-dimensional parameter sweeps over a scheme's layer.
 
-A sweep re-evaluates the whole scheme at each grid point with one numeric
-parameter of one layer replaced: any NetworkParams field, or the pseudo-field
-``speed_kmh`` which rescales every vehicle in that layer's fleet.  Infeasible
-points are marked rather than aborting, and the report records where the tour
-counts first move away from their slack-side values.
+A sweep replaces one numeric parameter of one layer at each grid point: any
+NetworkParams field, or the pseudo-field ``speed_kmh`` which rescales every
+vehicle in that layer's fleet.  Only the swept layer is re-evaluated per
+point; the other layers are evaluated once per sweep.  Infeasible points are
+marked rather than aborting, and the report records where the tour counts
+first move away from their slack-side values.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from dataclasses import dataclass, replace
 from .model import DomainError, KpiReport, NetworkParams
 from .schemes import (
     FleetAssignment,
+    LayerInfeasibleError,
     LayerSpec,
     SchemeInfeasibleError,
     SchemeSpec,
-    evaluate_scheme,
+    evaluate_layer,
+    evaluate_scheme,  # noqa: F401  bound here for perfbench's tracer, which wraps it
 )
 
 _PARAM_FIELDS = ("radius_km", "area_km2", "stop_time_h", "daganzo_k",
@@ -71,20 +74,22 @@ class SweepReport:
     infeasible_above: float | None = None
 
 
-def apply_parameter(scheme: SchemeSpec, layer_index: int, parameter: str,
-                    value: float) -> SchemeSpec:
-    """New scheme with one layer's parameter (or fleet speed) replaced."""
-    layer = scheme.layers[layer_index]
+def _apply_to_layer(layer: LayerSpec, parameter: str, value: float) -> LayerSpec:
+    """New layer with its parameter (or fleet speed) replaced."""
     if parameter == SPEED_FIELD:
         fleet = tuple(
             FleetAssignment(replace(a.vehicle, speed_kmh=value), a.demand,
                             a.shuttle_tours, a.capacity_unit)
             for a in layer.fleet)
-        new_layer = replace(layer, fleet=fleet)
-    else:
-        new_layer = replace(layer, params=replace(layer.params, **{parameter: value}))
+        return replace(layer, fleet=fleet)
+    return replace(layer, params=replace(layer.params, **{parameter: value}))
+
+
+def apply_parameter(scheme: SchemeSpec, layer_index: int, parameter: str,
+                    value: float) -> SchemeSpec:
+    """New scheme with one layer's parameter (or fleet speed) replaced."""
     layers = list(scheme.layers)
-    layers[layer_index] = new_layer
+    layers[layer_index] = _apply_to_layer(layers[layer_index], parameter, value)
     return replace(scheme, layers=tuple(layers))
 
 
@@ -121,18 +126,43 @@ def detect_threshold(rows) -> float | None:
     return None
 
 
+def _layer_outcome(layer: LayerSpec, factors):
+    """The layer's report, or the error that makes a point infeasible."""
+    try:
+        return evaluate_layer(layer, factors)
+    except (LayerInfeasibleError, DomainError) as exc:
+        return exc
+
+
 def sweep_parameter(spec: SweepSpec) -> SweepReport:
-    """Evaluate the scheme across the grid; infeasible points become markers."""
+    """Evaluate the scheme across the grid; infeasible points become markers.
+    Each row equals ``evaluate_scheme(apply_parameter(...))`` at its value."""
     values = _grid(spec.start, spec.stop, spec.step)
     if not values:
         raise DomainError("sweep grid is empty")
+    scheme, swept = spec.scheme, spec.layer_index
+    factors = scheme.external_factors
+    fixed = {}  # layer index -> outcome of an unchanged layer, once reached
     rows = []
     for v in values:
-        scheme = apply_parameter(spec.scheme, spec.layer_index, spec.parameter, v)
-        try:
-            rows.append(SweepRow(v, evaluate_scheme(scheme)))
-        except (SchemeInfeasibleError, DomainError) as exc:
-            rows.append(SweepRow(v, None, error=str(exc)))
+        layer = _apply_to_layer(scheme.layers[swept], spec.parameter, v)
+        reports = []
+        for i, base in enumerate(scheme.layers):
+            if i == swept:
+                out = _layer_outcome(layer, factors)
+            else:
+                out = fixed.get(i)
+                if out is None:
+                    out = fixed[i] = _layer_outcome(base, factors)
+            if isinstance(out, Exception):
+                break
+            reports.append(out)
+        else:
+            rows.append(SweepRow(v, KpiReport.aggregate(reports)))
+            continue
+        if isinstance(out, LayerInfeasibleError):
+            out = SchemeInfeasibleError(scheme.name, out)
+        rows.append(SweepRow(v, None, error=str(out)))
     below = above = None
     if rows and not rows[0].feasible:
         i = 0

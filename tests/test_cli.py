@@ -210,8 +210,16 @@ def test_unhashable_identifier_exits_2_with_path(tmp_path, capsys, field, messag
     ("sa.seed", 0, True, "sa.seed: expected an integer"),
     ("sa.steps_per_temperature", 10, True, "sa.steps_per_temperature: expected an integer"),
     ("sa.restarts", 2, 2.0, "sa.restarts: expected an integer"),
+    ("name", "renamed", ["x"], "name: expected a string, got list"),
+    ("description", "", {"a": 1}, "description: expected a string, got dict"),
+    ("schemes.2.consolidate_inbound", False, ["x"],
+     "schemes[pi].consolidate_inbound: expected a boolean, got list"),
+    ("schemes.2.consolidate_inbound", True, 1,
+     "schemes[pi].consolidate_inbound: expected a boolean, got int"),
 ], ids=["temperature_classes_str", "pos_count_bool", "hub_count_bool",
-        "shuttle_tours_per_hub_bool", "sa_seed_bool", "sa_steps_bool", "sa_restarts_float"])
+        "shuttle_tours_per_hub_bool", "sa_seed_bool", "sa_steps_bool", "sa_restarts_float",
+        "name_list", "description_dict", "consolidate_inbound_list",
+        "consolidate_inbound_int"])
 def test_wrong_type_exits_2_with_path(tmp_path, capsys, field, good, bad, message):
     assert _validate_mutated(tmp_path, field, good) == 0
     assert _validate_mutated(tmp_path, field, bad) == 2

@@ -3,7 +3,15 @@ import math
 
 import pytest
 
-from citydist.model import DEFAULT_EXTERNAL_FACTORS, KpiReport
+from citydist.model import (
+    DEFAULT_EXTERNAL_FACTORS,
+    DeliveryUnitType,
+    KpiReport,
+    NetworkParams,
+    TemperatureClass,
+    VehicleType,
+)
+from citydist.optimize import SaConfig, simulated_annealing
 from citydist.report import INFEASIBLE_MARKER, render
 from citydist.schemes import ComparisonRow, ComparisonTable
 from citydist.sweep import SweepReport, SweepRow
@@ -58,3 +66,27 @@ def test_external_total_in_json_uses_category_sum():
     payload = json.loads(render(report, "json"))
     assert payload["external_cost"] == pytest.approx(
         math.fsum(payload["external_by_category"].values()), rel=0, abs=0)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_divergent_optimization_renders_strict_json():
+    # a 20 km/h vehicle cannot cover 2 x 30 km within a 0.5 h lead time
+    params = NetworkParams(radius_km=30, area_km2=186, stop_time_h=0.25,
+                           shift_duration_h=16, lead_time_h=0.5)
+    slow = VehicleType("slow", 17000, 20, 8.0, 30.0, TemperatureClass.A, 200)
+    result = simulated_annealing([slow], [DeliveryUnitType("pallet", 450.0, 100)],
+                                 params, SaConfig(seed=0, restarts=1,
+                                                  steps_per_temperature=5))
+    assert result.objective == math.inf and not result.feasible
+    payload = json.loads(render(result, "json"), parse_constant=_reject_constant)
+    assert payload["objective"] is None
+    assert payload["feasible"] is False
+    assert [v["slack"] for v in payload["violations"]] == [None, None, None]
+
+
+def test_json_refuses_non_finite_values():
+    with pytest.raises(ValueError):
+        render(KpiReport(total_distance_km=math.inf), "json")

@@ -9,8 +9,27 @@ from citydist.model import (
     TemperatureClass,
     VehicleType,
 )
-from citydist.schemes import FleetAssignment, LayerMode, LayerSpec, SchemeSpec, evaluate_scheme
-from citydist.sweep import SweepRow, SweepSpec, apply_parameter, detect_threshold, sweep_parameter
+from citydist.scenario import load_scenario
+from citydist.schemes import (
+    FleetAssignment,
+    LayerMode,
+    LayerSpec,
+    SchemeInfeasibleError,
+    SchemeSpec,
+    evaluate_scheme,
+)
+import citydist.sweep as sweep_module
+from citydist.sweep import (
+    SweepReport,
+    SweepRow,
+    SweepSpec,
+    _grid,
+    apply_parameter,
+    detect_threshold,
+    sweep_parameter,
+)
+
+from conftest import BORDEAUX
 
 
 CITY = VehicleType("city_17t", 17000, 20, 8.0, 30.0, TemperatureClass.T, 30)
@@ -123,3 +142,100 @@ def test_all_infeasible_sweep_sets_boundary():
     assert all(not r.feasible for r in report.rows)
     assert report.detected_threshold is None
     assert report.infeasible_below == 2.0
+
+
+# ------------------------------------------------- reuse of unchanged layers
+
+def _per_point_sweep(spec):
+    """Reference sweep: the whole scheme rebuilt and evaluated at every point."""
+    rows = []
+    for v in _grid(spec.start, spec.stop, spec.step):
+        scheme = apply_parameter(spec.scheme, spec.layer_index, spec.parameter, v)
+        try:
+            rows.append(SweepRow(v, evaluate_scheme(scheme)))
+        except (SchemeInfeasibleError, DomainError) as exc:
+            rows.append(SweepRow(v, None, error=str(exc)))
+    feasible = [i for i, r in enumerate(rows) if r.feasible]
+    below = above = None
+    if not rows[0].feasible:
+        below = rows[feasible[0] - 1].value if feasible else rows[-1].value
+    if not rows[-1].feasible:
+        above = rows[feasible[-1] + 1].value if feasible else rows[0].value
+    return SweepReport(spec.parameter, tuple(rows), detect_threshold(rows), below, above)
+
+
+def _assert_matches_per_point(spec):
+    got, want = sweep_parameter(spec), _per_point_sweep(spec)
+    assert got == want
+    assert repr(got) == repr(want)  # bit-equal floats, identical error strings
+    return got
+
+
+BORDEAUX_SCENARIO = load_scenario(str(BORDEAUX))
+
+
+@pytest.mark.parametrize("parameter, start, stop, step", [
+    ("lead_time_h", 0.05, 8.0, 0.35),
+    ("speed_kmh", 1.0, 41.0, 4.0),
+])
+@pytest.mark.parametrize("scheme_name", BORDEAUX_SCENARIO.scheme_names())
+def test_every_bundled_layer_sweep_equals_per_point_evaluation(scheme_name, parameter,
+                                                               start, stop, step):
+    scheme = BORDEAUX_SCENARIO.scheme(scheme_name)
+    for k in range(len(scheme.layers)):
+        _assert_matches_per_point(SweepSpec(parameter, start, stop, step, scheme, k))
+
+
+FAR_PARAMS = NetworkParams(radius_km=30, area_km2=186, stop_time_h=0.25,
+                           shift_duration_h=16, lead_time_h=1.0)
+SHUTTLE_PARAMS = NetworkParams(radius_km=20, area_km2=186, stop_time_h=0.5)
+
+
+def _layers():
+    """(feasible shuttle, always divergent 'far', lead-time-swept 'city')."""
+    load = DemandProfile(total_weight_kg=5000, total_stops=10)
+    shuttle = LayerSpec("shuttle", LayerMode.FIXED_SHUTTLE, SHUTTLE_PARAMS,
+                        (FleetAssignment(CITY, load),))
+    # 2r/v = 3 h of driving exceeds the 1 h lead time at any tour count
+    far = LayerSpec("far", LayerMode.ANALYTICAL, FAR_PARAMS, (FleetAssignment(CITY, load),))
+    return shuttle, far, city_scheme().layers[0]
+
+
+def test_unchanged_layer_diverging_before_swept_layer_wins():
+    shuttle, far, city = _layers()
+    scheme = SchemeSpec("far_first", (shuttle, far, city), DEFAULT_EXTERNAL_FACTORS)
+    report = _assert_matches_per_point(SweepSpec("lead_time_h", 0.25, 2.0, 0.25, scheme, 2))
+    assert all("layer 'far'" in r.error for r in report.rows)
+
+
+def test_unchanged_layer_diverging_after_swept_layer():
+    shuttle, far, city = _layers()
+    scheme = SchemeSpec("far_last", (city, shuttle, far), DEFAULT_EXTERNAL_FACTORS)
+    report = _assert_matches_per_point(SweepSpec("lead_time_h", 0.25, 2.0, 0.25, scheme, 0))
+    # the swept layer diverges below 0.75 h and comes first there
+    assert [r.error.split("layer ")[1] for r in report.rows] == (
+        ["'city')"] * 2 + ["'far')"] * 6)
+    assert report.infeasible_below == 2.0
+
+
+def test_invalid_swept_value_raises_before_any_layer_error():
+    shuttle, far, city = _layers()
+    scheme = SchemeSpec("far_first", (shuttle, far, city), DEFAULT_EXTERNAL_FACTORS)
+    with pytest.raises(DomainError) as expected:
+        apply_parameter(scheme, 2, "lead_time_h", 30.0)
+    with pytest.raises(DomainError) as got:
+        sweep_parameter(SweepSpec("lead_time_h", 10.0, 30.0, 10.0, scheme, 2))
+    assert str(got.value) == str(expected.value) == "params.lead_time_h must be <= 24"
+
+
+def test_unchanged_layers_are_evaluated_once_per_sweep(monkeypatch):
+    scheme = BORDEAUX_SCENARIO.scheme("original")
+    calls = []
+    evaluate_layer = sweep_module.evaluate_layer
+    monkeypatch.setattr(sweep_module, "evaluate_layer",
+                        lambda layer, factors: calls.append(layer.name)
+                        or evaluate_layer(layer, factors))
+    report = sweep_parameter(SweepSpec("speed_kmh", 10.0, 30.0, 5.0, scheme, 1))
+    assert len(report.rows) == 5
+    fixed = [layer.name for i, layer in enumerate(scheme.layers) if i != 1]
+    assert sorted(calls) == sorted(fixed + ["supplier_2_direct"] * 5)
