@@ -8,13 +8,12 @@ scheme's configured baseline.
 
 import pathlib
 import sys
-from dataclasses import replace
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from citydist.optimize import induced_demand, simulated_annealing
+from citydist.optimize import reallocated_scheme, simulated_annealing
 from citydist.scenario import load_scenario
-from citydist.schemes import FleetAssignment, evaluate_scheme
+from citydist.schemes import evaluate_scheme
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -27,12 +26,8 @@ def optimize_layer(scenario, scheme_name, layer_index):
     units = [u for a in layer.fleet for u in a.demand.units]
     result = simulated_annealing(fleet, units, layer.params, scenario.sa,
                                  external_factors=scheme.external_factors)
-    demands = induced_demand(result.allocation, units)
-    assignments = tuple(FleetAssignment(v, d) for v, d in zip(fleet, demands)
-                        if d.total_weight_kg > 0 or d.total_stops > 0)
-    layers = list(scheme.layers)
-    layers[layer_index] = replace(layers[layer_index], fleet=assignments)
-    optimized = evaluate_scheme(replace(scheme, layers=tuple(layers)))
+    optimized = evaluate_scheme(reallocated_scheme(scheme, layer_index, result.allocation,
+                                                   fleet, units))
 
     print(f"--- {scenario.name} / {scheme_name} (layer {layer_index + 1}) ---")
     print(f"objective: {result.objective:.2f} EUR  feasible: {result.feasible}")

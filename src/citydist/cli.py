@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from .model import ConsistencyError, DomainError, InfeasibleError, ModelError
-from .optimize import brute_force_grid, simulated_annealing
+from .optimize import GridTooLargeError, brute_force_grid, simulated_annealing, vertex_optimum
 from .report import emit_report
 from .scenario import ScenarioError, load_scenario
 from .schemes import LayerMode, SchemeInfeasibleError, compare_schemes
@@ -52,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated vehicle ids (default: scenario optimization block)")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--oracle", action="store_true",
-                   help="use the exhaustive grid search instead of annealing")
+                   help="use the exhaustive grid search instead of annealing; above "
+                        "its budget, the best vertex allocation")
     p.add_argument("--trace", action="store_true", help="include the best-so-far trace")
 
     p = sub.add_parser("sweep", help="sweep one numeric parameter of one layer")
@@ -98,9 +99,16 @@ def _optimize(args, scenario) -> object:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.oracle:
-        return brute_force_grid(fleet, units, layer.params, step=config.grid_step,
-                                penalty_weight=config.penalty_weight,
-                                external_factors=scheme.external_factors)
+        try:
+            return brute_force_grid(fleet, units, layer.params, step=config.grid_step,
+                                    penalty_weight=config.penalty_weight,
+                                    external_factors=scheme.external_factors)
+        except GridTooLargeError:
+            result = vertex_optimum(fleet, units, layer.params, config.penalty_weight,
+                                    scheme.external_factors)
+            print(f"grid over budget: best of {result.evaluations} vertex allocations",
+                  file=sys.stderr)
+            return result
     return simulated_annealing(fleet, units, layer.params, config,
                                external_factors=scheme.external_factors,
                                keep_trace=args.trace)

@@ -4,15 +4,18 @@ The decision variable is a matrix of fractions: row j gives how unit type j
 splits across the vehicle types (rows sum to 1).  Tour counts are recomputed
 from the tour fixed point at every candidate, so the objective is nonlinear
 and nonconvex; a simulated-annealing search with a constraint penalty does
-the optimization, and an exhaustive simplex-grid enumeration serves as an
-oracle for small instances.
+the optimization, seeded with every vertex allocation (each unit row whole
+on one vehicle), where the mostly concave cost tends to take its minimum.
+An exhaustive simplex-grid enumeration serves as an oracle for small
+instances, and the best vertex stands in for it above the grid's budget.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import (
     DemandProfile,
@@ -24,7 +27,7 @@ from .model import (
     _solve_fixed_point,
     effective_capacity,
 )
-from .schemes import FleetAssignment, LayerMode, LayerSpec, evaluate_layer
+from .schemes import FleetAssignment, LayerMode, LayerSpec, SchemeSpec, evaluate_layer
 
 _ROW_SUM_TOL = 1e-9
 _FEASIBLE_TOL = 1e-6
@@ -66,11 +69,6 @@ class AllocationMatrix:
         row = tuple(1.0 / n_vehicles for _ in range(n_vehicles))
         return cls(tuple(row for _ in range(n_units)))
 
-    @classmethod
-    def single_vehicle(cls, n_units: int, n_vehicles: int, column: int) -> "AllocationMatrix":
-        row = tuple(1.0 if i == column else 0.0 for i in range(n_vehicles))
-        return cls(tuple(row for _ in range(n_units)))
-
     def column_mass_share(self, units, column: int) -> float:
         """Share of total demand weight assigned to one vehicle column."""
         total = math.fsum(u.weight_kg for u in units)
@@ -83,12 +81,14 @@ class AllocationMatrix:
 @dataclass(frozen=True)
 class SaConfig:
     """Annealing schedule.  Temperatures left as None are derived at run time:
-    initial = 10% of the starting energy, minimum = 1e-4 of the initial."""
+    initial = 10% of the starting energy, minimum = 1e-4 of the initial.
+    The default 20 steps per temperature suffice because every vertex
+    allocation is scored as a seed before the walks start."""
 
     seed: int = 0
     initial_temperature: float | None = None
     cooling_rate: float = 0.95
-    steps_per_temperature: int = 200
+    steps_per_temperature: int = 20
     min_temperature: float | None = None
     restarts: int = 5
     penalty_weight: float = 1000.0
@@ -380,6 +380,17 @@ def allocation_kpis(allocation: AllocationMatrix, fleet, units, params: NetworkP
                           external_factors)
 
 
+def reallocated_scheme(scheme: SchemeSpec, layer_index: int, allocation: AllocationMatrix,
+                       fleet, units) -> SchemeSpec:
+    """The scheme with one layer's fleet replaced by the allocation's, each
+    vehicle with the capacity unit the optimizer scores it by."""
+    layer = scheme.layers[layer_index]
+    layers = list(scheme.layers)
+    layers[layer_index] = replace(
+        layer, fleet=_allocation_layer(allocation, fleet, units, layer.params).fleet)
+    return replace(scheme, layers=tuple(layers))
+
+
 def _finish(kernel: _ColumnKernel, rows, external_factors, trace,
             evaluations) -> OptimizationResult:
     allocation = AllocationMatrix(rows)
@@ -435,10 +446,13 @@ def simulated_annealing(fleet, units, params: NetworkParams,
     moves with probability exp(-dE/T) under geometric cooling, then runs a
     deterministic row-corner descent from its best point (vertex allocations
     dominate this objective, and the bounded transfer moves approach them
-    slowly).  The single-column allocations are scored up front as seed
-    candidates.  The best feasible allocation ever seen wins, falling back
-    to the lowest-energy one when nothing feasible turns up.  Restarts run
-    on derived seeds (seed + index), so results depend only on (inputs, seed).
+    slowly).  Every vertex allocation (each unit row whole on one vehicle;
+    above _VERTEX_BUDGET vertices, only the single-column corners) is scored
+    up front as a seed candidate, which lets the default schedule be short.
+    The best feasible allocation ever seen wins, falling back to the
+    lowest-energy one when nothing feasible turns up, so no result's energy
+    is above the best vertex's.  Restarts run on derived seeds (seed +
+    index), so results depend only on (inputs, seed).
 
     A move changes one row in two columns (a third at most, through the row
     repair), so each step re-evaluates only the columns whose entries
@@ -455,7 +469,7 @@ def simulated_annealing(fleet, units, params: NetworkParams,
         raise DomainError("simulated_annealing: need at least one vehicle and one unit type")
 
     if n_vehicles == 1:
-        rows = AllocationMatrix.single_vehicle(n_units, 1, 0).entries
+        rows = ((1.0,),) * n_units
         return _finish(kernel, rows, external_factors,
                        (kernel.energy(rows)[1],) if keep_trace else None, 1)
 
@@ -472,11 +486,9 @@ def simulated_annealing(fleet, units, params: NetworkParams,
         if feasible and (best_feasible is None or energy < best_feasible[0]):
             best_feasible = (energy, rows)
 
-    for column in vehicle_range:
-        corner = AllocationMatrix.single_vehicle(n_units, n_vehicles, column).entries
-        e, _, feas = kernel.energy(corner)
+    for e, feas, vertex in _vertices(kernel):
         evaluations += 1
-        consider(e, feas, corner)
+        consider(e, feas, vertex)
 
     for restart in range(config.restarts):
         rng = random.Random(config.seed + restart)
@@ -544,6 +556,54 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
 
 
 _GRID_BUDGET = 2 * 10 ** 7
+_VERTEX_BUDGET = 4096
+
+
+def _vertices(kernel: _ColumnKernel):
+    """(penalized energy, feasible, rows) of the vertex allocations, which send
+    each unit row whole to one vehicle, in itertools.product order: all
+    n_vehicles^n_units of them up to _VERTEX_BUDGET, else the n_vehicles
+    single-column corners.
+
+    A column term depends only on which rows its vehicle carries, so each is
+    solved once per (vehicle, subset of rows); summed by _total in vehicle
+    order, every energy equals kernel.energy(rows) bit for bit.
+    """
+    vehicles = range(len(kernel.fleet))
+    corners = [tuple(float(k == i) for k in vehicles) for i in vehicles]
+    n_units = len(kernel.units)
+    choices = (itertools.product(vehicles, repeat=n_units)
+               if len(corners) ** n_units <= _VERTEX_BUDGET
+               else [(i,) * n_units for i in vehicles])
+    columns = {}
+    for choice in choices:
+        rows = tuple(corners[i] for i in choice)
+        terms = []
+        for i in vehicles:
+            key = (i, tuple(c == i for c in choice))
+            if key not in columns:
+                columns[key] = kernel.column(rows, i)
+            terms.append(columns[key])
+        energy, _, feasible = _total(terms)
+        yield energy, feasible, rows
+
+
+def vertex_optimum(fleet, units, params: NetworkParams, penalty_weight: float = 1000.0,
+                   external_factors: ExternalCostFactors | None = None) -> OptimizationResult:
+    """Least-energy vertex allocation, feasible ones first, the first in
+    itertools.product order among equals.  Refuses instances with more than
+    _VERTEX_BUDGET vertices."""
+    kernel = _ColumnKernel(fleet, units, params, penalty_weight)
+    n_vehicles, n_units = len(kernel.fleet), len(kernel.units)
+    if not n_vehicles or not n_units:
+        raise DomainError("vertex_optimum: need at least one vehicle and one unit type")
+    if n_vehicles ** n_units > _VERTEX_BUDGET:
+        raise GridTooLargeError(
+            f"vertex_optimum: {n_vehicles}^{n_units} = {n_vehicles ** n_units} vertices "
+            f"exceeds the budget of {_VERTEX_BUDGET}")
+    scored = list(_vertices(kernel))
+    _, _, rows = min(scored, key=lambda v: (not v[1], v[0]))
+    return _finish(kernel, rows, external_factors, None, len(scored))
 
 
 def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,

@@ -8,7 +8,6 @@ import json
 import math
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -28,12 +27,13 @@ from citydist.optimize import (
     AllocationMatrix,
     SaConfig,
     brute_force_grid,
-    induced_demand,
+    reallocated_scheme,
     simulated_annealing,
+    vertex_optimum,
 )
 from citydist.report import to_jsonable
 from citydist.scenario import load_scenario, parse_scenario, emit_scenario
-from citydist.schemes import FleetAssignment, evaluate_layers, evaluate_scheme
+from citydist.schemes import evaluate_layers, evaluate_scheme
 from citydist.sweep import SweepSpec, sweep_parameter
 
 from conftest import BORDEAUX, SINGLE_SUPPLIER
@@ -189,15 +189,6 @@ def test_c5_annealer_vs_grid_oracle():
 
 # ------------------------------------------------------------------ C6
 
-def _reallocated(scheme, layer_index, fleet, allocation, units):
-    demands = induced_demand(allocation, units)
-    assignments = tuple(FleetAssignment(v, d) for v, d in zip(fleet, demands)
-                        if d.total_weight_kg > 0 or d.total_stops > 0)
-    layers = list(scheme.layers)
-    layers[layer_index] = replace(layers[layer_index], fleet=assignments)
-    return replace(scheme, layers=tuple(layers))
-
-
 def _delta(opt, base, attr):
     b = getattr(base, attr)
     return (getattr(opt, attr) - b) / b * 100.0
@@ -213,10 +204,13 @@ def test_c6_vehicle_choice_reproduces_reported_directions():
     result = simulated_annealing(fleet, units, layer.params, scenario.sa,
                                  external_factors=scheme.external_factors)
     assert result.feasible
+    # certificate: the anneal is never worse than the best vertex allocation
+    vertex = vertex_optimum(fleet, units, layer.params, scenario.sa.penalty_weight)
+    assert vertex.feasible and result.objective <= vertex.objective
     mass_25t = result.allocation.column_mass_share(units, 0)
     assert mass_25t >= 0.95
-    optimized = evaluate_scheme(_reallocated(scheme, 1, fleet,
-                                             result.allocation, units))
+    optimized = evaluate_scheme(reallocated_scheme(scheme, 1, result.allocation,
+                                                   fleet, units))
     deltas = {attr: _delta(optimized, baseline, attr)
               for attr in ("total_distance_km", "total_time_h", "total_cost",
                            "fill_rate")}
@@ -236,10 +230,12 @@ def test_c6_vehicle_choice_reproduces_reported_directions():
     s_units = [u for a in s_layer.fleet for u in a.demand.units]
     s_result = simulated_annealing(s_fleet, s_units, s_layer.params, single.sa)
     assert s_result.feasible
+    s_vertex = vertex_optimum(s_fleet, s_units, s_layer.params, single.sa.penalty_weight)
+    assert s_vertex.feasible and s_result.objective <= s_vertex.objective
     mass_17t = s_result.allocation.column_mass_share(s_units, 1)
     assert mass_17t >= 0.95
-    s_opt = evaluate_scheme(_reallocated(s_scheme, 0, s_fleet,
-                                         s_result.allocation, s_units))
+    s_opt = evaluate_scheme(reallocated_scheme(s_scheme, 0, s_result.allocation,
+                                               s_fleet, s_units))
     # reported changes: distance -42%, time -38%, cost -50%, fill +56%;
     # the 10/90 baseline fixes the achievable magnitudes, so signs are checked
     assert _delta(s_opt, s_base, "total_distance_km") < 0

@@ -93,6 +93,25 @@ def test_optimize_oracle_small_instance(tmp_path):
         assert row[1] == 1.0
 
 
+def test_optimize_oracle_over_grid_budget_falls_back_to_vertices(tmp_path, capsys):
+    # 231^6 grid points are over the grid's budget; the 3^6 vertices are not
+    out = tmp_path / "opt.json"
+    code = run(["optimize", "--scenario", str(BORDEAUX), "--scheme", "pi_small",
+                "--layer", "2", "--oracle", "--format", "json", "--output", str(out)])
+    assert code == 0
+    assert "grid over budget: best of 729 vertex allocations" in capsys.readouterr().err
+    payload = json.loads(out.read_text())
+    assert payload["objective"] == 771.2385998200625
+    assert payload["evaluations"] == 729
+    assert payload["feasible"] is True
+    assert all(sorted(row) == [0.0, 0.0, 1.0] for row in payload["allocation"])
+    # with five vehicles the 5^6 vertices are over budget too
+    five = "truck_25t_city,truck_17t_city,van_2p3t_city,truck_8p1t,truck_10t_dry"
+    assert run(["optimize", "--scenario", str(BORDEAUX), "--scheme", "pi_small",
+                "--layer", "2", "--vehicles", five, "--oracle"]) == 2
+    assert "5^6 = 15625 vertices exceeds the budget" in capsys.readouterr().err
+
+
 def test_optimize_deterministic_per_seed(tmp_path):
     outs = []
     for name in ("r1.json", "r2.json"):

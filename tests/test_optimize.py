@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from citydist.model import (
@@ -17,6 +19,7 @@ from citydist.model import (
     solve_tour_plan,
     time_cost,
 )
+from citydist import optimize
 from citydist.optimize import (
     AllocationMatrix,
     GridTooLargeError,
@@ -26,11 +29,20 @@ from citydist.optimize import (
     induced_demand,
     neighbor_move,
     objective_value,
+    reallocated_scheme,
     simulated_annealing,
+    vertex_optimum,
     _canonical_row,
+    _ColumnKernel,
     _transfer,
+    _vertices,
 )
 from citydist.report import to_jsonable
+from citydist.scenario import load_scenario
+from citydist.schemes import FleetAssignment, evaluate_layer
+
+from conftest import BORDEAUX
+from test_acceptance import _c5_instances
 
 
 PARAMS = NetworkParams(radius_km=20, area_km2=186, stop_time_h=0.25,
@@ -251,16 +263,146 @@ def test_sa_best_energy_equals_full_evaluation(fleet, units):
 def test_sa_seeded_walk_is_pinned():
     # The interior-optimum instance above: the walk's evaluation count, its
     # result and its whole trace, as recorded before the walk skipped moves
-    # that leave the row unchanged and drew from getrandbits
+    # that leave the row unchanged and drew from getrandbits.  Since the
+    # annealer seeds with all 3^2 = 9 vertex allocations instead of the 3
+    # single-column corners, the count is 6 higher; the allocation and the
+    # trace are still the recorded ones.
     fleet = [vt("a", 25000, 7), vt("b", 4000, 5), vt("c", 9000, 9)]
     units = [DeliveryUnitType("u1", 450.0, 43), DeliveryUnitType("u2", 20.0, 5)]
     config = SaConfig(seed=11, restarts=2, steps_per_temperature=50)
     result = simulated_annealing(fleet, units, PARAMS, config, keep_trace=True)
-    assert result.evaluations == 18019
+    assert result.evaluations == 18025
     assert result.allocation.entries == ((0.9519164529101823, 0.0480835470898177, 0.0),
                                          (0.9157327466564686, 0.08426725334353131, 0.0))
     assert hashlib.sha256(repr(result.trace).encode()).hexdigest() == \
         "aa0adc36c551b63723283686ff88b15e4692bf2a6893c90455db43f78d906c5f"
+
+
+def _pi_small_layer2():
+    scenario = load_scenario(str(BORDEAUX))
+    layer = scenario.scheme("pi_small").layers[1]
+    fleet = [scenario.vehicles[v] for v in scenario.optimization_vehicles]
+    return fleet, [u for a in layer.fleet for u in a.demand.units], layer.params
+
+
+@pytest.mark.parametrize("instance", ["pi_small", "1x1", "2x1", "2x2", "3x3"])
+def test_vertex_energies_equal_full_evaluation(instance):
+    if instance == "pi_small":
+        fleet, units, params = _pi_small_layer2()
+    else:
+        fleet, units, params = next((f, u, p) for label, f, u, p in _c5_instances()
+                                    if label == instance)
+    kernel = _ColumnKernel(fleet, units, params, 1000.0)
+    corners = [tuple(float(k == i) for k in range(len(fleet))) for i in range(len(fleet))]
+    vertices = list(_vertices(kernel))
+    # every vertex, once each, in itertools.product order
+    assert [rows for _, _, rows in vertices] == \
+        list(itertools.product(corners, repeat=len(units)))
+    for energy, feasible, rows in vertices:
+        assert energy == objective_value(AllocationMatrix(rows), fleet, units, params,
+                                         penalty_weight=1000.0)
+        full_energy, _, full_feasible = kernel.energy(rows)
+        assert (energy, feasible) == (full_energy, full_feasible)
+
+
+def test_vertex_optimum_is_the_least_vertex_on_pi_small():
+    fleet, units, params = _pi_small_layer2()
+    result = vertex_optimum(fleet, units, params)
+    assert result.evaluations == 3 ** 6
+    assert result.feasible
+    assert result.objective == 771.2385998200625
+    assert result.objective == min(
+        objective_value(AllocationMatrix(rows), fleet, units, params)
+        for rows in itertools.product(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+                                      repeat=6))
+
+
+_SMALL_VEHICLES = st.tuples(st.integers(4, 50).map(lambda k: 500.0 * k),  # capacity
+                            st.sampled_from([10.0, 20.0, 30.0]),          # speed
+                            st.integers(3, 9).map(float),                 # cost per km
+                            st.sampled_from([20.0, 30.0, 40.0]),          # cost per hour
+                            st.integers(5, 60))                           # footprint
+_SMALL_UNITS = st.tuples(st.integers(1, 120).map(lambda k: 10.0 * k),     # avg weight
+                         st.integers(1, 80))                              # stops
+
+
+# The two examples are instances where the short walk and its row-corner
+# descent end above the best vertex, so only the vertex seeds keep them there.
+@example(vehicles=[(6500.0, 10.0, 6.0, 20.0, 23), (13000.0, 10.0, 8.0, 40.0, 47)],
+         units=[(1140.0, 27), (790.0, 8), (780.0, 59), (1020.0, 36)],
+         network=(20, 186, 16), seed=253)
+@example(vehicles=[(7500.0, 20.0, 8.0, 20.0, 12), (22500.0, 10.0, 3.0, 40.0, 30),
+                   (7000.0, 10.0, 4.0, 30.0, 57)],
+         units=[(1100.0, 14), (70.0, 78), (280.0, 1), (770.0, 28), (20.0, 57)],
+         network=(20, 50, 16), seed=335)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(vehicles=st.lists(_SMALL_VEHICLES, min_size=2, max_size=3),
+       units=st.lists(_SMALL_UNITS, min_size=1, max_size=5),
+       network=st.tuples(st.sampled_from([5, 10, 20]), st.sampled_from([50, 93, 186]),
+                         st.sampled_from([8, 16])),
+       seed=st.integers(0, 1000))
+def test_sa_never_ends_above_the_best_vertex(vehicles, units, network, seed):
+    fleet = [VehicleType(f"v{i}", *v[:4], TemperatureClass.A, v[4])
+             for i, v in enumerate(vehicles)]
+    units = [DeliveryUnitType(f"u{j}", w, n) for j, (w, n) in enumerate(units)]
+    radius, area, shift = network
+    params = NetworkParams(radius_km=radius, area_km2=area, stop_time_h=0.25,
+                           shift_duration_h=shift, lead_time_h=24)
+    config = SaConfig(seed=seed, restarts=1, steps_per_temperature=2, cooling_rate=0.5)
+    result = simulated_annealing(fleet, units, params, config)
+    kernel = _ColumnKernel(fleet, units, params, config.penalty_weight)
+    vertices = list(_vertices(kernel))
+    energy, _, feasible = kernel.energy(result.allocation.entries)
+    feasible_vertices = [e for e, ok, _ in vertices if ok]
+    if feasible_vertices:
+        assert feasible and energy <= min(feasible_vertices)
+    elif not feasible:
+        assert energy <= min(e for e, _, _ in vertices)
+
+
+def test_over_budget_instance_seeds_only_the_corners(monkeypatch):
+    fleet = [vt(f"v{i}", 4000 * (i + 1), 5 + i) for i in range(4)]
+    units = [DeliveryUnitType(f"u{j}", 50.0 * (j + 1), 3 + j) for j in range(7)]
+    assert 4 ** 7 > optimize._VERTEX_BUDGET
+    kernel = _ColumnKernel(fleet, units, PARAMS, 1000.0)
+    corners = [tuple(float(k == i) for k in range(4)) for i in range(4)]
+    assert [rows for _, _, rows in _vertices(kernel)] == [(c,) * 7 for c in corners]
+    config = SaConfig(seed=2, restarts=1, steps_per_temperature=2, cooling_rate=0.5)
+    corners_only = simulated_annealing(fleet, units, PARAMS, config)
+    assert corners_only.evaluations == 125
+    # the walk does not depend on the seeds, so raising the budget adds
+    # exactly the other 4^7 - 4 vertices to the count
+    monkeypatch.setattr(optimize, "_VERTEX_BUDGET", 4 ** 7)
+    every_vertex = simulated_annealing(fleet, units, PARAMS, config)
+    assert every_vertex.evaluations == corners_only.evaluations + 4 ** 7 - 4
+    monkeypatch.undo()
+    with pytest.raises(GridTooLargeError):
+        vertex_optimum(fleet, units, PARAMS)
+    with pytest.raises(DomainError):
+        vertex_optimum([], units, PARAMS)
+
+
+def test_reallocated_scheme_carries_the_capacity_unit():
+    # 62 pallet stops split 50/50 between a van and a 17 t truck on
+    # pi_small's city layer: the truck's 31 pallets exceed its 30-pallet
+    # footprint, so the optimizer scores it 2 tours, not the 1 that weight
+    # alone (13,950 of 17,000 kg) would give
+    scenario = load_scenario(str(BORDEAUX))
+    scheme = scenario.scheme("pi_small")
+    layer = scheme.layers[1]
+    fleet = [scenario.vehicles["van_2p3t_city"], scenario.vehicles["truck_17t_city"]]
+    units = [DeliveryUnitType("pallet", 450.0, 62)]
+    allocation = AllocationMatrix(((0.5, 0.5),))
+    objective = objective_value(allocation, fleet, units, layer.params)
+    spliced = reallocated_scheme(scheme, 1, allocation, fleet, units)
+    assert spliced.layers[:1] + spliced.layers[2:] == scheme.layers[:1] + scheme.layers[2:]
+    kpis = evaluate_layer(spliced.layers[1])
+    assert kpis.transport_cost == pytest.approx(layer.subregion_count * objective, rel=1e-12)
+    assert kpis.total_tours == layer.subregion_count * 9
+    # the splice without capacity units plans the truck by weight alone
+    weight_only = replace(layer, fleet=tuple(
+        FleetAssignment(v, d) for v, d in zip(fleet, induced_demand(allocation, units))))
+    assert evaluate_layer(weight_only).total_tours == layer.subregion_count * 8
 
 
 def test_sa_trace_is_nonincreasing():
