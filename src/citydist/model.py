@@ -107,6 +107,18 @@ class DeliveryUnitType:
         return self.avg_weight_kg * self.stops
 
 
+def dominant_index(units, shares) -> int:
+    """Index of the heaviest-per-stop unit present (stops > 0 and a share
+    > 0), the first among ties; -1 when none is.  That unit's footprint
+    limits a vehicle's usable capacity."""
+    best = -1
+    for j, (unit, share) in enumerate(zip(units, shares)):
+        if share > 0 and unit.stops > 0 and (
+                best < 0 or unit.avg_weight_kg > units[best].avg_weight_kg):
+            best = j
+    return best
+
+
 @dataclass(frozen=True)
 class DemandProfile:
     """Daily demand: total weight and stop count, optionally broken into units."""
@@ -138,16 +150,10 @@ class DemandProfile:
     def zero(cls) -> "DemandProfile":
         return cls()
 
-    @property
-    def is_zero(self) -> bool:
-        return self.total_weight_kg == 0 and self.total_stops == 0
-
     def dominant_unit(self) -> DeliveryUnitType | None:
         """Heaviest-per-stop unit present; governs footprint-limited capacity."""
-        present = [u for u in self.units if u.stops > 0]
-        if not present:
-            return None
-        return max(present, key=lambda u: u.avg_weight_kg)
+        j = dominant_index(self.units, (1.0,) * len(self.units))
+        return self.units[j] if j >= 0 else None
 
     def scale(self, factor: float) -> "DemandProfile":
         """Scale stop counts (and hence weight) by a factor, keeping unit mix."""
@@ -343,9 +349,19 @@ def _binding(cap: int, shift: int, lead: int, m: int) -> BindingConstraint:
     return BindingConstraint.CAPACITY
 
 
+def _closed_form_floor(two_r: float, v_eff: float, budget: float, intercept: float) -> int:
+    """A tour count just below the least m >= ceil(b*m + intercept/budget),
+    b = 2r/(v_eff*budget): that m is intercept/(budget*(1 - b)) rounded up,
+    and the -1 absorbs rounding.  0 when the slope b is at least 1."""
+    slope = two_r / (v_eff * budget)
+    if slope >= 1.0:
+        return 0
+    return math.floor(intercept / (budget * (1.0 - slope))) - 1
+
+
 def _solve_fixed_point(weight: float, stops: float, cap_limit: float, v_eff: float,
-                       params: NetworkParams, vehicle_id: str,
-                       max_iterations: int) -> tuple[int, float, BindingConstraint]:
+                       params: NetworkParams,
+                       vehicle_id: str) -> tuple[int, float, BindingConstraint]:
     """Least fixed point of m -> max(0, capacity, shift, lead-time ceilings).
 
     The ceilings are
@@ -355,6 +371,16 @@ def _solve_fixed_point(weight: float, stops: float, cap_limit: float, v_eff: flo
     on the route length d = 2*r*m + spread.  Only d varies with m, so the
     capacity ceiling and the stop-time terms are computed once.  This is the
     annealer's innermost call: keep it free of per-iteration allocations.
+
+    The map is monotone, so iterating it from the capacity ceiling, or from
+    any count below the least fixed point, climbs to that point.  A time
+    ceiling is affine in m with slope b = 2r/(v_eff*budget): at b >= 1 it
+    can never be caught once ahead, which proves divergence; below 1 its own
+    least fixed point has a closed form.  So when the first check fails, the
+    walk jumps once to just below the largest of those closed forms and
+    climbs the last few steps.  Within ~1e-7 of slope 1 (10^7 tours and
+    more) rounding blurs where the ceilings are first met: the count
+    returned then meets every ceiling but may not be the least that does.
     """
     spread = params.daganzo_k * math.sqrt(params.area_km2 * stops)
     spread = round(spread / _SPREAD_QUANTUM) * _SPREAD_QUANTUM
@@ -368,13 +394,11 @@ def _solve_fixed_point(weight: float, stops: float, cap_limit: float, v_eff: flo
     cap = ceil(weight / cap_limit)
 
     m = max(0, cap)
-    iteration = 0
+    start = None
     while True:
         d = two_r * m + spread
         shift = ceil((d / v_eff + stop_shift) / shift_h)
         lead = ceil(((d - radius) / v_eff + stop_lead) / lead_h)
-        if iteration == max_iterations:
-            break
         m_next = max(0, cap, shift, lead)
         if m_next <= m:
             return m, d, _binding(cap, shift, lead, m)
@@ -386,22 +410,27 @@ def _solve_fixed_point(weight: float, stops: float, cap_limit: float, v_eff: flo
         if lead > m and two_r / (v_eff * lead_h) >= 1.0:
             raise InfeasibleError(vehicle_id, BindingConstraint.LEAD_TIME,
                                   f"round trip exceeds the lead-time budget at any tour count (m >= {m})")
-        m = m_next
-        iteration += 1
-    raise InfeasibleError(vehicle_id, _binding(cap, shift, lead, max(cap, shift, lead)),
-                          f"no fixed point within {max_iterations} iterations")
+        if start is None:
+            m = start = max(
+                m_next,
+                _closed_form_floor(two_r, v_eff, shift_h, spread / v_eff + stop_shift),
+                _closed_form_floor(two_r, v_eff, lead_h, (spread - radius) / v_eff + stop_lead))
+        else:
+            # Rounding can hold a slope within ~1e-11 of 1 one tour above m
+            # for millions of steps: past 64 tours beyond the jump, the
+            # stride doubles instead.
+            m = max(m_next, 2 * m - start - 64)
 
 
 def solve_tour_plan(vehicle: VehicleType, demand: DemandProfile, params: NetworkParams,
-                    dominant_unit: DeliveryUnitType | None = None,
-                    max_iterations: int = 10_000) -> TourPlan:
+                    dominant_unit: DeliveryUnitType | None = None) -> TourPlan:
     """Smallest tour count satisfying capacity, shift and lead-time ceilings.
 
     The ceilings depend on the route length, which grows with the tour count,
     so the solution is the least fixed point of m -> max(ceilings(d(m))).
-    Iteration starts from the capacity ceiling (a lower bound independent of
-    distance) and is monotone nondecreasing, so non-convergence means a
-    constraint genuinely diverges and an InfeasibleError is raised naming it.
+    A plan is infeasible only when a time ceiling provably diverges: its
+    round trip alone takes at least the whole budget, so no tour count
+    catches it; the InfeasibleError names that constraint.
     """
     weight = demand.total_weight_kg
     stops = demand.total_stops
@@ -411,8 +440,7 @@ def solve_tour_plan(vehicle: VehicleType, demand: DemandProfile, params: Network
         dominant_unit = demand.dominant_unit()
     cap_limit = _capacity_limit(vehicle, dominant_unit)
     v_eff = vehicle.speed_kmh / params.congestion_factor
-    m, d, binding = _solve_fixed_point(weight, stops, cap_limit, v_eff, params,
-                                       vehicle.id, max_iterations)
+    m, d, binding = _solve_fixed_point(weight, stops, cap_limit, v_eff, params, vehicle.id)
     return TourPlan(vehicle, m, d, binding)
 
 
@@ -423,26 +451,6 @@ def travel_and_stop_time(distance_km: float, stops: float, vehicle: VehicleType,
         raise DomainError("vehicle speed must be > 0")
     v_eff = vehicle.speed_kmh / params.congestion_factor
     return distance_km / v_eff + params.stop_time_h * stops
-
-
-def distance_cost(plans) -> float:
-    """Sum of route length times the per-km rate over all plans."""
-    return math.fsum(p.distance_km * p.vehicle.cost_per_km for p in plans)
-
-
-def total_time(plans, demand: DemandProfile, params: NetworkParams) -> float:
-    """Travel plus stop time over all plans, each serving the given stop count."""
-    return math.fsum(
-        travel_and_stop_time(p.distance_km, demand.total_stops, p.vehicle, params)
-        for p in plans)
-
-
-def time_cost(plans, demand: DemandProfile, params: NetworkParams) -> float:
-    """Wage cost: travel plus stop time, priced at each vehicle's hourly rate."""
-    return math.fsum(
-        travel_and_stop_time(p.distance_km, demand.total_stops, p.vehicle, params)
-        * p.vehicle.cost_per_hour
-        for p in plans)
 
 
 def external_cost(total_distance_km: float,
@@ -471,33 +479,3 @@ def fill_rate(loaded_weight_kg: float, vehicle: VehicleType,
             f"load per tour ({per_tour:.1f} kg) exceeds effective capacity "
             f"({cap:.1f} kg) of vehicle '{vehicle.id}'")
     return min(1.0, per_tour / cap)
-
-
-def min_feasible_lead_time(vehicle: VehicleType, demand: DemandProfile,
-                           params: NetworkParams, resolution: float = 0.05) -> float:
-    """Smallest lead time (on a resolution grid, up to 24 h) with a feasible plan.
-
-    Returns math.inf when even 24 h diverges.  Feasibility is monotone in the
-    lead time, so a bisection over the grid equals a full scan.
-    """
-    if not (0 < resolution <= 24):
-        raise DomainError("resolution must be in (0, 24]")
-
-    def feasible(lt: float) -> bool:
-        try:
-            solve_tour_plan(vehicle, demand, replace(params, lead_time_h=lt))
-            return True
-        except InfeasibleError:
-            return False
-
-    n_max = math.floor(24.0 / resolution)
-    if not feasible(n_max * resolution):
-        return math.inf
-    lo, hi = 1, n_max  # invariant: hi*resolution feasible, (lo-1)*resolution unknown/infeasible
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid * resolution):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo * resolution

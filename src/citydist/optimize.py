@@ -25,6 +25,7 @@ from .model import (
     KpiReport,
     NetworkParams,
     _solve_fixed_point,
+    dominant_index,
     effective_capacity,
 )
 from .schemes import FleetAssignment, LayerMode, LayerSpec, SchemeSpec, evaluate_layer
@@ -142,15 +143,6 @@ def induced_demand(allocation: AllocationMatrix, units) -> list[DemandProfile]:
     return out
 
 
-def _column_dominant(allocation: AllocationMatrix, units, column: int) -> int:
-    """Index of the heaviest-per-stop unit present in a column, or -1."""
-    present = [j for j, u in enumerate(units)
-               if allocation.entries[j][column] > 0 and u.stops > 0]
-    if not present:
-        return -1
-    return max(present, key=lambda j: units[j].avg_weight_kg)
-
-
 # Column term: (objective part, energy cost part, energy penalty part, feasible).
 # The two energy parts are added one after the other, never pre-summed, so a
 # total over columns repeats the exact float additions of a full evaluation.
@@ -196,7 +188,7 @@ class _ColumnKernel:
         v_eff = self._v_eff[i]
         params = self.params
         m, d, _ = _solve_fixed_point(weight, stops, self._cap_limit[i][dominant], v_eff,
-                                     params, vehicle.id, 10_000)
+                                     params, vehicle.id)
         time_h = d / v_eff + params.stop_time_h * stops
         cost = d * vehicle.cost_per_km + time_h * vehicle.cost_per_hour
         return (cost,
@@ -224,7 +216,8 @@ class _ColumnKernel:
         return cost, cost, self.penalty_weight * violation, violation <= _FEASIBLE_TOL
 
     def column(self, rows, i: int):
-        """Column term of vehicle i under the allocation rows."""
+        """Column term of vehicle i under the allocation rows.  The dominant
+        unit is model.dominant_index, inlined: this is the walk's hot path."""
         weights, stops, avg = self._weight, self._stops, self._avg
         w = s = 0.0
         dominant = -1
@@ -272,7 +265,8 @@ def constraint_violations(allocation: AllocationMatrix, fleet, units,
         else:
             try:
                 _, cap, shift, lead = kernel.cost_and_slacks(
-                    i, weight, stops, _column_dominant(allocation, kernel.units, i))
+                    i, weight, stops,
+                    dominant_index(kernel.units, [row[i] for row in allocation.entries]))
             except InfeasibleError:
                 cap = shift = lead = math.inf
         out.append(ConstraintSlack(vehicle.id, "capacity", cap))
@@ -281,16 +275,9 @@ def constraint_violations(allocation: AllocationMatrix, fleet, units,
     return tuple(out)
 
 
-def objective_value(allocation: AllocationMatrix, fleet, units, params: NetworkParams,
-                    penalty_weight: float | None = None) -> float:
-    """Transport cost of an allocation; math.inf when a vehicle's plan diverges.
-
-    With penalty_weight given, returns the penalty-augmented value instead.
-    """
-    kernel = _ColumnKernel(fleet, units, params,
-                           penalty_weight if penalty_weight is not None else 0.0)
-    energy, objective, _ = kernel.energy(allocation.entries)
-    return energy if penalty_weight is not None else objective
+def objective_value(allocation: AllocationMatrix, fleet, units, params: NetworkParams) -> float:
+    """Transport cost of an allocation; math.inf when a vehicle's plan diverges."""
+    return _ColumnKernel(fleet, units, params).energy(allocation.entries)[1]
 
 
 def _canonical_row(row: list[float]) -> tuple[float, ...]:
@@ -364,7 +351,7 @@ def _allocation_layer(allocation: AllocationMatrix, fleet, units,
     assignments = []
     for i, vehicle in enumerate(fleet):
         if demands[i].total_weight_kg > 0 or demands[i].total_stops > 0:
-            dominant = _column_dominant(allocation, units, i)
+            dominant = dominant_index(units, [row[i] for row in allocation.entries])
             assignments.append(FleetAssignment(
                 vehicle, demands[i], capacity_unit=units[dominant] if dominant >= 0 else None))
     if not assignments:
@@ -614,7 +601,8 @@ def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
     Enumerates every combination of per-row grid points, evaluating the same
     penalized energy as the annealer.  Among equal objectives the
     lexicographically smallest matrix (rows compared in order) wins.  Refuses
-    instances whose joint grid exceeds the evaluation budget.
+    instances whose joint grid, or one vehicle's table of columns, exceeds
+    the evaluation budget.
     """
     # Only the grid oracle needs numpy; importing it here keeps it off the
     # start-up of every other command.
@@ -635,6 +623,11 @@ def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
         raise GridTooLargeError(
             f"brute_force_grid: {n_rows}^{n_units} = {joint} grid points exceeds "
             f"the budget of {_GRID_BUDGET}")
+    columns = (ticks + 1) ** n_units
+    if columns > _GRID_BUDGET:
+        raise GridTooLargeError(
+            f"brute_force_grid: {ticks + 1}^{n_units} = {columns} columns per vehicle "
+            f"exceeds the budget of {_GRID_BUDGET}")
 
     # Per-vehicle energy for every possible tick column, then the joint
     # minimum is a sum of per-vehicle table lookups.  The column sums stay
@@ -649,52 +642,33 @@ def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
             fracs = [c / ticks for c in col]
             weight = math.fsum(u.weight_kg * f for u, f in zip(units, fracs))
             stops = math.fsum(u.stops * f for u, f in zip(units, fracs))
-            present = [j for j, (u, f) in enumerate(zip(units, fracs))
-                       if f > 0 and u.stops > 0]
-            dominant = max(present, key=lambda j: units[j].avg_weight_kg) if present else -1
-            cost, energy_cost, penalty, ok = kernel.term(vehicle_idx, weight, stops, dominant)
+            cost, energy_cost, penalty, ok = kernel.term(
+                vehicle_idx, weight, stops, dominant_index(units, col))
             energy[col] = energy_cost + penalty
             feas_obj[col] = cost if ok else np.inf
         return energy, feas_obj
 
     tables = [column_energy(i) for i in range(n_vehicles)]
+    # The last one or two unit rows are searched as one array per prefix of
+    # the leading rows; prefixes run in itertools.product order and a later
+    # one must be strictly lower, so ties go to the lexicographically first.
+    n_tail = min(2, n_units)
     comp = np.asarray(rows)  # (n_rows, n_vehicles)
+    tails = [np.ix_(*[comp[:, i]] * n_tail) for i in range(n_vehicles)]
 
-    def search(feasible_only: bool) -> tuple[float, tuple[int, ...]] | None:
+    def search(feasible_only: bool) -> tuple[int, ...] | None:
         tbl = [t[1] if feasible_only else t[0] for t in tables]
         best_val = np.inf
-        best_idx: tuple[int, ...] | None = None
-        if n_units == 1:
-            total = sum(tbl[i][comp[:, i]] for i in range(n_vehicles))
-            k = int(np.argmin(total))
-            if np.isfinite(total[k]):
-                return float(total[k]), (k,)
-            return None
-        if n_units == 2:
-            total = sum(tbl[i][comp[:, i][:, None], comp[:, i][None, :]]
+        best_idx = None
+        for lead in itertools.product(range(n_rows), repeat=n_units - n_tail):
+            total = sum(tbl[i][tuple(rows[c][i] for c in lead) + tails[i]]
                         for i in range(n_vehicles))
             k = int(np.argmin(total))
-            idx = np.unravel_index(k, total.shape)
-            if np.isfinite(total[idx]):
-                return float(total[idx]), tuple(int(x) for x in idx)
-            return None
-        for c1 in range(n_rows):  # n_units == 3
-            total = sum(tbl[i][comp[c1, i], comp[:, i][:, None], comp[:, i][None, :]]
-                        for i in range(n_vehicles))
-            k = int(np.argmin(total))
-            idx = np.unravel_index(k, total.shape)
-            if total[idx] < best_val:
-                best_val = float(total[idx])
-                best_idx = (c1, *(int(x) for x in idx))
-        if best_idx is None or not np.isfinite(best_val):
-            return None
-        return best_val, best_idx
+            if total.flat[k] < best_val:
+                best_val = total.flat[k]
+                best_idx = (*lead, *(int(x) for x in np.unravel_index(k, total.shape)))
+        return best_idx
 
-    if n_units > 3:
-        raise GridTooLargeError("brute_force_grid: more than 3 unit types is not supported")
-    found = search(feasible_only=True)
-    if found is None:
-        found = search(feasible_only=False)
-    _, row_choice = found
+    row_choice = search(feasible_only=True) or search(feasible_only=False)
     entries = tuple(tuple(t / ticks for t in rows[c]) for c in row_choice)
     return _finish(kernel, entries, external_factors, None, joint)

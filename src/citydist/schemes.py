@@ -231,11 +231,6 @@ def evaluate_scheme(scheme: SchemeSpec) -> KpiReport:
     return KpiReport.aggregate(reports)
 
 
-def evaluate_layers(scheme: SchemeSpec) -> list[KpiReport]:
-    """Per-layer reports with the scheme's external factors applied."""
-    return [evaluate_layer(layer, scheme.external_factors) for layer in scheme.layers]
-
-
 @dataclass(frozen=True)
 class ComparisonRow:
     scheme: str

@@ -33,7 +33,7 @@ from citydist.optimize import (
 )
 from citydist.report import to_jsonable
 from citydist.scenario import load_scenario, parse_scenario, emit_scenario
-from citydist.schemes import evaluate_layers, evaluate_scheme
+from citydist.schemes import evaluate_layer, evaluate_scheme
 from citydist.sweep import SweepSpec, sweep_parameter
 
 from conftest import BORDEAUX, SINGLE_SUPPLIER
@@ -97,7 +97,7 @@ def test_c2_model_identities_exact():
         scheme = scenario.scheme(name)
         whole = evaluate_scheme(scheme)
         assert whole.transport_cost == whole.distance_cost + whole.time_cost
-        parts = evaluate_layers(scheme)
+        parts = [evaluate_layer(l, scheme.external_factors) for l in scheme.layers]
         assert whole.total_distance_km == math.fsum(p.total_distance_km for p in parts)
         assert whole.distance_cost == math.fsum(p.distance_cost for p in parts)
         assert whole.time_cost == math.fsum(p.time_cost for p in parts)

@@ -1,9 +1,13 @@
 import math
+import random
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from citydist import model
 from citydist.model import (
     BindingConstraint,
     ConsistencyError,
@@ -15,18 +19,16 @@ from citydist.model import (
     InfeasibleError,
     NetworkParams,
     TemperatureClass,
-    TourPlan,
     VehicleType,
-    distance_cost,
+    dominant_index,
     effective_capacity,
     external_cost,
     fill_rate,
-    min_feasible_lead_time,
     route_distance,
     solve_tour_plan,
-    time_cost,
-    total_time,
+    travel_and_stop_time,
 )
+from citydist.schemes import FleetAssignment, LayerMode, LayerSpec, evaluate_layer
 
 from conftest import demand
 
@@ -66,6 +68,16 @@ def test_demand_dominant_unit_is_heaviest_present():
              DeliveryUnitType("ghost", 900, 0))
     assert DemandProfile.from_units(units).dominant_unit().id == "pallet"
     assert DemandProfile.zero().dominant_unit() is None
+
+
+def test_dominant_index_first_among_ties_and_skips_absent_units():
+    units = (DeliveryUnitType("a", 450, 2), DeliveryUnitType("b", 900, 0),
+             DeliveryUnitType("c", 450, 5), DeliveryUnitType("d", 900, 1))
+    assert dominant_index(units, (1, 1, 1, 1)) == 3
+    assert dominant_index(units, (1, 1, 1, 0)) == 0   # a and c tie: a comes first
+    assert dominant_index(units, (0, 1, 0.5, 0)) == 2
+    assert dominant_index(units, (0, 1, 0, 0)) == -1  # b has no stops
+    assert dominant_index((), ()) == -1
 
 
 def test_network_params_invariants():
@@ -153,20 +165,20 @@ def test_solve_diverges_when_round_trip_exceeds_lead_time():
     with pytest.raises(InfeasibleError) as err:
         solve_tour_plan(vehicle, demand(5000, 10), params)
     assert err.value.constraint is BindingConstraint.LEAD_TIME
+    # the 25 h depot round trip exceeds a day: no lead time up to 24 h works
+    crawler = VehicleType("crawler", 25000, 2.4, 8.0, 30.0)
+    day = NetworkParams(radius_km=30, area_km2=186, stop_time_h=0.25, shift_duration_h=48)
+    with pytest.raises(InfeasibleError) as err:
+        solve_tour_plan(crawler, demand(5000, 10), day)
+    assert err.value.constraint is BindingConstraint.LEAD_TIME
 
 
 def _ceiling_oracle(vehicle, weight, stops, params, cap_limit, m_max=500):
     """Independent exhaustive scan for the smallest fixed point."""
     v_eff = vehicle.speed_kmh / params.congestion_factor
     for m in range(0, m_max + 1):
-        d = route_distance(m, stops, params)
-        cap = math.ceil(weight / cap_limit)
-        shift = math.ceil((d / v_eff + params.stop_time_h * stops)
-                          / params.shift_duration_h)
-        lead = math.ceil(((d - params.radius_km) / v_eff
-                          + params.stop_time_h * (stops - 1)) / params.lead_time_h)
-        if max(0, cap, shift, lead) == m:
-            return m, d
+        if _tour_map(m, weight, stops, cap_limit, v_eff, params) == m:
+            return m, route_distance(m, stops, params)
     return None
 
 
@@ -234,17 +246,181 @@ def test_monotone_convergence_from_capacity_bound():
     assert plan.tours == m
 
 
+def _capped_reference(weight, stops, cap_limit, v_eff, params, max_iterations=10_000):
+    """The tour solver as it was before its closed-form start: plain
+    iteration from the capacity ceiling under an iteration cap.  Returns
+    (tours, distance, binding), raises InfeasibleError where a slope of at
+    least 1 proves divergence, and returns None when the cap runs out."""
+    spread = route_distance(0, stops, params)
+    radius = params.radius_km
+    stop_shift = params.stop_time_h * stops
+    stop_lead = params.stop_time_h * (stops - 1)
+    cap = math.ceil(weight / cap_limit)
+    m = max(0, cap)
+    for _ in range(max_iterations):
+        d = 2.0 * radius * m + spread
+        shift = math.ceil((d / v_eff + stop_shift) / params.shift_duration_h)
+        lead = math.ceil(((d - radius) / v_eff + stop_lead) / params.lead_time_h)
+        m_next = max(0, cap, shift, lead)
+        if m_next <= m:
+            binding = next((b for b, c in ((BindingConstraint.CAPACITY, cap),
+                                           (BindingConstraint.SHIFT, shift),
+                                           (BindingConstraint.LEAD_TIME, lead)) if c == m),
+                           BindingConstraint.CAPACITY)
+            return m, d, binding
+        if shift > m and 2.0 * radius / (v_eff * params.shift_duration_h) >= 1.0:
+            raise InfeasibleError("v", BindingConstraint.SHIFT)
+        if lead > m and 2.0 * radius / (v_eff * params.lead_time_h) >= 1.0:
+            raise InfeasibleError("v", BindingConstraint.LEAD_TIME)
+        m = m_next
+    return None
+
+
+def _tour_map(m, weight, stops, cap_limit, v_eff, params):
+    """m -> max(0, capacity, shift, lead-time ceilings), evaluated directly."""
+    d = route_distance(m, stops, params)
+    return max(0, math.ceil(weight / cap_limit),
+               math.ceil((d / v_eff + params.stop_time_h * stops) / params.shift_duration_h),
+               math.ceil(((d - params.radius_km) / v_eff + params.stop_time_h * (stops - 1))
+                         / params.lead_time_h))
+
+
+def _solver_instance(rng):
+    """(vehicle, weight, stops, params).  Half the instances put one time
+    ceiling's slope 2r/(v_eff*budget) near 1: most between 1 - 1e-1 and
+    1 - 1e-3, a few between 1 - 1e-3 and 1 - 1e-4, where the capped
+    iteration runs out, and a tenth just above 1, where the plan diverges."""
+    vehicle = VehicleType("v", rng.uniform(500, 30000), rng.uniform(10, 60), 5.0, 30.0)
+    v_eff_factor = rng.choice((1.0, 1.0, 1.3, 2.0))
+    v_eff = vehicle.speed_kmh / v_eff_factor
+    shift_h, lead_h = rng.uniform(2, 16), rng.uniform(2, 24)
+    radius = rng.uniform(0.5, 20)
+    steep = rng.random()
+    slope = 1 - 10 ** (rng.uniform(-4, -3) if steep < 0.01 else rng.uniform(-3, -1))
+    if rng.random() < 0.1:
+        slope = 2 - slope
+    if steep < 0.25:  # the other time budget is the longer one
+        lead_h = rng.uniform(shift_h, 24)
+        radius = slope * v_eff * shift_h / 2
+    elif steep < 0.5:
+        shift_h = rng.uniform(lead_h, 24)
+        radius = slope * v_eff * lead_h / 2
+    stops = rng.choice((rng.randint(0, 300), rng.uniform(0, 3)))
+    weight = rng.choice((0.0, rng.uniform(0, 200000)))
+    if weight == 0 and stops == 0:
+        stops = 1
+    params = NetworkParams(radius_km=radius, area_km2=rng.uniform(5, 400),
+                           stop_time_h=rng.uniform(0.01, 0.5),
+                           congestion_factor=v_eff_factor,
+                           shift_duration_h=shift_h, lead_time_h=lead_h)
+    return vehicle, weight, stops, params
+
+
+def test_solver_equals_capped_iteration_wherever_it_converged():
+    rng = random.Random(20261018)
+    converged = diverged = capped = long_walks = 0
+    for _ in range(2400):
+        vehicle, weight, stops, params = _solver_instance(rng)
+        v_eff = vehicle.speed_kmh / params.congestion_factor
+        args = (weight, stops, vehicle.capacity_kg, v_eff, params)
+        dem = demand(weight, stops)
+        try:
+            want = _capped_reference(*args)
+        except InfeasibleError as exc:
+            diverged += 1
+            with pytest.raises(InfeasibleError) as err:
+                solve_tour_plan(vehicle, dem, params)
+            assert err.value.constraint is exc.constraint
+            continue
+        plan = solve_tour_plan(vehicle, dem, params)
+        m = plan.tours
+        # the least fixed point, whether or not the reference got there
+        assert _tour_map(m, *args) == m
+        assert m == max(0, math.ceil(weight / vehicle.capacity_kg)) or \
+            _tour_map(m - 1, *args) > m - 1
+        if want is None:
+            capped += 1
+            continue
+        converged += 1
+        long_walks += want[0] - math.ceil(weight / vehicle.capacity_kg) > 100
+        assert (plan.tours, plan.distance_km, plan.binding_constraint) == want
+    # every kind of outcome is exercised, including walks the jump shortens
+    assert converged >= 2000 and diverged >= 50 and capped >= 1 and long_walks >= 100
+
+
+def test_slope_just_below_one_is_feasible_at_every_stop_time():
+    # shift slope 2r/(v*shift) = 40/(20*2.0002) = 0.9999: a fixed point exists
+    vehicle = VehicleType("v", 25000, 20, 5.0, 30.0)
+    dem = demand(1000, 20)
+    tours = {}
+    for k in range(1, 11):
+        params = NetworkParams(radius_km=20, area_km2=100, stop_time_h=0.05 * k,
+                               shift_duration_h=2.0002)
+        args = (1000, 20, vehicle.capacity_kg, 20.0, params)
+        plan = solve_tour_plan(vehicle, dem, params)
+        assert plan.binding_constraint is BindingConstraint.SHIFT
+        assert _tour_map(plan.tours, *args) == plan.tours
+        assert _tour_map(plan.tours - 1, *args) > plan.tours - 1
+        tours[k] = plan.tours
+    assert tours[5] == 31_373
+    params = NetworkParams(radius_km=20, area_km2=100, stop_time_h=0.01,
+                           shift_duration_h=2.0002)
+    assert solve_tour_plan(vehicle, dem, params).tours == 7_373
+
+
+# Instances whose time-ceiling slope lies within 1e-13 of 1, drawn at random:
+# (radius, area, stop time, shift, lead time, capacity, speed, weight, stops).
+_SLOPE_WITHIN_ULPS_OF_ONE = [
+    (0.5621285738577655, 361.063845756536, 0.024989091686441235, 0.02395839010556796, 24,
+     1250.6528993070938, 46.92540453518681, 137296.77083581596, 0.027614815663154935),
+    (9.12759547139964, 147.8612918664891, 0.3651688374952031, 0.9810724319665444, 24,
+     15258.256192554987, 18.607383459146988, 107419.76747182514, 112),
+    (1.5292487680770201, 388.34831590993076, 0.11292808651110271, 190.4762586293832,
+     0.1990944421871785, 6679.9360026623735, 15.362043774604956, 165408.05319655058, 269),
+]
+
+
+@pytest.mark.parametrize("instance", _SLOPE_WITHIN_ULPS_OF_ONE)
+def test_slope_within_ulps_of_one_ends_at_a_feasible_count(instance, monkeypatch):
+    # Rounding holds each of these ceilings just above m for up to millions
+    # of unit steps; the climb must end within a few hundred ceilings, at a
+    # count that meets every ceiling.
+    radius, area, stop_time, shift, lead, capacity, speed, weight, stops = instance
+    vehicle = VehicleType("v", capacity, speed, 5.0, 30.0)
+    params = NetworkParams(radius_km=radius, area_km2=area, stop_time_h=stop_time,
+                           shift_duration_h=shift, lead_time_h=lead)
+    dem = demand(weight, stops)
+    calls = 0
+
+    def counted_ceil(x):
+        nonlocal calls
+        calls += 1
+        assert calls < 10_000, "the climb creeps one tour at a time"
+        return math.ceil(x)
+
+    monkeypatch.setattr(model, "math", SimpleNamespace(**{**vars(math), "ceil": counted_ceil}))
+    m = solve_tour_plan(vehicle, dem, params).tours
+    monkeypatch.undo()
+    assert _tour_map(m, weight, stops, capacity, speed, params) <= m
+
+
 # ---------------------------------------------------------------- costs
 
+def _shuttle_layer(radius_km, *assignments):
+    params = NetworkParams(radius_km=radius_km, area_km2=186, stop_time_h=0.25)
+    return LayerSpec("shuttle", LayerMode.FIXED_SHUTTLE, params, tuple(
+        FleetAssignment(v, demand(1000, 1), shuttle_tours=tours) for v, tours in assignments))
+
+
 def test_distance_cost_examples(truck_17t):
-    assert distance_cost([]) == 0.0
-    plan = TourPlan(truck_17t, 1, 100.0, BindingConstraint.CAPACITY)
-    assert distance_cost([plan]) == 800.0  # frozen-class rate of 8 EUR/km
+    empty = LayerSpec("empty", LayerMode.ANALYTICAL, NetworkParams(1, 1, 0.25),
+                      (FleetAssignment(truck_17t, DemandProfile.zero()),))
+    assert evaluate_layer(empty).distance_cost == 0.0
+    # one 100 km round trip at the frozen-class rate of 8 EUR/km
+    assert evaluate_layer(_shuttle_layer(50, (truck_17t, 1))).distance_cost == 800.0
     cheap = VehicleType("a", 17000, 20, 5.0, 30.0)
     fresh = VehicleType("f", 17000, 20, 7.0, 30.0)
-    plans = [TourPlan(cheap, 1, 100.0, BindingConstraint.CAPACITY),
-             TourPlan(fresh, 1, 50.0, BindingConstraint.CAPACITY)]
-    assert distance_cost(plans) == 850.0
+    assert evaluate_layer(_shuttle_layer(25, (cheap, 2), (fresh, 1))).distance_cost == 850.0
 
 
 def test_time_cost_hand_value():
@@ -252,10 +428,12 @@ def test_time_cost_hand_value():
     params = NetworkParams(radius_km=20, area_km2=186, stop_time_h=0.5,
                            shift_duration_h=8, lead_time_h=24)
     d = 80 + 0.57 * math.sqrt(744)
-    plan = TourPlan(vehicle, 2, d, BindingConstraint.CAPACITY)
     expected = (d / 30 + 0.5 * 4) * 30
-    assert time_cost([plan], demand(50000, 4), params) == pytest.approx(expected, rel=1e-9)
-    assert time_cost([], demand(0, 0), params) == 0.0
+    assert travel_and_stop_time(d, 4, vehicle, params) * 30 == pytest.approx(expected, rel=1e-9)
+    assert travel_and_stop_time(0.0, 0, vehicle, params) == 0.0
+    layer = LayerSpec("city", LayerMode.ANALYTICAL, params,
+                      (FleetAssignment(vehicle, demand(50000, 4)),))
+    assert evaluate_layer(layer).time_cost == pytest.approx(expected, rel=1e-9)
 
 
 def test_congestion_factor_scales_travel_time_only():
@@ -263,17 +441,17 @@ def test_congestion_factor_scales_travel_time_only():
     slack = NetworkParams(radius_km=30, area_km2=186, stop_time_h=0.25)
     congested = NetworkParams(radius_km=30, area_km2=186, stop_time_h=0.25,
                               congestion_factor=2.0)
-    plan = TourPlan(vehicle, 1, 60.0, BindingConstraint.CAPACITY)
-    no_stops = demand(0, 0)
-    assert time_cost([plan], no_stops, slack) == pytest.approx(20.0)
-    assert time_cost([plan], no_stops, congested) == pytest.approx(40.0)
+    assert travel_and_stop_time(60.0, 0, vehicle, slack) * 10 == pytest.approx(20.0)
+    assert travel_and_stop_time(60.0, 0, vehicle, congested) * 10 == pytest.approx(40.0)
 
 
 def test_total_time_is_unpriced(truck_25t, base_params):
-    plan = TourPlan(truck_25t, 2, 95.55, BindingConstraint.CAPACITY)
-    d4 = demand(50000, 4)
-    assert total_time([plan], d4, base_params) * truck_25t.cost_per_hour == \
-        pytest.approx(time_cost([plan], d4, base_params))
+    layer = LayerSpec("city", LayerMode.ANALYTICAL, base_params,
+                      (FleetAssignment(truck_25t, demand(50000, 4)),))
+    report = evaluate_layer(layer)
+    assert report.total_time_h == travel_and_stop_time(
+        report.total_distance_km, 4, truck_25t, base_params)
+    assert report.time_cost == report.total_time_h * truck_25t.cost_per_hour
 
 
 def test_external_cost_examples():
@@ -326,33 +504,31 @@ def test_fill_rate_bounds(load, tours):
     assert 0.0 <= fill_rate(load, vehicle, pallet, tours) <= 1.0
 
 
-# ---------------------------------------------------------------- lead-time search
+# ---------------------------------------------------------------- lead-time threshold
 
-def _lead_time_scan(vehicle, dem, params, resolution):
-    lt = resolution
-    while lt <= 24.0 + 1e-12:
-        try:
-            solve_tour_plan(vehicle, dem,
-                            NetworkParams(radius_km=params.radius_km,
-                                          area_km2=params.area_km2,
-                                          stop_time_h=params.stop_time_h,
-                                          daganzo_k=params.daganzo_k,
-                                          congestion_factor=params.congestion_factor,
-                                          shift_duration_h=params.shift_duration_h,
-                                          lead_time_h=lt))
-            return lt
-        except InfeasibleError:
-            lt += resolution
-    return math.inf
+def _feasible(vehicle, dem, params, lead_time_h):
+    try:
+        solve_tour_plan(vehicle, dem, replace(params, lead_time_h=lead_time_h))
+        return True
+    except InfeasibleError:
+        return False
+
+
+def _least_feasible_lead_time(vehicle, dem, params, resolution=0.05):
+    """Least lead time on the resolution grid with a feasible plan, after
+    checking that every grid lead time above it is feasible too."""
+    grid = [n * resolution for n in range(1, math.floor(24.0 / resolution) + 1)]
+    feasible = [_feasible(vehicle, dem, params, lt) for lt in grid]
+    assert True in feasible
+    first = feasible.index(True)
+    assert all(feasible[first:]), "feasibility is not monotone in the lead time"
+    return grid[first]
 
 
 def test_min_feasible_lead_time_matches_scan(truck_25t):
     params = NetworkParams(radius_km=20, area_km2=186, stop_time_h=0.5,
                            shift_duration_h=8, lead_time_h=24)
-    d4 = demand(50000, 4)
-    got = min_feasible_lead_time(truck_25t, d4, params, resolution=0.05)
-    want = _lead_time_scan(truck_25t, d4, params, 0.05)
-    assert got == pytest.approx(want)
+    got = _least_feasible_lead_time(truck_25t, demand(50000, 4), params)
     assert got > 2 * 20 / 30  # bounded below by the depot round trip
 
 
@@ -360,22 +536,8 @@ def test_min_feasible_lead_time_threshold_case():
     vehicle = VehicleType("v", 25000, 20, 8.0, 30.0)
     params = NetworkParams(radius_km=30, area_km2=186, stop_time_h=0.25,
                            shift_duration_h=24, lead_time_h=4)
-    d10 = demand(5000, 10)
-    got = min_feasible_lead_time(vehicle, d10, params, resolution=0.05)
-    assert got == pytest.approx(_lead_time_scan(vehicle, d10, params, 0.05))
+    got = _least_feasible_lead_time(vehicle, demand(5000, 10), params)
     assert 1.5 < got <= 8.0
-
-
-def test_min_feasible_lead_time_bad_resolution(truck_25t, base_params):
-    with pytest.raises(DomainError):
-        min_feasible_lead_time(truck_25t, demand(100, 1), base_params, resolution=25)
-
-
-def test_min_feasible_lead_time_infinity_marker():
-    # the depot round trip alone exceeds a day: no lead time up to 24 h works
-    crawler = VehicleType("crawler", 25000, 2.4, 8.0, 30.0)
-    params = NetworkParams(radius_km=30, area_km2=186, stop_time_h=0.25)
-    assert min_feasible_lead_time(crawler, demand(5000, 10), params) == math.inf
 
 
 # ---------------------------------------------------------------- regime invariants
@@ -392,7 +554,7 @@ def test_capacity_bound_regime_speed_invariance():
         plan = solve_tour_plan(vehicle, d42, params)
         assert plan.binding_constraint is BindingConstraint.CAPACITY
         distances.add(plan.distance_km)
-        cost = time_cost([plan], d42, params)
+        cost = travel_and_stop_time(plan.distance_km, 42, vehicle, params) * 30.0
         if previous_cost is not None:
             assert cost < previous_cost
         previous_cost = cost

@@ -16,8 +16,9 @@ from citydist.model import (
     NetworkParams,
     TemperatureClass,
     VehicleType,
+    dominant_index,
     solve_tour_plan,
-    time_cost,
+    travel_and_stop_time,
 )
 from citydist import optimize
 from citydist.optimize import (
@@ -70,7 +71,7 @@ def test_induced_demand_identity_and_split():
     profiles = induced_demand(identity, fleet_units)
     assert profiles[0].total_weight_kg == 45000.0
     assert profiles[0].total_stops == 100.0
-    assert profiles[1].is_zero
+    assert (profiles[1].total_weight_kg, profiles[1].total_stops) == (0.0, 0.0)
     half = AllocationMatrix(((0.5, 0.5),))
     profiles = induced_demand(half, fleet_units)
     for p in profiles:
@@ -90,7 +91,8 @@ def test_objective_single_vehicle_matches_core_model():
     allocation = AllocationMatrix(((1.0,),))
     demand = DemandProfile.from_units([PALLET])
     plan = solve_tour_plan(vehicle, demand, PARAMS)
-    expected = plan.distance_km * 8 + time_cost([plan], demand, PARAMS)
+    expected = plan.distance_km * 8 + travel_and_stop_time(
+        plan.distance_km, demand.total_stops, vehicle, PARAMS) * vehicle.cost_per_hour
     assert objective_value(allocation, [vehicle], [PALLET], PARAMS) == \
         pytest.approx(expected, rel=1e-12)
 
@@ -135,6 +137,21 @@ def test_solved_plan_satisfies_all_constraints():
     allocation = AllocationMatrix(((1.0,),))
     for s in constraint_violations(allocation, [vehicle], [unit], params):
         assert s.slack <= 1e-9
+
+
+def test_kernel_column_inlines_the_dominant_unit_rule():
+    # _ColumnKernel.column picks the dominant unit inline, for speed; it must
+    # be model.dominant_index on every column, ties and zero-stop units too
+    rng = random.Random(3)
+    for _ in range(300):
+        n_units = rng.randint(1, 6)
+        units = [DeliveryUnitType(f"u{j}", rng.choice((80.0, 450.0, 900.0)),
+                                  rng.choice((0, 0.5, 3, 40))) for j in range(n_units)]
+        rows = [[rng.choice((0.0, 0.0, 0.25, 1.0)) for _ in range(3)] for _ in range(n_units)]
+        kernel = _ColumnKernel([vt(f"v{i}", 17000, 5) for i in range(3)], units, PARAMS)
+        kernel.term = lambda i, weight, stops, dominant: dominant
+        for i in range(3):
+            assert kernel.column(rows, i) == dominant_index(units, [r[i] for r in rows])
 
 
 # ---------------------------------------------------------------- moves
@@ -256,8 +273,8 @@ def test_sa_best_energy_equals_full_evaluation(fleet, units):
     # best energy it reports must still be exactly the full evaluation.
     config = SaConfig(seed=11, restarts=2, steps_per_temperature=50)
     result = simulated_annealing(fleet, units, PARAMS, config, keep_trace=True)
-    assert result.trace[-1] == objective_value(result.allocation, fleet, units, PARAMS,
-                                               penalty_weight=config.penalty_weight)
+    assert result.trace[-1] == _ColumnKernel(fleet, units, PARAMS, config.penalty_weight) \
+        .energy(result.allocation.entries)[0]
 
 
 def test_sa_seeded_walk_is_pinned():
@@ -299,8 +316,7 @@ def test_vertex_energies_equal_full_evaluation(instance):
     assert [rows for _, _, rows in vertices] == \
         list(itertools.product(corners, repeat=len(units)))
     for energy, feasible, rows in vertices:
-        assert energy == objective_value(AllocationMatrix(rows), fleet, units, params,
-                                         penalty_weight=1000.0)
+        assert energy == _ColumnKernel(fleet, units, params, 1000.0).energy(rows)[0]
         full_energy, _, full_feasible = kernel.energy(rows)
         assert (energy, feasible) == (full_energy, full_feasible)
 
@@ -454,6 +470,38 @@ def test_grid_refuses_oversized_instances():
     units = [DeliveryUnitType(f"u{j}", 100.0, 5) for j in range(4)]
     with pytest.raises(GridTooLargeError):
         brute_force_grid(fleet, units, PARAMS, step=0.05)
+    # one vehicle has a single joint point, but its table of columns is
+    # 1001^3 entries, over the budget
+    with pytest.raises(GridTooLargeError, match="columns per vehicle"):
+        brute_force_grid(fleet[:1], units[:3], PARAMS, step=0.001)
+
+
+@pytest.mark.parametrize("lead_time_h", [24.0, 4.0, 2.0])
+def test_grid_four_units_equals_plain_enumeration(lead_time_h):
+    # 2 vehicles x 4 units at step 0.25: 5^4 joint points.  At 4 h a few
+    # points are infeasible and the optimum splits a row; at 2 h no point
+    # is feasible, as each round trip takes the whole window.  Quarter
+    # shares of integer weights sum exactly, so the grid's fsum columns
+    # equal the kernel's; feasible points come first, then the least
+    # objective (else the least energy), and among equals the
+    # lexicographically first matrix.
+    fleet = [vt("a", 17000, 8), vt("b", 4000, 5, speed=15)]
+    units = [DeliveryUnitType("u1", 450.0, 12), DeliveryUnitType("u2", 80.0, 25),
+             DeliveryUnitType("u3", 900.0, 4), DeliveryUnitType("u4", 80.0, 25)]
+    params = replace(PARAMS, lead_time_h=lead_time_h)
+    result = brute_force_grid(fleet, units, params, step=0.25)
+    kernel = _ColumnKernel(fleet, units, params, 1000.0)
+    splits = [(k / 4, 1 - k / 4) for k in range(5)]
+    best = None
+    for rows in itertools.product(splits, repeat=4):
+        energy, objective, feasible = kernel.energy(rows)
+        key = (not feasible, objective if feasible else energy)
+        if best is None or key < best[0]:
+            best = (key, rows)
+    assert result.evaluations == 5 ** 4
+    assert result.allocation.entries == best[1]
+    assert result.feasible is not best[0][0]
+    assert result.objective == kernel.energy(best[1])[1]
 
 
 def test_grid_tie_break_is_lexicographic():

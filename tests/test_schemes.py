@@ -24,7 +24,6 @@ from citydist.schemes import (
     build_ucc,
     compare_schemes,
     evaluate_layer,
-    evaluate_layers,
     evaluate_scheme,
     merge_demands,
 )
@@ -209,7 +208,7 @@ def test_scheme_additivity_is_exact(suppliers):
                       consolidate_inbound=True,
                       shuttle_params=PI_SHUTTLE, city_params=PI_CITY)
     whole = evaluate_scheme(scheme)
-    parts = evaluate_layers(scheme)
+    parts = [evaluate_layer(l, scheme.external_factors) for l in scheme.layers]
     assert whole.total_distance_km == math.fsum(p.total_distance_km for p in parts)
     assert whole.distance_cost == math.fsum(p.distance_cost for p in parts)
     assert whole.time_cost == math.fsum(p.time_cost for p in parts)

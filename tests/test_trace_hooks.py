@@ -1,8 +1,11 @@
 """The benchmark's tracer wraps functions as bound in citydist's modules
 (perfbench/tracing.py).  A refactor that drops or renames one of those
-bindings breaks every traced benchmark run; this catches it here instead."""
+bindings breaks every traced benchmark run; this catches it here instead.
+The same goes for every name perfbench imports from citydist."""
 
+import ast
 import importlib
+import importlib.util
 
 from conftest import REPO
 
@@ -39,3 +42,25 @@ def test_tracer_hooks_resolve_and_restore(monkeypatch):
         assert _binding(m, a) is original
     for (m, c, a), original in methods.items():
         assert _method(m, c, a) is original
+
+
+def _perfbench_citydist_imports():
+    """(file, module, name) of every `from citydist... import name` in
+    perfbench/*.py, read from the source without importing perfbench."""
+    for path in sorted((REPO / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and \
+                    node.module.split(".")[0] == "citydist":
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+
+
+def test_perfbench_imports_resolve():
+    # Only a benchmark run would otherwise notice a deleted or renamed name.
+    imports = list(_perfbench_citydist_imports())
+    assert ("probes.py", "citydist.optimize", "objective_value") in imports
+    for filename, module_name, name in imports:
+        module = importlib.import_module(module_name)
+        assert hasattr(module, name) or \
+            importlib.util.find_spec(f"{module_name}.{name}") is not None, \
+            f"perfbench/{filename}: from {module_name} import {name} fails"
