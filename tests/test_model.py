@@ -165,12 +165,6 @@ def test_solve_diverges_when_round_trip_exceeds_lead_time():
     with pytest.raises(InfeasibleError) as err:
         solve_tour_plan(vehicle, demand(5000, 10), params)
     assert err.value.constraint is BindingConstraint.LEAD_TIME
-    # the 25 h depot round trip exceeds a day: no lead time up to 24 h works
-    crawler = VehicleType("crawler", 25000, 2.4, 8.0, 30.0)
-    day = NetworkParams(radius_km=30, area_km2=186, stop_time_h=0.25, shift_duration_h=48)
-    with pytest.raises(InfeasibleError) as err:
-        solve_tour_plan(crawler, demand(5000, 10), day)
-    assert err.value.constraint is BindingConstraint.LEAD_TIME
 
 
 def _ceiling_oracle(vehicle, weight, stops, params, cap_limit, m_max=500):
@@ -538,6 +532,18 @@ def test_min_feasible_lead_time_threshold_case():
                            shift_duration_h=24, lead_time_h=4)
     got = _least_feasible_lead_time(vehicle, demand(5000, 10), params)
     assert 1.5 < got <= 8.0
+
+
+def test_min_feasible_lead_time_infinity_marker():
+    # the 25 h depot round trip exceeds a day: no lead time up to 24 h works
+    crawler = VehicleType("crawler", 25000, 2.4, 8.0, 30.0)
+    params = NetworkParams(radius_km=30, area_km2=186, stop_time_h=0.25, shift_duration_h=48)
+    d10 = demand(5000, 10)
+    with pytest.raises(InfeasibleError) as err:
+        solve_tour_plan(crawler, d10, params)
+    assert err.value.constraint is BindingConstraint.LEAD_TIME
+    grid = [n * 0.05 for n in range(1, math.floor(24.0 / 0.05) + 1)]
+    assert not any(_feasible(crawler, d10, params, lt) for lt in grid)
 
 
 # ---------------------------------------------------------------- regime invariants
