@@ -269,49 +269,34 @@ class KpiReport:
     def zero(cls) -> "KpiReport":
         return cls()
 
-    def scaled(self, n: int) -> "KpiReport":
-        """Report for n identical subregions; per-tour fill is unchanged."""
-        return KpiReport(
-            total_distance_km=self.total_distance_km * n,
-            total_time_h=self.total_time_h * n,
-            distance_cost=self.distance_cost * n,
-            time_cost=self.time_cost * n,
-            handling_cost=self.handling_cost * n,
-            external_by_category={k: v * n for k, v in self.external_by_category.items()},
-            fill_rate=self.fill_rate,
-            loaded_weight_kg=self.loaded_weight_kg * n,
-            tours_by_vehicle={k: v * n for k, v in self.tours_by_vehicle.items()},
-            tours_fractional_by_vehicle={k: v * n for k, v in self.tours_fractional_by_vehicle.items()},
-        )
-
     @classmethod
     def aggregate(cls, reports) -> "KpiReport":
-        """Field-wise sum; fill rate is weighted by each report's loaded weight."""
-        reports = list(reports)
-        if not reports:
-            return cls.zero()
+        """Field-wise sum, one fsum per column of the reports' fields; fill
+        rate is weighted by each report's loaded weight."""
         tours: dict[str, int] = {}
         frac: dict[str, float] = {}
+        rows = []
         for r in reports:
             for k, v in r.tours_by_vehicle.items():
                 tours[k] = tours.get(k, 0) + v
             for k, v in r.tours_fractional_by_vehicle.items():
                 frac[k] = frac.get(k, 0.0) + v
-        loaded = math.fsum(r.loaded_weight_kg for r in reports)
-        if loaded > 0:
-            fill = math.fsum(r.fill_rate * r.loaded_weight_kg for r in reports) / loaded
-        else:
-            fill = 0.0
+            ext = r.external_by_category.get
+            rows.append((r.total_distance_km, r.total_time_h, r.distance_cost, r.time_cost,
+                         r.handling_cost, r.loaded_weight_kg, r.fill_rate * r.loaded_weight_kg,
+                         *[ext(name, 0.0) for name in EXTERNAL_CATEGORIES]))
+        if not rows:
+            return cls.zero()
+        dist, time_h, dist_cost, time_cost, handling, loaded, fill_weight, *ext_sums = map(
+            math.fsum, zip(*rows))
         return cls(
-            total_distance_km=math.fsum(r.total_distance_km for r in reports),
-            total_time_h=math.fsum(r.total_time_h for r in reports),
-            distance_cost=math.fsum(r.distance_cost for r in reports),
-            time_cost=math.fsum(r.time_cost for r in reports),
-            handling_cost=math.fsum(r.handling_cost for r in reports),
-            external_by_category={
-                name: math.fsum(r.external_by_category.get(name, 0.0) for r in reports)
-                for name in EXTERNAL_CATEGORIES},
-            fill_rate=fill,
+            total_distance_km=dist,
+            total_time_h=time_h,
+            distance_cost=dist_cost,
+            time_cost=time_cost,
+            handling_cost=handling,
+            external_by_category=dict(zip(EXTERNAL_CATEGORIES, ext_sums)),
+            fill_rate=fill_weight / loaded if loaded > 0 else 0.0,
             loaded_weight_kg=loaded,
             tours_by_vehicle=tours,
             tours_fractional_by_vehicle=frac,
@@ -423,22 +408,22 @@ def _solve_fixed_point(weight: float, stops: float, cap_limit: float, v_eff: flo
 
 
 def solve_tour_plan(vehicle: VehicleType, demand: DemandProfile, params: NetworkParams,
-                    dominant_unit: DeliveryUnitType | None = None) -> TourPlan:
+                    cap_limit: float | None = None) -> TourPlan:
     """Smallest tour count satisfying capacity, shift and lead-time ceilings.
 
     The ceilings depend on the route length, which grows with the tour count,
     so the solution is the least fixed point of m -> max(ceilings(d(m))).
     A plan is infeasible only when a time ceiling provably diverges: its
     round trip alone takes at least the whole budget, so no tour count
-    catches it; the InfeasibleError names that constraint.
+    catches it; the InfeasibleError names that constraint.  cap_limit, the
+    payload per tour, defaults to the capacity for the dominant unit.
     """
     weight = demand.total_weight_kg
     stops = demand.total_stops
     if weight == 0 and stops == 0:
         return TourPlan(vehicle, 0, 0.0, BindingConstraint.CAPACITY)
-    if dominant_unit is None:
-        dominant_unit = demand.dominant_unit()
-    cap_limit = _capacity_limit(vehicle, dominant_unit)
+    if cap_limit is None:
+        cap_limit = _capacity_limit(vehicle, demand.dominant_unit())
     v_eff = vehicle.speed_kmh / params.congestion_factor
     m, d, binding = _solve_fixed_point(weight, stops, cap_limit, v_eff, params, vehicle.id)
     return TourPlan(vehicle, m, d, binding)
@@ -463,16 +448,14 @@ def external_cost(total_distance_km: float,
     return math.fsum(by_category.values()), by_category
 
 
-def fill_rate(loaded_weight_kg: float, vehicle: VehicleType,
-              dominant_unit: DeliveryUnitType | None, tours: int) -> float:
-    """Departure load per tour over the effective capacity, in [0, 1]."""
+def fill_rate(loaded_weight_kg: float, vehicle: VehicleType, cap: float, tours: int) -> float:
+    """Departure load per tour over the usable payload cap, in [0, 1]."""
     if loaded_weight_kg < 0:
         raise DomainError("fill_rate: loaded weight must be >= 0")
     if loaded_weight_kg == 0:
         return 0.0
     if tours < 1:
         raise DomainError("fill_rate: tours must be >= 1 when there is load")
-    cap = _capacity_limit(vehicle, dominant_unit)
     per_tour = loaded_weight_kg / tours
     if per_tour > cap * (1.0 + _REL_TOL):
         raise ConsistencyError(

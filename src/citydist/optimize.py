@@ -629,11 +629,13 @@ def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
             f"brute_force_grid: {ticks + 1}^{n_units} = {columns} columns per vehicle "
             f"exceeds the budget of {_GRID_BUDGET}")
 
+    kernel = _ColumnKernel(fleet, units, params, penalty_weight)
+    if n_vehicles == 1:  # one vehicle carries every unit: the only grid point
+        return _finish(kernel, ((1.0,),) * n_units, external_factors, None, joint)
+
     # Per-vehicle energy for every possible tick column, then the joint
     # minimum is a sum of per-vehicle table lookups.  The column sums stay
     # fsum-exact, unlike the annealer's running sums.
-    kernel = _ColumnKernel(fleet, units, params, penalty_weight)
-
     def column_energy(vehicle_idx: int) -> tuple[np.ndarray, np.ndarray]:
         shape = (ticks + 1,) * n_units
         energy = np.empty(shape)

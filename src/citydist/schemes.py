@@ -10,7 +10,7 @@ center, and transshipment hubs with subregions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .model import (
@@ -163,16 +163,19 @@ def merge_demands(demands) -> DemandProfile:
 
 
 def _evaluate_assignment(a: FleetAssignment, layer: LayerSpec,
-                         factors: ExternalCostFactors | None) -> KpiReport:
+                         factors: ExternalCostFactors | None):
+    """(vehicle id, tours, fractional tours or None, KPI column values) of one
+    assignment; the values are in the order evaluate_layer sums them."""
     params = layer.params
     vehicle = a.vehicle
     demand = a.demand
+    weight = demand.total_weight_kg
     dominant = a.capacity_unit if a.capacity_unit is not None else demand.dominant_unit()
     cap_limit = _capacity_limit(vehicle, dominant)
 
     if layer.mode is LayerMode.ANALYTICAL:
         try:
-            plan = solve_tour_plan(vehicle, demand, params, dominant_unit=dominant)
+            plan = solve_tour_plan(vehicle, demand, params, cap_limit)
         except InfeasibleError as exc:
             raise LayerInfeasibleError(layer.name, exc) from exc
         tours, dist = plan.tours, plan.distance_km
@@ -180,44 +183,51 @@ def _evaluate_assignment(a: FleetAssignment, layer: LayerSpec,
     else:
         if a.shuttle_tours is not None:
             tours = a.shuttle_tours
-        elif demand.total_weight_kg > 0:
-            tours = max(1, math.ceil(demand.total_weight_kg / cap_limit))
+        elif weight > 0:
+            tours = max(1, math.ceil(weight / cap_limit))
         else:
             tours = 0
         dist = tours * 2.0 * params.radius_km
         # one stop at the destination node per round trip
         time_h = travel_and_stop_time(dist, tours, vehicle, params)
 
-    fill = fill_rate(demand.total_weight_kg, vehicle, dominant, tours) if tours else 0.0
-    ext_by_cat = (external_cost(dist, factors)[1] if factors is not None
-                  else {name: 0.0 for name in EXTERNAL_CATEGORIES})
-    return KpiReport(
-        total_distance_km=dist,
-        total_time_h=time_h,
-        distance_cost=dist * vehicle.cost_per_km,
-        time_cost=time_h * vehicle.cost_per_hour,
-        handling_cost=0.0,
-        external_by_category=ext_by_cat,
-        fill_rate=fill,
-        loaded_weight_kg=demand.total_weight_kg,
-        tours_by_vehicle={vehicle.id: tours} if tours else {},
-        tours_fractional_by_vehicle=(
-            {vehicle.id: demand.total_weight_kg / cap_limit}
-            if demand.total_weight_kg > 0 else {}),
-    )
+    fill = fill_rate(weight, vehicle, cap_limit, tours) if tours else 0.0
+    ext = (external_cost(dist, factors)[1].values() if factors is not None
+           else (0.0,) * len(EXTERNAL_CATEGORIES))
+    return (vehicle.id, tours, weight / cap_limit if weight > 0 else None,
+            (dist, time_h, dist * vehicle.cost_per_km, time_h * vehicle.cost_per_hour,
+             demand.total_stops, weight, fill * weight, *ext))
 
 
 def evaluate_layer(layer: LayerSpec,
                    factors: ExternalCostFactors | None = None) -> KpiReport:
-    """KPIs of one layer: per-assignment evaluation, handling, subregion scaling."""
-    parts = [_evaluate_assignment(a, layer, factors) for a in layer.fleet]
-    report = KpiReport.aggregate(parts)
-    handling = layer.handling_cost_per_delivery * math.fsum(
-        a.demand.total_stops for a in layer.fleet)
-    report = replace(report, handling_cost=handling)
-    if layer.subregion_count > 1:
-        report = report.scaled(layer.subregion_count)
-    return report
+    """KPIs of one layer: each is one fsum over the assignments (fill rate
+    weighted by load) plus handling, times subregion_count."""
+    n = layer.subregion_count
+    tours: dict[str, int] = {}
+    frac: dict[str, float] = {}
+    columns = []
+    for a in layer.fleet:
+        vehicle_id, m, m_frac, values = _evaluate_assignment(a, layer, factors)
+        if m:
+            tours[vehicle_id] = tours.get(vehicle_id, 0) + m
+        if m_frac is not None:
+            frac[vehicle_id] = frac.get(vehicle_id, 0.0) + m_frac
+        columns.append(values)
+    dist, time_h, dist_cost, time_cost, stops, loaded, fill_weight, *ext = (
+        map(math.fsum, zip(*columns)) if columns else (0.0,) * (7 + len(EXTERNAL_CATEGORIES)))
+    return KpiReport(
+        total_distance_km=dist * n,
+        total_time_h=time_h * n,
+        distance_cost=dist_cost * n,
+        time_cost=time_cost * n,
+        handling_cost=layer.handling_cost_per_delivery * stops * n,
+        external_by_category={name: v * n for name, v in zip(EXTERNAL_CATEGORIES, ext)},
+        fill_rate=fill_weight / loaded if loaded > 0 else 0.0,
+        loaded_weight_kg=loaded * n,
+        tours_by_vehicle={k: v * n for k, v in tours.items()},
+        tours_fractional_by_vehicle={k: v * n for k, v in frac.items()},
+    )
 
 
 def evaluate_scheme(scheme: SchemeSpec) -> KpiReport:

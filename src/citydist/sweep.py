@@ -2,15 +2,17 @@
 
 A sweep replaces one numeric parameter of one layer at each grid point: any
 NetworkParams field, or the pseudo-field ``speed_kmh`` which rescales every
-vehicle in that layer's fleet.  Only the swept layer is re-evaluated per
-point; the other layers are evaluated once per sweep.  Infeasible points are
-marked rather than aborting, and the report records where the tour counts
-first move away from their slack-side values.
+vehicle in that layer's fleet.  Per point, the swept layer is constructed
+directly and evaluated into one report, and one KpiReport.aggregate sums it
+with the other layers' reports, which are evaluated once per sweep.
+Infeasible points are marked rather than aborting, and the report records
+where the tour counts first move away from their slack-side values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 from .model import DomainError, KpiReport, NetworkParams
 from .schemes import (
@@ -23,8 +25,8 @@ from .schemes import (
     evaluate_scheme,  # noqa: F401  bound here for perfbench's tracer, which wraps it
 )
 
-_PARAM_FIELDS = ("radius_km", "area_km2", "stop_time_h", "daganzo_k",
-                 "congestion_factor", "shift_duration_h", "lead_time_h")
+_PARAM_FIELDS = tuple(f.name for f in fields(NetworkParams))  # in positional order
+_param_values = attrgetter(*_PARAM_FIELDS)
 SPEED_FIELD = "speed_kmh"
 
 
@@ -76,13 +78,16 @@ class SweepReport:
 
 def _apply_to_layer(layer: LayerSpec, parameter: str, value: float) -> LayerSpec:
     """New layer with its parameter (or fleet speed) replaced."""
+    params, fleet = layer.params, layer.fleet
     if parameter == SPEED_FIELD:
-        fleet = tuple(
-            FleetAssignment(replace(a.vehicle, speed_kmh=value), a.demand,
-                            a.shuttle_tours, a.capacity_unit)
-            for a in layer.fleet)
-        return replace(layer, fleet=fleet)
-    return replace(layer, params=replace(layer.params, **{parameter: value}))
+        fleet = tuple(FleetAssignment(replace(a.vehicle, speed_kmh=value), a.demand,
+                                      a.shuttle_tours, a.capacity_unit) for a in fleet)
+    else:
+        args = list(_param_values(params))
+        args[_PARAM_FIELDS.index(parameter)] = value
+        params = NetworkParams(*args)
+    return LayerSpec(layer.name, layer.mode, params, fleet,
+                     layer.handling_cost_per_delivery, layer.subregion_count)
 
 
 def apply_parameter(scheme: SchemeSpec, layer_index: int, parameter: str,

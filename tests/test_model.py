@@ -480,22 +480,23 @@ def test_effective_capacity_examples():
 def test_fill_rate_examples():
     pallet = DeliveryUnitType("pallet", 450, 10)
     vehicle = VehicleType("v", 17000, 20, 8.0, 30.0, TemperatureClass.A, 30)
-    assert fill_rate(0.0, vehicle, pallet, 0) == 0.0
-    assert fill_rate(13500.0, vehicle, pallet, 1) == 1.0
+    cap = effective_capacity(vehicle, pallet)
+    assert fill_rate(0.0, vehicle, cap, 0) == 0.0
+    assert fill_rate(13500.0, vehicle, cap, 1) == 1.0
     # shape check on a frozen-goods profile: load per tour over effective cap
     frozen = VehicleType("ten", 10000, 20, 8.0, 30.0, TemperatureClass.S, 22)
-    assert fill_rate(20590.0, frozen, None, 5) == pytest.approx(20590 / 5 / 10000)
+    assert fill_rate(20590.0, frozen, frozen.capacity_kg, 5) == pytest.approx(20590 / 5 / 10000)
     with pytest.raises(ConsistencyError):
-        fill_rate(30000.0, vehicle, pallet, 1)
+        fill_rate(30000.0, vehicle, cap, 1)
     with pytest.raises(DomainError):
-        fill_rate(100.0, vehicle, pallet, 0)
+        fill_rate(100.0, vehicle, cap, 0)
 
 
 @given(load=st.floats(min_value=0, max_value=13500), tours=st.integers(1, 5))
 def test_fill_rate_bounds(load, tours):
     pallet = DeliveryUnitType("pallet", 450, 10)
     vehicle = VehicleType("v", 17000, 20, 8.0, 30.0, TemperatureClass.A, 30)
-    assert 0.0 <= fill_rate(load, vehicle, pallet, tours) <= 1.0
+    assert 0.0 <= fill_rate(load, vehicle, effective_capacity(vehicle, pallet), tours) <= 1.0
 
 
 # ---------------------------------------------------------------- lead-time threshold

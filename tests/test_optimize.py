@@ -458,6 +458,21 @@ def test_grid_single_vehicle_single_point():
     assert result.evaluations == 1
 
 
+def test_grid_single_vehicle_scores_one_column(monkeypatch):
+    # 21^3 columns fit the budget, but only the all-ones one is reachable
+    fleet = [vt("only", 17000, 8)]
+    units = [PALLET, DeliveryUnitType("parcel", 12.5, 40), DeliveryUnitType("cage", 180.0, 9)]
+    calls = []
+    term = _ColumnKernel.term
+    monkeypatch.setattr(_ColumnKernel, "term",
+                        lambda self, *args: calls.append(args) or term(self, *args))
+    result = brute_force_grid(fleet, units, PARAMS, step=0.05)
+    assert len(calls) == 1
+    assert result.allocation.entries == ((1.0,),) * 3
+    assert result.evaluations == 1
+    assert result.objective == objective_value(result.allocation, fleet, units, PARAMS)
+
+
 def test_grid_two_vehicles_one_unit_is_101_points():
     fleet = [vt("a", 17000, 5), vt("b", 17000, 8)]
     result = brute_force_grid(fleet, [PALLET], PARAMS, step=0.01)

@@ -1,9 +1,14 @@
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from citydist.model import (
     DEFAULT_EXTERNAL_FACTORS,
+    EXTERNAL_CATEGORIES,
+    ConsistencyError,
     DeliveryUnitType,
     DemandProfile,
     DomainError,
@@ -11,6 +16,11 @@ from citydist.model import (
     NetworkParams,
     TemperatureClass,
     VehicleType,
+    effective_capacity,
+    external_cost,
+    fill_rate,
+    solve_tour_plan,
+    travel_and_stop_time,
 )
 from citydist.schemes import (
     FleetAssignment,
@@ -267,3 +277,129 @@ def test_merge_demands_mixes_units():
     merged = merge_demands([a, b])
     assert merged.total_weight_kg == 930.0
     assert merged.total_stops == 5.0
+
+
+# ------------------------------------- column sums against field-by-field sums
+
+def _fieldwise_aggregate(reports):
+    """Reference for KpiReport.aggregate: one fsum generator per field."""
+    reports = list(reports)
+    tours, frac = {}, {}
+    for r in reports:
+        for k, v in r.tours_by_vehicle.items():
+            tours[k] = tours.get(k, 0) + v
+        for k, v in r.tours_fractional_by_vehicle.items():
+            frac[k] = frac.get(k, 0.0) + v
+    loaded = math.fsum(r.loaded_weight_kg for r in reports)
+    fill = (math.fsum(r.fill_rate * r.loaded_weight_kg for r in reports) / loaded
+            if loaded > 0 else 0.0)
+    return KpiReport(
+        total_distance_km=math.fsum(r.total_distance_km for r in reports),
+        total_time_h=math.fsum(r.total_time_h for r in reports),
+        distance_cost=math.fsum(r.distance_cost for r in reports),
+        time_cost=math.fsum(r.time_cost for r in reports),
+        handling_cost=math.fsum(r.handling_cost for r in reports),
+        external_by_category={
+            name: math.fsum(r.external_by_category.get(name, 0.0) for r in reports)
+            for name in EXTERNAL_CATEGORIES},
+        fill_rate=fill, loaded_weight_kg=loaded,
+        tours_by_vehicle=tours, tours_fractional_by_vehicle=frac)
+
+
+def _assignment_report(a, layer, factors):
+    """Reference for one assignment of a layer, as its own report."""
+    dominant = a.capacity_unit or a.demand.dominant_unit()
+    cap = effective_capacity(a.vehicle, dominant) if dominant else a.vehicle.capacity_kg
+    weight = a.demand.total_weight_kg
+    if layer.mode is LayerMode.ANALYTICAL:
+        plan = solve_tour_plan(a.vehicle, a.demand, layer.params, cap)
+        tours, dist = plan.tours, plan.distance_km
+        time_h = travel_and_stop_time(dist, a.demand.total_stops, a.vehicle, layer.params)
+    else:
+        tours = a.shuttle_tours if a.shuttle_tours is not None else (
+            max(1, math.ceil(weight / cap)) if weight > 0 else 0)
+        dist = tours * 2.0 * layer.params.radius_km
+        time_h = travel_and_stop_time(dist, tours, a.vehicle, layer.params)
+    return KpiReport(
+        dist, time_h, dist * a.vehicle.cost_per_km, time_h * a.vehicle.cost_per_hour, 0.0,
+        external_cost(dist, factors)[1] if factors else dict.fromkeys(EXTERNAL_CATEGORIES, 0.0),
+        fill_rate(weight, a.vehicle, cap, tours) if tours else 0.0, weight,
+        {a.vehicle.id: tours} if tours else {},
+        {a.vehicle.id: weight / cap} if weight > 0 else {})
+
+
+def _layer_report(layer, factors):
+    """Reference for evaluate_layer: the assignment reports summed field by
+    field, handling set, then every extensive field times subregion_count."""
+    r = _fieldwise_aggregate(_assignment_report(a, layer, factors) for a in layer.fleet)
+    n = layer.subregion_count
+    r = replace(r, handling_cost=layer.handling_cost_per_delivery * math.fsum(
+        a.demand.total_stops for a in layer.fleet))
+    if n == 1:
+        return r
+    return KpiReport(
+        r.total_distance_km * n, r.total_time_h * n, r.distance_cost * n, r.time_cost * n,
+        r.handling_cost * n, {k: v * n for k, v in r.external_by_category.items()},
+        r.fill_rate, r.loaded_weight_kg * n,
+        {k: v * n for k, v in r.tours_by_vehicle.items()},
+        {k: v * n for k, v in r.tours_fractional_by_vehicle.items()})
+
+
+_UNITS = (DeliveryUnitType("pallet", 450.0, 1), DeliveryUnitType("parcel", 12.5, 1),
+          DeliveryUnitType("cage", 180.0, 1))
+
+
+@st.composite
+def _assignments(draw):
+    vehicle = draw(st.sampled_from((SHUTTLE, CITY, VAN)))
+    counts = draw(st.lists(st.floats(0, 40), min_size=len(_UNITS), max_size=len(_UNITS)))
+    if draw(st.booleans()):
+        demand = DemandProfile.from_units(
+            replace(u, stops=c) for u, c in zip(_UNITS, counts))
+    else:
+        demand = DemandProfile(total_weight_kg=counts[0] * 97.3, total_stops=counts[1])
+    return FleetAssignment(vehicle, demand,
+                           shuttle_tours=draw(st.none() | st.integers(1, 6)),
+                           capacity_unit=draw(st.none() | st.sampled_from(_UNITS)))
+
+
+_layers = st.builds(
+    lambda mode, fleet, rate, n: LayerSpec("layer", mode, PI_CITY, tuple(fleet), rate, n),
+    st.sampled_from(LayerMode), st.lists(_assignments(), min_size=0, max_size=4),
+    st.floats(0, 25) | st.just(10.0), st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(layer=_layers, factors=st.sampled_from((None, DEFAULT_EXTERNAL_FACTORS)))
+def test_layer_report_is_bit_equal_to_assignment_sums(layer, factors):
+    def outcome(evaluate):
+        try:
+            return repr(evaluate(layer, factors))
+        except ConsistencyError as exc:  # a pinned shuttle count too low for the load
+            return repr(exc)
+    assert outcome(evaluate_layer) == outcome(_layer_report)
+
+
+_amounts = st.floats(-1e7, 1e7) | st.sampled_from((0.0, 0.1, 0.2, 1e-17, 3.0e15))
+_reports = st.builds(
+    KpiReport,
+    total_distance_km=_amounts, total_time_h=_amounts, distance_cost=_amounts,
+    time_cost=_amounts, handling_cost=_amounts,
+    external_by_category=st.dictionaries(st.sampled_from(EXTERNAL_CATEGORIES), _amounts),
+    fill_rate=st.floats(0, 1),
+    loaded_weight_kg=st.just(0.0) | st.floats(0, 1e6),
+    tours_by_vehicle=st.dictionaries(st.sampled_from("abc"), st.integers(1, 99)),
+    tours_fractional_by_vehicle=st.dictionaries(st.sampled_from("abc"), st.floats(0, 99)))
+# a subdivided layer with a handling rate: scaled dictionaries, non-zero handling
+_SUBDIVIDED = evaluate_layer(
+    LayerSpec("city", LayerMode.ANALYTICAL, PI_CITY,
+              (FleetAssignment(CITY, DemandProfile(total_weight_kg=19946.5, total_stops=42)),
+               FleetAssignment(VAN, DemandProfile(total_weight_kg=1234.5, total_stops=9))),
+              handling_cost_per_delivery=10.0, subregion_count=3),
+    DEFAULT_EXTERNAL_FACTORS)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(reports=st.lists(_reports | st.just(_SUBDIVIDED), min_size=1, max_size=6))
+def test_aggregate_is_bit_equal_to_fieldwise_sums(reports):
+    assert repr(KpiReport.aggregate(reports)) == repr(_fieldwise_aggregate(reports))

@@ -18,6 +18,7 @@ from citydist.schemes import (
     SchemeSpec,
     evaluate_scheme,
 )
+import citydist.schemes as schemes_module
 import citydist.sweep as sweep_module
 from citydist.sweep import (
     SweepReport,
@@ -29,7 +30,7 @@ from citydist.sweep import (
     sweep_parameter,
 )
 
-from conftest import BORDEAUX
+from conftest import BORDEAUX, SINGLE_SUPPLIER
 
 
 CITY = VehicleType("city_17t", 17000, 20, 8.0, 30.0, TemperatureClass.T, 30)
@@ -172,16 +173,28 @@ def _assert_matches_per_point(spec):
 
 
 BORDEAUX_SCENARIO = load_scenario(str(BORDEAUX))
+SINGLE_SUPPLIER_SCENARIO = load_scenario(str(SINGLE_SUPPLIER))
 
 
 @pytest.mark.parametrize("parameter, start, stop, step", [
     ("lead_time_h", 0.05, 8.0, 0.35),
     ("speed_kmh", 1.0, 41.0, 4.0),
+    ("radius_km", 0.5, 60.0, 2.5),
+    ("area_km2", 5.0, 400.0, 15.0),
+    ("stop_time_h", 0.05, 2.0, 0.1),
+    ("daganzo_k", 0.1, 2.0, 0.1),
+    ("congestion_factor", 1.0, 3.0, 0.1),
+    ("shift_duration_h", 0.5, 24.0, 1.0),
 ])
-@pytest.mark.parametrize("scheme_name", BORDEAUX_SCENARIO.scheme_names())
-def test_every_bundled_layer_sweep_equals_per_point_evaluation(scheme_name, parameter,
+@pytest.mark.parametrize("scenario, scheme_name", [
+    *(pytest.param(BORDEAUX_SCENARIO, name, id=name)
+      for name in BORDEAUX_SCENARIO.scheme_names()),
+    *(pytest.param(SINGLE_SUPPLIER_SCENARIO, name, id=f"single_supplier:{name}")
+      for name in SINGLE_SUPPLIER_SCENARIO.scheme_names()),
+])
+def test_every_bundled_layer_sweep_equals_per_point_evaluation(scenario, scheme_name, parameter,
                                                                start, stop, step):
-    scheme = BORDEAUX_SCENARIO.scheme(scheme_name)
+    scheme = scenario.scheme(scheme_name)
     for k in range(len(scheme.layers)):
         _assert_matches_per_point(SweepSpec(parameter, start, stop, step, scheme, k))
 
@@ -239,3 +252,17 @@ def test_unchanged_layers_are_evaluated_once_per_sweep(monkeypatch):
     assert len(report.rows) == 5
     fixed = [layer.name for i, layer in enumerate(scheme.layers) if i != 1]
     assert sorted(calls) == sorted(fixed + ["supplier_2_direct"] * 5)
+
+
+def test_sweep_calls_the_tour_solver_bound_in_schemes(monkeypatch):
+    # perfbench's tracer counts model.tour_plan_calls by wrapping
+    # citydist.schemes.solve_tour_plan: a sweep must reach the solver there
+    scheme = BORDEAUX_SCENARIO.scheme("original")
+    assert all(layer.mode is LayerMode.ANALYTICAL and len(layer.fleet) == 1
+               for layer in scheme.layers)
+    calls = []
+    solve = schemes_module.solve_tour_plan
+    monkeypatch.setattr(schemes_module, "solve_tour_plan",
+                        lambda *args: calls.append(args) or solve(*args))
+    report = sweep_parameter(SweepSpec("speed_kmh", 10.0, 30.0, 5.0, scheme, 1))
+    assert len(calls) == len(report.rows) + len(scheme.layers) - 1
