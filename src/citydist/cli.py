@@ -10,18 +10,30 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from importlib import import_module
 
 from .model import ConsistencyError, DomainError, InfeasibleError, ModelError
-from .optimize import GridTooLargeError, brute_force_grid, simulated_annealing, vertex_optimum
 from .report import emit_report
 from .scenario import ScenarioError, load_scenario
 from .schemes import LayerMode, SchemeInfeasibleError, compare_schemes
-from .sweep import SweepSpec, sweep_parameter
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
 EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
+
+# `optimize` and `sweep` import their modules on first use, through this
+# module's attributes, so a wrapper set on them (a tracer's) is what runs.
+_DEFERRED = {"simulated_annealing": "optimize", "brute_force_grid": "optimize",
+             "sweep_parameter": "sweep"}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    fn = globals()[name] = getattr(import_module("." + _DEFERRED[name], __package__), name)
+    return fn
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,6 +90,7 @@ def _layer_index(scheme, number: int) -> int:
 
 
 def _optimize(args, scenario) -> object:
+    from .optimize import GridTooLargeError, vertex_optimum
     scheme = scenario.scheme(args.scheme)
     idx = _layer_index(scheme, args.layer)
     layer = scheme.layers[idx]
@@ -100,29 +113,30 @@ def _optimize(args, scenario) -> object:
         config = replace(config, seed=args.seed)
     if args.oracle:
         try:
-            return brute_force_grid(fleet, units, layer.params, step=config.grid_step,
-                                    penalty_weight=config.penalty_weight,
-                                    external_factors=scheme.external_factors)
+            return _cli.brute_force_grid(fleet, units, layer.params, step=config.grid_step,
+                                         penalty_weight=config.penalty_weight,
+                                         external_factors=scheme.external_factors)
         except GridTooLargeError:
             result = vertex_optimum(fleet, units, layer.params, config.penalty_weight,
                                     scheme.external_factors)
             print(f"grid over budget: best of {result.evaluations} vertex allocations",
                   file=sys.stderr)
             return result
-    return simulated_annealing(fleet, units, layer.params, config,
-                               external_factors=scheme.external_factors,
-                               keep_trace=args.trace)
+    return _cli.simulated_annealing(fleet, units, layer.params, config,
+                                    external_factors=scheme.external_factors,
+                                    keep_trace=args.trace)
 
 
 def _sweep(args, scenario) -> object:
+    from .sweep import SweepSpec
     scheme = scenario.scheme(args.scheme)
     idx = _layer_index(scheme, args.layer)
     try:
         start, stop, step = (float(x) for x in args.range_.split(":"))
     except ValueError as exc:
         raise DomainError(f"--range must be START:STOP:STEP, got '{args.range_}'") from exc
-    return sweep_parameter(SweepSpec(parameter=args.param, start=start, stop=stop,
-                                     step=step, scheme=scheme, layer_index=idx))
+    return _cli.sweep_parameter(SweepSpec(parameter=args.param, start=start, stop=stop,
+                                          step=step, scheme=scheme, layer_index=idx))
 
 
 def run(argv=None) -> int:

@@ -24,10 +24,12 @@ from .model import (
     InfeasibleError,
     KpiReport,
     NetworkParams,
+    SaConfig,
     _solve_fixed_point,
     dominant_index,
     effective_capacity,
 )
+from .report import OptimizationResult
 from .schemes import FleetAssignment, LayerMode, LayerSpec, SchemeSpec, evaluate_layer
 
 _ROW_SUM_TOL = 1e-9
@@ -80,54 +82,12 @@ class AllocationMatrix:
 
 
 @dataclass(frozen=True)
-class SaConfig:
-    """Annealing schedule.  Temperatures left as None are derived at run time:
-    initial = 10% of the starting energy, minimum = 1e-4 of the initial.
-    The default 20 steps per temperature suffice because every vertex
-    allocation is scored as a seed before the walks start."""
-
-    seed: int = 0
-    initial_temperature: float | None = None
-    cooling_rate: float = 0.95
-    steps_per_temperature: int = 20
-    min_temperature: float | None = None
-    restarts: int = 5
-    penalty_weight: float = 1000.0
-    grid_step: float = 0.05
-
-    def __post_init__(self):
-        if not (0 < self.cooling_rate < 1):
-            raise DomainError("cooling_rate must be in (0, 1)")
-        if self.steps_per_temperature < 1 or self.restarts < 1:
-            raise DomainError("steps_per_temperature and restarts must be >= 1")
-        if self.initial_temperature is not None and self.initial_temperature <= 0:
-            raise DomainError("initial_temperature must be > 0")
-        if self.min_temperature is not None and self.min_temperature <= 0:
-            raise DomainError("min_temperature must be > 0")
-        if self.penalty_weight <= 0:
-            raise DomainError("penalty_weight must be > 0")
-        if not (0 < self.grid_step <= 1):
-            raise DomainError("grid_step must be in (0, 1]")
-
-
-@dataclass(frozen=True)
 class ConstraintSlack:
     """Signed slack of one constraint for one vehicle; positive means violated."""
 
     vehicle_id: str
     constraint: str  # capacity | shift | lead_time
     slack: float
-
-
-@dataclass(frozen=True)
-class OptimizationResult:
-    allocation: AllocationMatrix
-    objective: float
-    feasible: bool
-    violations: tuple[ConstraintSlack, ...]
-    kpis: KpiReport
-    trace: tuple[float, ...] | None = None
-    evaluations: int = 0
 
 
 def induced_demand(allocation: AllocationMatrix, units) -> list[DemandProfile]:
@@ -601,8 +561,8 @@ def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
     Enumerates every combination of per-row grid points, evaluating the same
     penalized energy as the annealer.  Among equal objectives the
     lexicographically smallest matrix (rows compared in order) wins.  Refuses
-    instances whose joint grid, or one vehicle's table of columns, exceeds
-    the evaluation budget.
+    instances whose joint grid exceeds the evaluation budget, which bounds
+    each vehicle's table of columns too.
     """
     # Only the grid oracle needs numpy; importing it here keeps it off the
     # start-up of every other command.
@@ -623,11 +583,6 @@ def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
         raise GridTooLargeError(
             f"brute_force_grid: {n_rows}^{n_units} = {joint} grid points exceeds "
             f"the budget of {_GRID_BUDGET}")
-    columns = (ticks + 1) ** n_units
-    if columns > _GRID_BUDGET:
-        raise GridTooLargeError(
-            f"brute_force_grid: {ticks + 1}^{n_units} = {columns} columns per vehicle "
-            f"exceeds the budget of {_GRID_BUDGET}")
 
     kernel = _ColumnKernel(fleet, units, params, penalty_weight)
     if n_vehicles == 1:  # one vehicle carries every unit: the only grid point

@@ -12,13 +12,55 @@ import csv
 import io
 import json
 import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .model import KpiReport
-from .optimize import OptimizationResult
 from .schemes import ComparisonTable
-from .sweep import SweepReport
+
+if TYPE_CHECKING:
+    from .optimize import AllocationMatrix, ConstraintSlack
 
 INFEASIBLE_MARKER = "INFEASIBLE"
+
+
+# The optimizer's and the sweep's results live here, next to their rendering,
+# so that commands rendering other reports import neither of those modules.
+@dataclass(frozen=True)
+class OptimizationResult:
+    allocation: AllocationMatrix
+    objective: float
+    feasible: bool
+    violations: tuple[ConstraintSlack, ...]
+    kpis: KpiReport
+    trace: tuple[float, ...] | None = None
+    evaluations: int = 0
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    value: float
+    report: KpiReport | None
+    error: str | None = None
+
+    @property
+    def feasible(self) -> bool:
+        return self.report is not None
+
+    def tours_tuple(self) -> tuple[tuple[str, int], ...] | None:
+        if self.report is None:
+            return None
+        return tuple(sorted(self.report.tours_by_vehicle.items()))
+
+
+@dataclass(frozen=True)
+class SweepReport:
+    parameter: str
+    rows: tuple[SweepRow, ...]
+    detected_threshold: float | None = None
+    infeasible_below: float | None = None
+    infeasible_above: float | None = None
+
 
 _KPI_COLUMNS = (
     ("distance_km", "total_distance_km"),
@@ -79,22 +121,17 @@ def _rows_for(obj) -> tuple[list[str], list[list]]:
         return header, rows
     if isinstance(obj, SweepReport):
         header = [obj.parameter] + kpi_headers + ["status"]
-        rows = []
-        for r in obj.rows:
-            rows.append([r.value] + _kpi_row(r.report)
-                        + (["ok"] if r.feasible else [INFEASIBLE_MARKER]))
-        return header, rows
+        return header, [[r.value] + _kpi_row(r.report) + ["ok" if r.feasible else INFEASIBLE_MARKER]
+                        for r in obj.rows]
     if isinstance(obj, OptimizationResult):
         header = ["field", "value"]
         rows = [["objective", obj.objective],
                 ["feasible", obj.feasible],
                 ["evaluations", obj.evaluations]]
-        for j, row in enumerate(obj.allocation.entries):
-            rows.append([f"allocation_row_{j}", " ".join(f"{x:.4f}" for x in row)])
-        for label, attr in _KPI_COLUMNS:
-            rows.append([f"kpi_{label}", getattr(obj.kpis, attr)])
-        for v in obj.violations:
-            rows.append([f"slack_{v.vehicle_id}_{v.constraint}", v.slack])
+        rows += [[f"allocation_row_{j}", " ".join(f"{x:.4f}" for x in row)]
+                 for j, row in enumerate(obj.allocation.entries)]
+        rows += [[f"kpi_{label}", getattr(obj.kpis, attr)] for label, attr in _KPI_COLUMNS]
+        rows += [[f"slack_{v.vehicle_id}_{v.constraint}", v.slack] for v in obj.violations]
         return header, rows
     raise TypeError(f"cannot render object of type {type(obj).__name__}")
 

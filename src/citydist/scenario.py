@@ -14,7 +14,7 @@ load -> emit -> load is a fixpoint and identical runs are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
@@ -24,10 +24,10 @@ from .model import (
     DomainError,
     ExternalCostFactors,
     NetworkParams,
+    SaConfig,
     TemperatureClass,
     VehicleType,
 )
-from .optimize import SaConfig
 from .schemes import SchemeSpec, Supplier, build_original, build_pi, build_ucc
 
 
@@ -71,8 +71,7 @@ _SCHEME_KEYS = {
                                  "consolidate_inbound", "hub_weights"},
 }
 _EXTERNAL_KEYS = {"accident", "air_pollution", "climate_change", "noise", "congestion"}
-_SA_KEYS = {"seed", "initial_temperature", "cooling_rate", "steps_per_temperature",
-            "min_temperature", "restarts", "penalty_weight", "grid_step"}
+_SA_KEYS = {f.name for f in fields(SaConfig)}
 _OPT_KEYS = {"vehicles"}
 
 # libyaml's parser with the same safe constructor and resolver as
@@ -232,16 +231,7 @@ class Scenario:
                 for rec in self.suppliers],
             "schemes": self.scheme_templates,
             "optimization": {"vehicles": self.optimization_vehicles},
-            "sa": {
-                "seed": self.sa.seed,
-                "initial_temperature": self.sa.initial_temperature,
-                "cooling_rate": self.sa.cooling_rate,
-                "steps_per_temperature": self.sa.steps_per_temperature,
-                "min_temperature": self.sa.min_temperature,
-                "restarts": self.sa.restarts,
-                "penalty_weight": self.sa.penalty_weight,
-                "grid_step": self.sa.grid_step,
-            },
+            "sa": asdict(self.sa),
         }
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 
 from .model import DomainError, KpiReport, NetworkParams
+from .report import SweepReport, SweepRow
 from .schemes import (
     FleetAssignment,
     LayerInfeasibleError,
@@ -49,31 +50,6 @@ class SweepSpec:
             raise DomainError("sweep start must be <= stop")
         if not (0 <= self.layer_index < len(self.scheme.layers)):
             raise DomainError(f"layer index {self.layer_index} out of range")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    value: float
-    report: KpiReport | None
-    error: str | None = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.report is not None
-
-    def tours_tuple(self) -> tuple[tuple[str, int], ...] | None:
-        if self.report is None:
-            return None
-        return tuple(sorted(self.report.tours_by_vehicle.items()))
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    parameter: str
-    rows: tuple[SweepRow, ...]
-    detected_threshold: float | None = None
-    infeasible_below: float | None = None
-    infeasible_above: float | None = None
 
 
 def _apply_to_layer(layer: LayerSpec, parameter: str, value: float) -> LayerSpec:
@@ -114,7 +90,6 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
 def detect_threshold(rows) -> float | None:
     """First parameter value, scanning from the slack end, where tour counts
     differ from the slack end's; None when constant or nothing feasible."""
-    rows = list(rows)
     feasible = [r for r in rows if r.feasible]
     if len(feasible) < 2:
         return None
@@ -147,10 +122,14 @@ def sweep_parameter(spec: SweepSpec) -> SweepReport:
         raise DomainError("sweep grid is empty")
     scheme, swept = spec.scheme, spec.layer_index
     factors = scheme.external_factors
+    # a sweep never changes demands: resolve each dominant unit once, not per point
+    pinned = replace(scheme.layers[swept], fleet=tuple(
+        a if a.capacity_unit is not None else replace(a, capacity_unit=a.demand.dominant_unit())
+        for a in scheme.layers[swept].fleet))
     fixed = {}  # layer index -> outcome of an unchanged layer, once reached
     rows = []
     for v in values:
-        layer = _apply_to_layer(scheme.layers[swept], spec.parameter, v)
+        layer = _apply_to_layer(pinned, spec.parameter, v)
         reports = []
         for i, base in enumerate(scheme.layers):
             if i == swept:
@@ -168,17 +147,10 @@ def sweep_parameter(spec: SweepSpec) -> SweepReport:
         if isinstance(out, LayerInfeasibleError):
             out = SchemeInfeasibleError(scheme.name, out)
         rows.append(SweepRow(v, None, error=str(out)))
-    below = above = None
-    if rows and not rows[0].feasible:
-        i = 0
-        while i < len(rows) and not rows[i].feasible:
-            i += 1
-        below = rows[i - 1].value
-    if rows and not rows[-1].feasible:
-        i = len(rows) - 1
-        while i >= 0 and not rows[i].feasible:
-            i -= 1
-        above = rows[i + 1].value
+    feasible = [i for i, r in enumerate(rows) if r.feasible]
+    first, last = (feasible[0], feasible[-1]) if feasible else (len(rows), -1)
+    below = rows[first - 1].value if first > 0 else None
+    above = rows[last + 1].value if last < len(rows) - 1 else None
     return SweepReport(parameter=spec.parameter, rows=tuple(rows),
                        detected_threshold=detect_threshold(rows),
                        infeasible_below=below, infeasible_above=above)

@@ -143,34 +143,46 @@ import io, json, sys
 from contextlib import redirect_stdout
 from citydist.cli import run
 
+def loaded():
+    return [m for m in ("citydist.optimize", "citydist.sweep", "numpy") if m in sys.modules]
+
+on_import = loaded()
 s = sys.argv[1]
 commands = [
     ["validate", "--scenario", s],
     ["evaluate", "--scenario", s, "--scheme", "original", "--format", "json"],
     ["compare", "--scenario", s, "--schemes", "original,original", "--format", "csv"],
-    ["sweep", "--scenario", s, "--scheme", "original", "--layer", "1",
-     "--param", "lead_time_h", "--range", "0.25:8:0.25"],
 ]
+sweep = ["sweep", "--scenario", s, "--scheme", "original", "--layer", "1",
+         "--param", "lead_time_h", "--range", "0.25:8:0.25"]
 oracle = ["optimize", "--scenario", s, "--scheme", "original", "--layer", "1", "--oracle"]
 with redirect_stdout(io.StringIO()):
     codes = [run(c) for c in commands]
+    after_reports = loaded()
+    codes.append(run(sweep))
+    after_sweep = loaded()
     numpy_before_oracle = "numpy" in sys.modules
     codes.append(run(oracle))
-print(json.dumps({"codes": codes, "numpy_before_oracle": numpy_before_oracle,
+print(json.dumps({"codes": codes, "on_import": on_import, "after_reports": after_reports,
+                  "after_sweep": after_sweep, "numpy_before_oracle": numpy_before_oracle,
                   "numpy_after_oracle": "numpy" in sys.modules}))
 """
 
 
 def test_cold_path_commands_do_not_import_numpy():
-    # Only the grid oracle needs numpy; every other command must start
-    # without importing it.  A fresh interpreter, because the test process
-    # has numpy loaded already.
+    # Each command imports only what it runs: validate, evaluate and compare
+    # load neither the optimizer nor the sweep, sweep does not load the
+    # optimizer, and only the grid oracle loads numpy.  A fresh interpreter,
+    # because the test process has all of them loaded already.
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_PATH_CHILD, str(SINGLE_SUPPLIER)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["on_import"] == []
+    assert result["after_reports"] == []
+    assert result["after_sweep"] == ["citydist.sweep"]
     assert result["numpy_before_oracle"] is False
     assert result["numpy_after_oracle"] is True
 

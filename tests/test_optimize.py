@@ -485,10 +485,13 @@ def test_grid_refuses_oversized_instances():
     units = [DeliveryUnitType(f"u{j}", 100.0, 5) for j in range(4)]
     with pytest.raises(GridTooLargeError):
         brute_force_grid(fleet, units, PARAMS, step=0.05)
-    # one vehicle has a single joint point, but its table of columns is
-    # 1001^3 entries, over the budget
-    with pytest.raises(GridTooLargeError, match="columns per vehicle"):
-        brute_force_grid(fleet[:1], units[:3], PARAMS, step=0.001)
+    # two vehicles at step 0.001: 1001^3 joint points, over the budget
+    with pytest.raises(GridTooLargeError, match="1001\\^3 = 1003003001 grid points"):
+        brute_force_grid(fleet[:2], units[:3], PARAMS, step=0.001)
+    # one vehicle has a single grid point at any step, and it is scored alone
+    result = brute_force_grid(fleet[:1], units[:3], PARAMS, step=0.001)
+    assert result.allocation.entries == ((1.0,),) * 3
+    assert result.evaluations == 1
 
 
 @pytest.mark.parametrize("lead_time_h", [24.0, 4.0, 2.0])

@@ -6,8 +6,11 @@ The same goes for every name perfbench imports from citydist."""
 import ast
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 
-from conftest import REPO
+from conftest import REPO, SINGLE_SUPPLIER
 
 
 def _binding(module_name, attr):
@@ -42,6 +45,53 @@ def test_tracer_hooks_resolve_and_restore(monkeypatch):
         assert _binding(m, a) is original
     for (m, c, a), original in methods.items():
         assert _method(m, c, a) is original
+
+
+_TRACED_CHILD = """
+import io, json, sys
+from contextlib import redirect_stdout
+sys.path[:0] = sys.argv[2:]
+from perfbench.tracing import Tracer
+from citydist import cli
+
+s = sys.argv[1]
+sweep = ["sweep", "--scenario", s, "--scheme", "original", "--layer", "1",
+         "--param", "lead_time_h", "--range", "0.25:8:0.25"]
+oracle = ["optimize", "--scenario", s, "--scheme", "original", "--layer", "1", "--oracle"]
+tracer = Tracer()
+tracer.install()
+try:
+    with redirect_stdout(io.StringIO()):
+        codes = [cli.run(sweep), cli.run(oracle)]
+finally:
+    tracer.restore()
+from citydist import optimize, sweep
+print(json.dumps({
+    "codes": codes,
+    "counts": {name: st[0] for name, st in tracer.stats.items()},
+    "restored": [cli.sweep_parameter is sweep.sweep_parameter,
+                 cli.brute_force_grid is optimize.brute_force_grid,
+                 cli.simulated_annealing is optimize.simulated_annealing],
+}))
+"""
+
+
+def test_tracer_wraps_the_entry_points_cli_imports_on_first_use():
+    # cli imports the optimizer and the sweep only when a command runs them;
+    # the tracer must still see those calls, and restore() must put the
+    # original bindings back.  A fresh interpreter, so that nothing has
+    # bound them before the tracer does.
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_CHILD, str(SINGLE_SUPPLIER),
+         str(REPO / "src"), str(REPO)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0]
+    assert result["counts"]["sweep.sweep_parameter"] == 1
+    assert result["counts"]["optimize.brute_force_grid"] == 1
+    assert "optimize.simulated_annealing" not in result["counts"]
+    assert result["restored"] == [True, True, True]
 
 
 def _perfbench_citydist_imports():
