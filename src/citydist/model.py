@@ -464,8 +464,6 @@ def solve_tour_plan(vehicle: VehicleType, demand: DemandProfile, params: Network
 def travel_and_stop_time(distance_km: float, stops: float, vehicle: VehicleType,
                          params: NetworkParams) -> float:
     """Hours on the road plus hours stopped, for one vehicle type's daily plan."""
-    if vehicle.speed_kmh <= 0:
-        raise DomainError("vehicle speed must be > 0")
     v_eff = vehicle.speed_kmh / params.congestion_factor
     return distance_km / v_eff + params.stop_time_h * stops
 

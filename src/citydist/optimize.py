@@ -3,11 +3,14 @@
 The decision variable is a matrix of fractions: row j gives how unit type j
 splits across the vehicle types (rows sum to 1).  Tour counts are recomputed
 from the tour fixed point at every candidate, so the objective is nonlinear
-and nonconvex; a simulated-annealing search with a constraint penalty does
-the optimization, seeded with every vertex allocation (each unit row whole
-on one vehicle), where the mostly concave cost tends to take its minimum.
-An exhaustive simplex-grid enumeration serves as an oracle for small
-instances, and the best vertex stands in for it above the grid's budget.
+and nonconvex.  The energy is the tour solver's transport cost plus a penalty
+on each vehicle whose plan diverges, and feasible is the solver's verdict; the
+slack_* rows of a result are diagnostics in the per-tour form.  A simulated-
+annealing search does the optimization, seeded with every vertex allocation
+(each unit row whole on one vehicle), where the mostly concave cost tends to
+take its minimum.  An exhaustive simplex-grid enumeration serves as an oracle
+for small instances, and the best vertex stands in for it above the grid's
+budget.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .report import OptimizationResult
 from .schemes import FleetAssignment, LayerMode, LayerSpec, SchemeSpec, evaluate_layer
 
 _ROW_SUM_TOL = 1e-9
-_FEASIBLE_TOL = 1e-6
 
 
 class GridTooLargeError(DomainError):
@@ -83,7 +85,8 @@ class AllocationMatrix:
 
 @dataclass(frozen=True)
 class ConstraintSlack:
-    """Signed slack of one constraint for one vehicle; positive means violated."""
+    """Signed slack of one constraint for one vehicle; positive means violated.
+    Report-only: feasibility is the tour solver's verdict."""
 
     vehicle_id: str
     constraint: str  # capacity | shift | lead_time
@@ -103,22 +106,24 @@ def induced_demand(allocation: AllocationMatrix, units) -> list[DemandProfile]:
     return out
 
 
-# Column term: (objective part, energy cost part, energy penalty part, feasible).
-# The two energy parts are added one after the other, never pre-summed, so a
-# total over columns repeats the exact float additions of a full evaluation.
-_EMPTY_TERM = (0.0, 0.0, 0.0, True)
+# Column term: (energy, feasible).  The energy is the transport cost when the
+# vehicle's plan converges, else the divergence penalty.
+_EMPTY_TERM = (0.0, True)
 
 
 class _ColumnKernel:
     """Per-vehicle-column energy of allocations on one (fleet, units, params).
 
-    The penalized energy separates by vehicle column: column i's term depends
-    only on entries[j][i] for every unit row j.  Built once per call, the
-    kernel holds what does not depend on the allocation: each vehicle's
-    congestion-adjusted speed, each unit's total weight (avg_weight_kg *
-    stops) and the capacity limit of each (vehicle, dominant unit) pair.
-    Allocations are plain row tuples here; only results handed out to
-    callers become validated AllocationMatrix objects.
+    The energy separates by vehicle column: column i's term depends only on
+    entries[j][i] for every unit row j.  It is the transport cost of the tour
+    solver's plan for that demand, or a divergence penalty when the solver
+    proves there is none; an allocation is feasible when every vehicle's plan
+    converges, as in evaluate_scheme.  Built once per call, the kernel holds
+    what does not depend on the allocation: each vehicle's congestion-adjusted
+    speed, each unit's total weight (avg_weight_kg * stops) and the capacity
+    limit of each (vehicle, dominant unit) pair.  Allocations are plain row
+    tuples here; only results handed out to callers become validated
+    AllocationMatrix objects.
     """
 
     def __init__(self, fleet, units, params: NetworkParams, penalty_weight: float = 0.0):
@@ -135,27 +140,16 @@ class _ColumnKernel:
         self._cap_limit = [[effective_capacity(v, u) for u in self.units] + [v.capacity_kg]
                            for v in self.fleet]
 
-    def cost_and_slacks(self, i: int, weight: float, stops: float,
-                        dominant: int) -> tuple[float, float, float, float]:
-        """(transport cost, capacity, shift and lead-time slacks) of vehicle i
-        serving the given demand; raises InfeasibleError when the plan diverges.
-
-        Slacks follow the allocation model's constraint forms: total assigned
-        weight against m*capacity, total travel+stop time against m shifts,
-        and time to the last customer against m lead-time windows.
-        """
+    def plan(self, i: int, weight: float, stops: float,
+             dominant: int) -> tuple[int, float, float, float]:
+        """(tours, distance, hours, transport cost) of vehicle i serving the
+        given demand; raises InfeasibleError when the plan diverges."""
         vehicle = self.fleet[i]
         v_eff = self._v_eff[i]
-        params = self.params
         m, d, _ = _solve_fixed_point(weight, stops, self._cap_limit[i][dominant], v_eff,
-                                     params, vehicle.id)
-        time_h = d / v_eff + params.stop_time_h * stops
-        cost = d * vehicle.cost_per_km + time_h * vehicle.cost_per_hour
-        return (cost,
-                weight - m * vehicle.capacity_kg,
-                time_h - m * params.shift_duration_h,
-                ((d - params.radius_km * m) / v_eff + params.stop_time_h * stops)
-                - m * params.lead_time_h)
+                                     self.params, vehicle.id)
+        time_h = d / v_eff + self.params.stop_time_h * stops
+        return m, d, time_h, d * vehicle.cost_per_km + time_h * vehicle.cost_per_hour
 
     def term(self, i: int, weight: float, stops: float, dominant: int):
         """Column term of vehicle i for the given demand.
@@ -166,14 +160,9 @@ class _ColumnKernel:
         if weight == 0 and stops == 0:
             return _EMPTY_TERM
         try:
-            cost, cap, shift, lead = self.cost_and_slacks(i, weight, stops, dominant)
+            return self.plan(i, weight, stops, dominant)[3], True
         except InfeasibleError:
-            return math.inf, self.penalty_weight * (1.0 + weight / 1000.0 + stops), 0.0, False
-        if cap > 0 or shift > 0 or lead > 0:
-            violation = math.fsum((max(0.0, cap), max(0.0, shift), max(0.0, lead)))
-        else:
-            violation = 0.0
-        return cost, cost, self.penalty_weight * violation, violation <= _FEASIBLE_TOL
+            return self.penalty_weight * (1.0 + weight / 1000.0 + stops), False
 
     def column(self, rows, i: int):
         """Column term of vehicle i under the allocation rows.  The dominant
@@ -201,20 +190,24 @@ class _ColumnKernel:
 
 def _total(terms) -> tuple[float, float, bool]:
     """(penalized energy, true objective, feasible) from column terms, summed
-    in vehicle order.  A divergent column makes the objective infinite."""
-    energy = objective = 0.0
+    in vehicle order.  The objective is the energy when every plan converges;
+    a divergent column makes it infinite."""
+    energy = 0.0
     feasible = True
-    for cost, energy_cost, penalty, ok in terms:
-        objective += cost
-        energy += energy_cost
-        energy += penalty
+    for term, ok in terms:
+        energy += term
         feasible = feasible and ok
-    return energy, objective, feasible
+    return energy, energy if feasible else math.inf, feasible
 
 
 def constraint_violations(allocation: AllocationMatrix, fleet, units,
                           params: NetworkParams) -> tuple[ConstraintSlack, ...]:
-    """Signed slacks (positive = violated) per vehicle and constraint."""
+    """Signed slacks (positive = violated) per vehicle and constraint.
+
+    Report-only diagnostics in per-tour forms: total assigned weight against
+    m*capacity, total travel+stop time against m shifts, and time to the
+    last customer against m lead-time windows.  Feasibility is the solver's.
+    """
     kernel = _ColumnKernel(fleet, units, params)
     demands = induced_demand(allocation, kernel.units)
     out = []
@@ -224,11 +217,16 @@ def constraint_violations(allocation: AllocationMatrix, fleet, units,
             cap = shift = lead = 0.0
         else:
             try:
-                _, cap, shift, lead = kernel.cost_and_slacks(
+                m, d, time_h, _ = kernel.plan(
                     i, weight, stops,
                     dominant_index(kernel.units, [row[i] for row in allocation.entries]))
             except InfeasibleError:
                 cap = shift = lead = math.inf
+            else:
+                cap = weight - m * vehicle.capacity_kg
+                shift = time_h - m * params.shift_duration_h
+                lead = (((d - params.radius_km * m) / kernel._v_eff[i]
+                         + params.stop_time_h * stops) - m * params.lead_time_h)
         out.append(ConstraintSlack(vehicle.id, "capacity", cap))
         out.append(ConstraintSlack(vehicle.id, "shift", shift))
         out.append(ConstraintSlack(vehicle.id, "lead_time", lead))
@@ -343,8 +341,7 @@ def _finish(kernel: _ColumnKernel, rows, external_factors, trace,
     allocation = AllocationMatrix(rows)
     fleet, units, params = kernel.fleet, kernel.units, kernel.params
     violations = constraint_violations(allocation, fleet, units, params)
-    feasible = all(v.slack <= _FEASIBLE_TOL for v in violations)
-    _, objective, _ = kernel.energy(rows)
+    _, objective, feasible = kernel.energy(rows)
     try:
         kpis = allocation_kpis(allocation, fleet, units, params, external_factors)
     except InfeasibleError:
@@ -387,19 +384,22 @@ def simulated_annealing(fleet, units, params: NetworkParams,
                         config: SaConfig = SaConfig(),
                         external_factors: ExternalCostFactors | None = None,
                         keep_trace: bool = False) -> OptimizationResult:
-    """Penalized annealing over row-stochastic allocations.
+    """Annealing over row-stochastic allocations on the tour solver's cost.
 
-    Each restart walks from the row-uniform allocation, accepting uphill
-    moves with probability exp(-dE/T) under geometric cooling, then runs a
-    deterministic row-corner descent from its best point (vertex allocations
-    dominate this objective, and the bounded transfer moves approach them
-    slowly).  Every vertex allocation (each unit row whole on one vehicle;
-    above _VERTEX_BUDGET vertices, only the single-column corners) is scored
-    up front as a seed candidate, which lets the default schedule be short.
-    The best feasible allocation ever seen wins, falling back to the
-    lowest-energy one when nothing feasible turns up, so no result's energy
-    is above the best vertex's.  Restarts run on derived seeds (seed +
-    index), so results depend only on (inputs, seed).
+    The energy is the solver's transport cost plus a penalty on each vehicle
+    whose plan diverges; feasible is the solver's verdict, and the result's
+    slack_* rows are per-tour diagnostics only.  Each restart walks from the
+    row-uniform allocation, accepting uphill moves with probability
+    exp(-dE/T) under geometric cooling, then runs a deterministic row-corner
+    descent from its best point (vertex allocations dominate this objective,
+    and the bounded transfer moves approach them slowly).  Every vertex
+    allocation (each unit row whole on one vehicle; above _VERTEX_BUDGET
+    vertices, only the single-column corners) is scored up front as a seed
+    candidate, which lets the default schedule be short.  The best feasible
+    allocation ever seen wins, falling back to the lowest-energy one when
+    nothing feasible turns up, so no result's energy is above the best
+    vertex's.  Restarts run on derived seeds (seed + index), so results
+    depend only on (inputs, seed).
 
     A move changes one row in two columns (a third at most, through the row
     repair), so each step re-evaluates only the columns whose entries
@@ -599,10 +599,9 @@ def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
             fracs = [c / ticks for c in col]
             weight = math.fsum(u.weight_kg * f for u, f in zip(units, fracs))
             stops = math.fsum(u.stops * f for u, f in zip(units, fracs))
-            cost, energy_cost, penalty, ok = kernel.term(
-                vehicle_idx, weight, stops, dominant_index(units, col))
-            energy[col] = energy_cost + penalty
-            feas_obj[col] = cost if ok else np.inf
+            term, ok = kernel.term(vehicle_idx, weight, stops, dominant_index(units, col))
+            energy[col] = term
+            feas_obj[col] = term if ok else np.inf
         return energy, feas_obj
 
     tables = [column_energy(i) for i in range(n_vehicles)]

@@ -28,7 +28,8 @@ from .model import (
     TemperatureClass,
     VehicleType,
 )
-from .schemes import SchemeSpec, Supplier, build_original, build_pi, build_ucc
+from .schemes import (DEFAULT_HANDLING_COST_PER_DELIVERY, SchemeSpec, Supplier,
+                      build_original, build_pi, build_ucc)
 
 
 class ScenarioError(Exception):
@@ -188,18 +189,18 @@ class Scenario:
         common = dict(
             shuttle_params=self.params_from(template["shuttle_params"]),
             city_params=self.params_from(template["city_params"]),
-            handling_cost_per_delivery=template.get("handling_cost_per_delivery", 10.0),
+            handling_cost_per_delivery=template["handling_cost_per_delivery"],
             external_factors=self.external_factors,
             name=name,
         )
         if kind == "ucc":
             return build_ucc(suppliers, shuttle, city, **common)
-        hub_weights = template.get("hub_weights")
+        hub_weights = template["hub_weights"]
         return build_pi(
             suppliers, shuttle, city,
-            hub_count=template.get("hub_count", 2),
-            shuttle_tours_per_hub=template.get("shuttle_tours_per_hub"),
-            consolidate_inbound=template.get("consolidate_inbound", False),
+            hub_count=template["hub_count"],
+            shuttle_tours_per_hub=template["shuttle_tours_per_hub"],
+            consolidate_inbound=template["consolidate_inbound"],
             hub_weights=tuple(hub_weights) if hub_weights else None,
             **common)
 
@@ -417,7 +418,7 @@ def _parse_schemes(node, path: str, vehicles: dict[str, VehicleType]) -> list[di
             template["city_params"] = _parse_params_block(item["city_params"],
                                                           f"{p}.city_params")
             template["handling_cost_per_delivery"] = _number(
-                item, "handling_cost_per_delivery", p, default=10.0)
+                item, "handling_cost_per_delivery", p, default=DEFAULT_HANDLING_COST_PER_DELIVERY)
         if kind == "pi":
             hubs = _integer(item.get("hub_count", 2), f"{p}.hub_count")
             if hubs < 1:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -13,6 +14,7 @@ from citydist.model import (
     DeliveryUnitType,
     DemandProfile,
     DomainError,
+    ExternalCostFactors,
     NetworkParams,
     TemperatureClass,
     VehicleType,
@@ -40,9 +42,10 @@ from citydist.optimize import (
 )
 from citydist.report import to_jsonable
 from citydist.scenario import load_scenario
-from citydist.schemes import FleetAssignment, evaluate_layer
+from citydist.schemes import (FleetAssignment, LayerMode, LayerSpec, SchemeSpec,
+                              evaluate_layer, evaluate_scheme)
 
-from conftest import BORDEAUX
+from conftest import BORDEAUX, REPO
 from test_acceptance import _c5_instances
 
 
@@ -538,3 +541,71 @@ def test_sa_dominates_grid_oracle(seed):
     sa = simulated_annealing(fleet, units, PARAMS, SaConfig(seed=seed))
     grid = brute_force_grid(fleet, units, PARAMS, step=0.05)
     assert sa.objective <= grid.objective * 1.02 + 1e-9
+
+
+# ---------------------------------------------------------------- one constraint model
+
+def _solver_repro():
+    """10 stops of 100 kg on two identical 25 t vehicles.  The solver serves
+    it all with one vehicle in one tour, bound by capacity, for 48.55; the
+    per-tour lead-time slack of that plan reads +0.035 h."""
+    fleet = [VehicleType(id_, 25000, 20, 1.0, 10.0) for id_ in ("a", "b")]
+    units = [DeliveryUnitType("u", 100.0, 10)]
+    params = NetworkParams(radius_km=5, area_km2=10, stop_time_h=0.25, lead_time_h=3)
+    return fleet, units, params
+
+
+@pytest.mark.parametrize("entry_point, vehicles", [
+    (lambda f, u, p: vertex_optimum(f, u, p), 2),
+    (lambda f, u, p: simulated_annealing(f, u, p, SaConfig(seed=1)), 2),
+    (lambda f, u, p: simulated_annealing(f, u, p, SaConfig(seed=5)), 2),
+    (lambda f, u, p: brute_force_grid(f, u, p), 2),
+    (lambda f, u, p: brute_force_grid(f, u, p), 1),
+], ids=["vertex", "sa-seed-1", "sa-seed-5", "grid-2-vehicles", "grid-1-vehicle"])
+def test_optimizer_scores_the_solver_plan(entry_point, vehicles):
+    fleet, units, params = _solver_repro()
+    fleet = fleet[:vehicles]
+    plan = solve_tour_plan(fleet[0], DemandProfile.from_units(units), params)
+    assert plan.tours == 1
+    result = entry_point(fleet, units, params)
+    assert result.objective == pytest.approx(48.55, abs=1e-6)
+    assert result.feasible
+    assert _ColumnKernel(fleet, units, params, 1000.0).energy(result.allocation.entries) \
+        == (result.objective, result.objective, True)
+
+
+def test_slack_rows_do_not_decide_feasibility():
+    fleet, units, params = _solver_repro()
+    result = vertex_optimum(fleet, units, params)
+    slacks = {(s.vehicle_id, s.constraint): s.slack for s in result.violations}
+    assert result.allocation.entries == ((1.0, 0.0),)
+    assert result.feasible
+    assert slacks[("a", "lead_time")] == pytest.approx(0.035, abs=1e-9)
+
+
+def _instance(label, monkeypatch):
+    if not label.startswith("c5_instance-"):
+        return next((f, u, p) for name, f, u, p in _c5_instances() if name == label)
+    monkeypatch.syspath_prepend(str(REPO))
+    workloads = importlib.import_module("perfbench.workloads")
+    seed = int(label.rsplit("-", 1)[1])
+    return (*workloads.c5_instance(random.Random(seed)), workloads.C5_PARAMS)
+
+
+@pytest.mark.parametrize("label", ["1x1", "2x1", "2x2", "3x3",
+                                   *(f"c5_instance-{seed}" for seed in range(10))])
+def test_optimizer_minimises_what_evaluate_scheme_reports(label, monkeypatch):
+    # a short anneal and a 0.1 grid: the property is about how a result is
+    # scored, not how far the search gets
+    fleet, units, params = _instance(label, monkeypatch)
+    scheme = SchemeSpec("instance", (LayerSpec(
+        "instance", LayerMode.ANALYTICAL, params,
+        (FleetAssignment(fleet[0], DemandProfile.from_units(units)),)),),
+        ExternalCostFactors(0.0, 0.0, 0.0, 0.0, 0.0))
+    for result in (simulated_annealing(fleet, units, params, SaConfig(seed=1, restarts=1)),
+                   vertex_optimum(fleet, units, params),
+                   brute_force_grid(fleet, units, params, step=0.1)):
+        assert result.feasible
+        assert result.objective == result.kpis.transport_cost
+        spliced = reallocated_scheme(scheme, 0, result.allocation, fleet, units)
+        assert evaluate_scheme(spliced).transport_cost == result.objective
