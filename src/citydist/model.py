@@ -220,11 +220,13 @@ DEFAULT_EXTERNAL_FACTORS = ExternalCostFactors(
 
 @dataclass(frozen=True, slots=True)
 class TourPlan:
-    """Fixed-point solution for one (vehicle, demand) pair."""
+    """Fixed-point solution for one (vehicle, demand) pair; time_h is the
+    hours on the road plus the hours stopped, the shift ceiling's numerator."""
 
     vehicle: VehicleType
     tours: int
     distance_km: float
+    time_h: float
     binding_constraint: BindingConstraint
 
 
@@ -378,16 +380,20 @@ def _closed_form_floor(two_r: float, v_eff: float, budget: float, intercept: flo
 
 def _solve_fixed_point(weight: float, stops: float, cap_limit: float, v_eff: float,
                        params: NetworkParams,
-                       vehicle_id: str) -> tuple[int, float, BindingConstraint]:
-    """Least fixed point of m -> max(0, capacity, shift, lead-time ceilings).
+                       vehicle_id: str) -> tuple[int, float, float, BindingConstraint]:
+    """Least fixed point of m -> max(0, capacity, shift, lead-time ceilings),
+    as (tours, route length, hours, binding constraint).
 
     The ceilings are
       capacity  ceil(weight / cap_limit)
       shift     ceil((d/v_eff + stop_time*stops) / shift_duration)
       lead      ceil(((d - r)/v_eff + stop_time*(stops - 1)) / lead_time)
     on the route length d = 2*r*m + spread.  Only d varies with m, so the
-    capacity ceiling and the stop-time terms are computed once.  This is the
-    annealer's innermost call: keep it free of per-iteration allocations.
+    capacity ceiling and the stop-time terms are computed once.  The hours
+    returned are the shift ceiling's numerator at the fixed point; with
+    v_eff = speed_kmh / congestion_factor they equal
+    travel_and_stop_time(d, stops, ...) bit for bit.  This is the annealer's
+    innermost call: keep it free of per-iteration allocations.
 
     The map is monotone, so iterating it from the capacity ceiling, or from
     any count below the least fixed point, climbs to that point.  A time
@@ -414,11 +420,12 @@ def _solve_fixed_point(weight: float, stops: float, cap_limit: float, v_eff: flo
     start = None
     while True:
         d = two_r * m + spread
-        shift = ceil((d / v_eff + stop_shift) / shift_h)
+        hours = d / v_eff + stop_shift
+        shift = ceil(hours / shift_h)
         lead = ceil(((d - radius) / v_eff + stop_lead) / lead_h)
         m_next = max(0, cap, shift, lead)
         if m_next <= m:
-            return m, d, _binding(cap, shift, lead, m)
+            return m, d, hours, _binding(cap, shift, lead, m)
         # Per-tour line haul measured against each time budget; a ceiling whose
         # requirement grows at least as fast as m can never be caught once ahead.
         if shift > m and two_r / (v_eff * shift_h) >= 1.0:
@@ -448,17 +455,18 @@ def solve_tour_plan(vehicle: VehicleType, demand: DemandProfile, params: Network
     A plan is infeasible only when a time ceiling provably diverges: its
     round trip alone takes at least the whole budget, so no tour count
     catches it; the InfeasibleError names that constraint.  cap_limit, the
-    payload per tour, defaults to the capacity for the dominant unit.
+    payload per tour, defaults to the capacity for the dominant unit.  The
+    plan's hours are the solver's, 0.0 for zero demand.
     """
     weight = demand.total_weight_kg
     stops = demand.total_stops
     if weight == 0 and stops == 0:
-        return TourPlan(vehicle, 0, 0.0, BindingConstraint.CAPACITY)
+        return TourPlan(vehicle, 0, 0.0, 0.0, BindingConstraint.CAPACITY)
     if cap_limit is None:
         cap_limit = _capacity_limit(vehicle, demand.dominant_unit())
     v_eff = vehicle.speed_kmh / params.congestion_factor
-    m, d, binding = _solve_fixed_point(weight, stops, cap_limit, v_eff, params, vehicle.id)
-    return TourPlan(vehicle, m, d, binding)
+    return TourPlan(vehicle, *_solve_fixed_point(weight, stops, cap_limit, v_eff,
+                                                 params, vehicle.id))
 
 
 def travel_and_stop_time(distance_km: float, stops: float, vehicle: VehicleType,

@@ -145,10 +145,8 @@ class _ColumnKernel:
         """(tours, distance, hours, transport cost) of vehicle i serving the
         given demand; raises InfeasibleError when the plan diverges."""
         vehicle = self.fleet[i]
-        v_eff = self._v_eff[i]
-        m, d, _ = _solve_fixed_point(weight, stops, self._cap_limit[i][dominant], v_eff,
-                                     self.params, vehicle.id)
-        time_h = d / v_eff + self.params.stop_time_h * stops
+        m, d, time_h, _ = _solve_fixed_point(weight, stops, self._cap_limit[i][dominant],
+                                             self._v_eff[i], self.params, vehicle.id)
         return m, d, time_h, d * vehicle.cost_per_km + time_h * vehicle.cost_per_hour
 
     def term(self, i: int, weight: float, stops: float, dominant: int):
@@ -318,13 +316,6 @@ def _allocation_layer(allocation: AllocationMatrix, fleet, units,
                      params=params, fleet=tuple(assignments))
 
 
-def allocation_kpis(allocation: AllocationMatrix, fleet, units, params: NetworkParams,
-                    external_factors: ExternalCostFactors | None = None) -> KpiReport:
-    """Evaluate an allocation as a standalone analytical layer."""
-    return evaluate_layer(_allocation_layer(allocation, fleet, units, params),
-                          external_factors)
-
-
 def reallocated_scheme(scheme: SchemeSpec, layer_index: int, allocation: AllocationMatrix,
                        fleet, units) -> SchemeSpec:
     """The scheme with one layer's fleet replaced by the allocation's, each
@@ -343,41 +334,13 @@ def _finish(kernel: _ColumnKernel, rows, external_factors, trace,
     violations = constraint_violations(allocation, fleet, units, params)
     _, objective, feasible = kernel.energy(rows)
     try:
-        kpis = allocation_kpis(allocation, fleet, units, params, external_factors)
+        kpis = evaluate_layer(_allocation_layer(allocation, fleet, units, params),
+                              external_factors)
     except InfeasibleError:
         kpis = KpiReport.zero()
     return OptimizationResult(allocation=allocation, objective=objective,
                               feasible=feasible, violations=violations, kpis=kpis,
                               trace=trace, evaluations=evaluations)
-
-
-def _row_corner_descent(start, kernel: _ColumnKernel):
-    """Deterministic polish: repeatedly move whole rows to their best column.
-
-    The per-vehicle cost is concave-ish in assigned load, so optima tend to
-    sit at vertex allocations that the small annealing steps approach only
-    slowly; this descent snaps each unit row to its cheapest single column
-    while that strictly improves the energy.
-    """
-    current = start
-    e_cur, _, _ = kernel.energy(current)
-    evaluations = 0
-    n_vehicles = len(kernel.fleet)
-    improved = True
-    while improved:
-        improved = False
-        for j in range(len(current)):
-            for i in range(n_vehicles):
-                if current[j][i] == 1.0:
-                    continue
-                corner = tuple(1.0 if k == i else 0.0 for k in range(n_vehicles))
-                candidate = current[:j] + (corner,) + current[j + 1:]
-                e_new, _, _ = kernel.energy(candidate)
-                evaluations += 1
-                if e_new < e_cur:
-                    current, e_cur = candidate, e_new
-                    improved = True
-    return current, e_cur, evaluations
 
 
 def simulated_annealing(fleet, units, params: NetworkParams,
@@ -388,18 +351,18 @@ def simulated_annealing(fleet, units, params: NetworkParams,
 
     The energy is the solver's transport cost plus a penalty on each vehicle
     whose plan diverges; feasible is the solver's verdict, and the result's
-    slack_* rows are per-tour diagnostics only.  Each restart walks from the
-    row-uniform allocation, accepting uphill moves with probability
-    exp(-dE/T) under geometric cooling, then runs a deterministic row-corner
-    descent from its best point (vertex allocations dominate this objective,
-    and the bounded transfer moves approach them slowly).  Every vertex
-    allocation (each unit row whole on one vehicle; above _VERTEX_BUDGET
-    vertices, only the single-column corners) is scored up front as a seed
-    candidate, which lets the default schedule be short.  The best feasible
-    allocation ever seen wins, falling back to the lowest-energy one when
-    nothing feasible turns up, so no result's energy is above the best
-    vertex's.  Restarts run on derived seeds (seed + index), so results
-    depend only on (inputs, seed).
+    slack_* rows are per-tour diagnostics only.  Every vertex allocation
+    (each unit row whole on one vehicle; above _VERTEX_BUDGET vertices, only
+    the single-column corners) is scored up front as a seed candidate:
+    vertex allocations dominate this objective, and the bounded transfer
+    moves approach them slowly, so the default schedule can be short.  Each
+    restart then walks from the row-uniform allocation, accepting uphill
+    moves with probability exp(-dE/T) under geometric cooling.  The best
+    feasible allocation ever seen wins, falling back to the lowest-energy
+    one when nothing feasible turns up, so no result's energy is above the
+    best vertex's.  Restarts run on derived seeds (seed + index), so results
+    depend only on (inputs, seed).  evaluations counts the vertex seeds
+    plus, per restart, the starting point and every step.
 
     A move changes one row in two columns (a third at most, through the row
     repair), so each step re-evaluates only the columns whose entries
@@ -444,7 +407,6 @@ def simulated_annealing(fleet, units, params: NetworkParams,
         e_cur, _, feas = _total(terms)
         evaluations += 1
         consider(e_cur, feas, current)
-        restart_best = (e_cur, current)
 
         t0 = config.initial_temperature
         if t0 is None:
@@ -470,20 +432,10 @@ def simulated_annealing(fleet, units, params: NetworkParams,
                 accept = e_new <= e_cur or random_() < exp(-(e_new - e_cur) / t)
                 if accept:
                     current, terms, e_cur = candidate, new_terms, e_new
-                if e_new < restart_best[0]:
-                    restart_best = (e_new, candidate)
                 consider(e_new, feas, candidate)
                 if keep_trace:
                     trace.append(best_feasible[0] if best_feasible else best_any[0])
             t *= config.cooling_rate
-
-        polished, e_pol, n_evals = _row_corner_descent(restart_best[1], kernel)
-        evaluations += n_evals
-        _, _, feas_pol = kernel.energy(polished)
-        evaluations += 1
-        consider(e_pol, feas_pol, polished)
-        if keep_trace:
-            trace.append(best_feasible[0] if best_feasible else best_any[0])
 
     chosen = best_feasible if best_feasible is not None else best_any
     return _finish(kernel, chosen[1], external_factors,

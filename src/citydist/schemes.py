@@ -178,8 +178,7 @@ def _evaluate_assignment(a: FleetAssignment, layer: LayerSpec,
             plan = solve_tour_plan(vehicle, demand, params, cap_limit)
         except InfeasibleError as exc:
             raise LayerInfeasibleError(layer.name, exc) from exc
-        tours, dist = plan.tours, plan.distance_km
-        time_h = travel_and_stop_time(dist, demand.total_stops, vehicle, params)
+        tours, dist, time_h = plan.tours, plan.distance_km, plan.time_h
     else:
         if a.shuttle_tours is not None:
             tours = a.shuttle_tours

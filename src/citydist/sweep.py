@@ -11,6 +11,7 @@ where the tour counts first move away from their slack-side values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 
@@ -44,6 +45,8 @@ class SweepSpec:
         if self.parameter not in _PARAM_FIELDS and self.parameter != SPEED_FIELD:
             raise DomainError(
                 f"sweep parameter '{self.parameter}' is not a recognized numeric field")
+        if not all(map(math.isfinite, (self.start, self.stop, self.step))):
+            raise DomainError("sweep start, stop and step must be finite")
         if self.step <= 0:
             raise DomainError("sweep step must be > 0")
         if self.start > self.stop:

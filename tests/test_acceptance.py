@@ -30,6 +30,7 @@ from citydist.optimize import (
     reallocated_scheme,
     simulated_annealing,
     vertex_optimum,
+    _ColumnKernel,
 )
 from citydist.report import to_jsonable
 from citydist.scenario import load_scenario, parse_scenario, emit_scenario
@@ -168,6 +169,23 @@ def _c5_instances():
          DeliveryUnitType("u3", 900.0, 8)], params
 
 
+def _anneal_evaluations(fleet, units, params, config):
+    """Evaluations of one anneal: one per vertex seed, plus, per restart, the
+    uniform start and one per step of the cooling schedule.  A single
+    vehicle has one allocation, scored once."""
+    if len(fleet) == 1:
+        return 1
+    uniform = AllocationMatrix.uniform(len(units), len(fleet)).entries
+    energy = _ColumnKernel(fleet, units, params, config.penalty_weight).energy(uniform)[0]
+    t = t0 = max(0.1 * abs(energy), 1e-6)
+    n_temperatures = 0
+    while t >= 1e-4 * t0:
+        n_temperatures += 1
+        t *= config.cooling_rate
+    return (len(fleet) ** len(units)
+            + config.restarts * (1 + config.steps_per_temperature * n_temperatures))
+
+
 def test_c5_annealer_vs_grid_oracle():
     for label, fleet, units, params in _c5_instances():
         t0 = time.monotonic()
@@ -176,6 +194,8 @@ def test_c5_annealer_vs_grid_oracle():
             result = simulated_annealing(fleet, units, params, SaConfig(seed=seed))
             assert result.objective <= grid.objective * 1.02 + 1e-9, \
                 f"{label} seed {seed}: {result.objective} vs grid {grid.objective}"
+            assert result.evaluations == _anneal_evaluations(fleet, units, params,
+                                                             SaConfig(seed=seed))
         # byte-identical determinism for a fixed seed
         r1 = simulated_annealing(fleet, units, params, SaConfig(seed=3))
         r2 = simulated_annealing(fleet, units, params, SaConfig(seed=3))

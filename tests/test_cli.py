@@ -75,8 +75,11 @@ def test_sweep_rows_and_markers(tmp_path):
 
 
 def test_sweep_bad_range_exits_2(capsys):
-    assert run(["sweep", "--scenario", str(BORDEAUX), "--scheme", "pi",
-                "--layer", "2", "--param", "lead_time_h", "--range", "oops"]) == 2
+    # non-finite values would grow the sweep grid until memory runs out
+    for range_ in ("oops", "0:8:nan", "0:inf:1", "nan:8:1"):
+        assert run(["sweep", "--scenario", str(BORDEAUX), "--scheme", "pi",
+                    "--layer", "2", "--param", "lead_time_h", "--range", range_]) == 2
+        assert capsys.readouterr().err.startswith("invalid request:")
 
 
 def test_optimize_oracle_small_instance(tmp_path):

@@ -439,12 +439,24 @@ def test_congestion_factor_scales_travel_time_only():
     assert travel_and_stop_time(60.0, 0, vehicle, congested) * 10 == pytest.approx(40.0)
 
 
-def test_total_time_is_unpriced(truck_25t, base_params):
-    layer = LayerSpec("city", LayerMode.ANALYTICAL, base_params,
-                      (FleetAssignment(truck_25t, demand(50000, 4)),))
+@pytest.mark.parametrize("weight, stops, changes, binding", [
+    (50000, 4, {}, BindingConstraint.CAPACITY),
+    (30000, 25, {"congestion_factor": 1.7}, BindingConstraint.SHIFT),
+    (12345.6, 17.3, {}, BindingConstraint.SHIFT),
+    (1000, 12, {"lead_time_h": 3.0}, BindingConstraint.LEAD_TIME),
+    (0, 0, {}, BindingConstraint.CAPACITY),
+], ids=["capacity", "congested", "fractional-stops", "lead-time", "zero-demand"])
+def test_total_time_is_unpriced(truck_25t, base_params, weight, stops, changes, binding):
+    # the solver's hours are the plan's, and the layer reports them as they are
+    params = replace(base_params, **changes)
+    load = demand(weight, stops)
+    plan = solve_tour_plan(truck_25t, load, params)
+    assert plan.binding_constraint is binding
+    assert plan.time_h == travel_and_stop_time(plan.distance_km, stops, truck_25t, params)
+    layer = LayerSpec("city", LayerMode.ANALYTICAL, params, (FleetAssignment(truck_25t, load),))
     report = evaluate_layer(layer)
     assert report.total_time_h == travel_and_stop_time(
-        report.total_distance_km, 4, truck_25t, base_params)
+        report.total_distance_km, stops, truck_25t, params)
     assert report.time_cost == report.total_time_h * truck_25t.cost_per_hour
 
 

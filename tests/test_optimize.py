@@ -283,19 +283,50 @@ def test_sa_best_energy_equals_full_evaluation(fleet, units):
 def test_sa_seeded_walk_is_pinned():
     # The interior-optimum instance above: the walk's evaluation count, its
     # result and its whole trace, as recorded before the walk skipped moves
-    # that leave the row unchanged and drew from getrandbits.  Since the
-    # annealer seeds with all 3^2 = 9 vertex allocations instead of the 3
-    # single-column corners, the count is 6 higher; the allocation and the
-    # trace are still the recorded ones.
+    # that leave the row unchanged and drew from getrandbits.  The count is
+    # the 3^2 = 9 vertex seeds plus, per restart, the start and 9,000 steps;
+    # the trace is the recorded one without the entry a row-corner descent
+    # used to append after each restart (at indices 9000 and 18001), and
+    # the allocation is still the recorded one.
     fleet = [vt("a", 25000, 7), vt("b", 4000, 5), vt("c", 9000, 9)]
     units = [DeliveryUnitType("u1", 450.0, 43), DeliveryUnitType("u2", 20.0, 5)]
     config = SaConfig(seed=11, restarts=2, steps_per_temperature=50)
     result = simulated_annealing(fleet, units, PARAMS, config, keep_trace=True)
-    assert result.evaluations == 18025
+    assert result.evaluations == 18011 == 3 ** 2 + 2 * (1 + 9000)
+    assert len(result.trace) == 2 * 9000
     assert result.allocation.entries == ((0.9519164529101823, 0.0480835470898177, 0.0),
                                          (0.9157327466564686, 0.08426725334353131, 0.0))
     assert hashlib.sha256(repr(result.trace).encode()).hexdigest() == \
-        "aa0adc36c551b63723283686ff88b15e4692bf2a6893c90455db43f78d906c5f"
+        "2c1271d40c7f2a0ef38bb3333ff03a6c8290710d2df7c0c81535941d5ef0a482"
+
+
+def test_anneal_calls_the_solver_and_layer_bound_in_optimize(monkeypatch):
+    # perfbench's tracer times the optimizer by wrapping
+    # citydist.optimize._solve_fixed_point and citydist.optimize.evaluate_layer,
+    # and the result's plans through citydist.schemes.solve_tour_plan: an
+    # anneal must reach each of them there
+    from citydist import schemes
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    count(optimize, "_solve_fixed_point")
+    count(optimize, "evaluate_layer")
+    count(schemes, "solve_tour_plan")
+    fleet = [vt("a", 17000, 5), vt("b", 9000, 6)]
+    config = SaConfig(seed=1, restarts=1, steps_per_temperature=2, cooling_rate=0.5)
+    result = simulated_annealing(fleet, [PALLET], PARAMS, config)
+    assert result.feasible
+    assert calls["_solve_fixed_point"] > 0
+    assert calls["evaluate_layer"] == 1
+    assert calls["solve_tour_plan"] == sum(
+        1 for d in induced_demand(result.allocation, [PALLET]) if d.total_stops > 0)
 
 
 def _pi_small_layer2():
@@ -345,8 +376,8 @@ _SMALL_UNITS = st.tuples(st.integers(1, 120).map(lambda k: 10.0 * k),     # avg 
                          st.integers(1, 80))                              # stops
 
 
-# The two examples are instances where the short walk and its row-corner
-# descent end above the best vertex, so only the vertex seeds keep them there.
+# The two examples are instances where the short walk alone ends above the
+# best vertex, so only the vertex seeds keep the result there.
 @example(vehicles=[(6500.0, 10.0, 6.0, 20.0, 23), (13000.0, 10.0, 8.0, 40.0, 47)],
          units=[(1140.0, 27), (790.0, 8), (780.0, 59), (1020.0, 36)],
          network=(20, 186, 16), seed=253)
@@ -388,7 +419,8 @@ def test_over_budget_instance_seeds_only_the_corners(monkeypatch):
     assert [rows for _, _, rows in _vertices(kernel)] == [(c,) * 7 for c in corners]
     config = SaConfig(seed=2, restarts=1, steps_per_temperature=2, cooling_rate=0.5)
     corners_only = simulated_annealing(fleet, units, PARAMS, config)
-    assert corners_only.evaluations == 125
+    # the 4 corners, then the start and 2 steps at each of 14 temperatures
+    assert corners_only.evaluations == 33 == 4 + 1 + 2 * 14
     # the walk does not depend on the seeds, so raising the budget adds
     # exactly the other 4^7 - 4 vertices to the count
     monkeypatch.setattr(optimize, "_VERTEX_BUDGET", 4 ** 7)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from citydist.model import (
@@ -56,6 +58,10 @@ def test_spec_validation():
         SweepSpec("lead_time_h", 2, 3, 0, scheme)
     with pytest.raises(DomainError):
         SweepSpec("lead_time_h", 2, 3, 0.5, scheme, layer_index=5)
+    # non-finite bounds or steps would grow the grid without end
+    for start, stop, step in ((0, 8, math.nan), (0, math.inf, 1), (math.nan, 8, 1)):
+        with pytest.raises(DomainError, match="finite"):
+            SweepSpec("lead_time_h", start, stop, step, scheme)
 
 
 def test_single_point_grid():
