@@ -113,12 +113,10 @@ def _optimize(args, scenario) -> object:
         config = replace(config, seed=args.seed)
     if args.oracle:
         try:
-            return _cli.brute_force_grid(fleet, units, layer.params, step=config.grid_step,
-                                         penalty_weight=config.penalty_weight,
+            return _cli.brute_force_grid(fleet, units, layer.params,
                                          external_factors=scheme.external_factors)
         except GridTooLargeError:
-            result = vertex_optimum(fleet, units, layer.params, config.penalty_weight,
-                                    scheme.external_factors)
+            result = vertex_optimum(fleet, units, layer.params, scheme.external_factors)
             print(f"grid over budget: best of {result.evaluations} vertex allocations",
                   file=sys.stderr)
             return result

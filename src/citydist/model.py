@@ -308,33 +308,21 @@ class KpiReport:
 @dataclass(frozen=True)
 class SaConfig:
     """Annealing schedule of citydist.optimize, here so scenarios load it
-    without the optimizer.  Temperatures left as None are derived at run
-    time: initial = 10% of the starting energy, minimum = 1e-4 of the
+    without the optimizer.  Each restart derives its temperatures from its
+    starting energy E0: initial = max(0.1 |E0|, 1e-6), minimum = 1e-4 of the
     initial.  The default 20 steps per temperature suffice because every
     vertex allocation is scored as a seed before the walks start."""
 
     seed: int = 0
-    initial_temperature: float | None = None
     cooling_rate: float = 0.95
     steps_per_temperature: int = 20
-    min_temperature: float | None = None
     restarts: int = 5
-    penalty_weight: float = 1000.0
-    grid_step: float = 0.05
 
     def __post_init__(self):
         if not (0 < self.cooling_rate < 1):
             raise DomainError("cooling_rate must be in (0, 1)")
         if self.steps_per_temperature < 1 or self.restarts < 1:
             raise DomainError("steps_per_temperature and restarts must be >= 1")
-        if self.initial_temperature is not None and self.initial_temperature <= 0:
-            raise DomainError("initial_temperature must be > 0")
-        if self.min_temperature is not None and self.min_temperature <= 0:
-            raise DomainError("min_temperature must be > 0")
-        if self.penalty_weight <= 0:
-            raise DomainError("penalty_weight must be > 0")
-        if not (0 < self.grid_step <= 1):
-            raise DomainError("grid_step must be in (0, 1]")
 
 
 def route_distance(tours: float, stops: float, params: NetworkParams) -> float:

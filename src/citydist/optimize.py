@@ -36,6 +36,8 @@ from .report import OptimizationResult
 from .schemes import FleetAssignment, LayerMode, LayerSpec, SchemeSpec, evaluate_layer
 
 _ROW_SUM_TOL = 1e-9
+# Scale of the energy a divergent vehicle column adds; see _ColumnKernel.term.
+_PENALTY_WEIGHT = 1000.0
 
 
 class GridTooLargeError(DomainError):
@@ -118,7 +120,9 @@ class _ColumnKernel:
     entries[j][i] for every unit row j.  It is the transport cost of the tour
     solver's plan for that demand, or a divergence penalty when the solver
     proves there is none; an allocation is feasible when every vehicle's plan
-    converges, as in evaluate_scheme.  Built once per call, the kernel holds
+    converges, as in evaluate_scheme.  The annealer, vertex_optimum and the
+    grid oracle all score allocations through column(), so they minimise one
+    energy, the one _finish reports.  Built once per call, the kernel holds
     what does not depend on the allocation: each vehicle's congestion-adjusted
     speed, each unit's total weight (avg_weight_kg * stops) and the capacity
     limit of each (vehicle, dominant unit) pair.  Allocations are plain row
@@ -126,11 +130,10 @@ class _ColumnKernel:
     AllocationMatrix objects.
     """
 
-    def __init__(self, fleet, units, params: NetworkParams, penalty_weight: float = 0.0):
+    def __init__(self, fleet, units, params: NetworkParams):
         self.fleet = list(fleet)
         self.units = list(units)
         self.params = params
-        self.penalty_weight = penalty_weight
         self._unit_range = range(len(self.units))
         self._weight = [u.avg_weight_kg * u.stops for u in self.units]
         self._stops = [u.stops for u in self.units]
@@ -160,7 +163,7 @@ class _ColumnKernel:
         try:
             return self.plan(i, weight, stops, dominant)[3], True
         except InfeasibleError:
-            return self.penalty_weight * (1.0 + weight / 1000.0 + stops), False
+            return _PENALTY_WEIGHT * (1.0 + weight / 1000.0 + stops), False
 
     def column(self, rows, i: int):
         """Column term of vehicle i under the allocation rows.  The dominant
@@ -373,7 +376,7 @@ def simulated_annealing(fleet, units, params: NetworkParams,
     one, which it accepts without an acceptance draw and which no best
     record is above.
     """
-    kernel = _ColumnKernel(fleet, units, params, config.penalty_weight)
+    kernel = _ColumnKernel(fleet, units, params)
     n_vehicles, n_units = len(kernel.fleet), len(kernel.units)
     if not n_vehicles or not n_units:
         raise DomainError("simulated_annealing: need at least one vehicle and one unit type")
@@ -408,10 +411,8 @@ def simulated_annealing(fleet, units, params: NetworkParams,
         evaluations += 1
         consider(e_cur, feas, current)
 
-        t0 = config.initial_temperature
-        if t0 is None:
-            t0 = max(0.1 * abs(e_cur), 1e-6)
-        t_min = config.min_temperature if config.min_temperature is not None else 1e-4 * t0
+        t0 = max(0.1 * abs(e_cur), 1e-6)
+        t_min = 1e-4 * t0
         random_, exp, column_term = rng.random, math.exp, kernel.column
         t = t0
         while t >= t_min:
@@ -487,12 +488,12 @@ def _vertices(kernel: _ColumnKernel):
         yield energy, feasible, rows
 
 
-def vertex_optimum(fleet, units, params: NetworkParams, penalty_weight: float = 1000.0,
+def vertex_optimum(fleet, units, params: NetworkParams,
                    external_factors: ExternalCostFactors | None = None) -> OptimizationResult:
     """Least-energy vertex allocation, feasible ones first, the first in
     itertools.product order among equals.  Refuses instances with more than
     _VERTEX_BUDGET vertices."""
-    kernel = _ColumnKernel(fleet, units, params, penalty_weight)
+    kernel = _ColumnKernel(fleet, units, params)
     n_vehicles, n_units = len(kernel.fleet), len(kernel.units)
     if not n_vehicles or not n_units:
         raise DomainError("vertex_optimum: need at least one vehicle and one unit type")
@@ -506,15 +507,15 @@ def vertex_optimum(fleet, units, params: NetworkParams, penalty_weight: float = 
 
 
 def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
-                     penalty_weight: float = 1000.0,
                      external_factors: ExternalCostFactors | None = None) -> OptimizationResult:
     """Exact optimum over allocations on a simplex grid of the given step.
 
-    Enumerates every combination of per-row grid points, evaluating the same
-    penalized energy as the annealer.  Among equal objectives the
-    lexicographically smallest matrix (rows compared in order) wins.  Refuses
-    instances whose joint grid exceeds the evaluation budget, which bounds
-    each vehicle's table of columns too.
+    Enumerates every combination of per-row grid points.  Each vehicle's
+    table of tick columns is scored by the annealer's _ColumnKernel.column,
+    so the grid minimises the same penalized energy that the result reports.
+    Among equal objectives the lexicographically smallest matrix (rows
+    compared in order) wins.  Refuses instances whose joint grid exceeds the
+    evaluation budget, which bounds each vehicle's table of columns too.
     """
     # Only the grid oracle needs numpy; importing it here keeps it off the
     # start-up of every other command.
@@ -536,22 +537,22 @@ def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
             f"brute_force_grid: {n_rows}^{n_units} = {joint} grid points exceeds "
             f"the budget of {_GRID_BUDGET}")
 
-    kernel = _ColumnKernel(fleet, units, params, penalty_weight)
+    kernel = _ColumnKernel(fleet, units, params)
     if n_vehicles == 1:  # one vehicle carries every unit: the only grid point
         return _finish(kernel, ((1.0,),) * n_units, external_factors, None, joint)
 
     # Per-vehicle energy for every possible tick column, then the joint
-    # minimum is a sum of per-vehicle table lookups.  The column sums stay
-    # fsum-exact, unlike the annealer's running sums.
+    # minimum is a sum of per-vehicle table lookups.  kernel.column reads
+    # only entry vehicle_idx of each row, so the row of tick c carries the
+    # fraction c/ticks in every entry.
+    tick_rows = [(c / ticks,) * n_vehicles for c in range(ticks + 1)]
+
     def column_energy(vehicle_idx: int) -> tuple[np.ndarray, np.ndarray]:
         shape = (ticks + 1,) * n_units
         energy = np.empty(shape)
         feas_obj = np.empty(shape)
         for col in np.ndindex(shape):
-            fracs = [c / ticks for c in col]
-            weight = math.fsum(u.weight_kg * f for u, f in zip(units, fracs))
-            stops = math.fsum(u.stops * f for u, f in zip(units, fracs))
-            term, ok = kernel.term(vehicle_idx, weight, stops, dominant_index(units, col))
+            term, ok = kernel.column([tick_rows[c] for c in col], vehicle_idx)
             energy[col] = term
             feas_obj[col] = term if ok else np.inf
         return energy, feas_obj

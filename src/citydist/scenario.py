@@ -447,18 +447,10 @@ def _parse_schemes(node, path: str, vehicles: dict[str, VehicleType]) -> list[di
 
 
 def _parse_sa(node, path: str) -> SaConfig:
-    if node is None:
-        return SaConfig()
     node = _require_mapping(node, path)
     _check_keys(node, _SA_KEYS, set(), path)
-    kwargs = {}
-    for key in _SA_KEYS:
-        if key in node and node[key] is not None:
-            v = node[key]
-            if key in ("seed", "steps_per_temperature", "restarts"):
-                kwargs[key] = _integer(v, f"{path}.{key}")
-            else:
-                kwargs[key] = _number(node, key, path)
+    kwargs = {key: (_finite if key == "cooling_rate" else _integer)(v, f"{path}.{key}")
+              for key, v in node.items()}
     try:
         return SaConfig(**kwargs)
     except DomainError as exc:
@@ -495,7 +487,7 @@ def parse_scenario(doc: dict, source_path: str | None = None) -> Scenario:
         suppliers=suppliers,
         scheme_templates=schemes,
         optimization_vehicles=opt_vehicles,
-        sa=_parse_sa(doc.get("sa"), "sa"),
+        sa=_parse_sa(doc.get("sa", {}), "sa"),
         source_path=source_path,
     )
     # materialize every scheme once so layer-level invariants fail at load time

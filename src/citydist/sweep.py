@@ -30,6 +30,9 @@ from .schemes import (
 _PARAM_FIELDS = tuple(f.name for f in fields(NetworkParams))  # in positional order
 _param_values = attrgetter(*_PARAM_FIELDS)
 SPEED_FIELD = "speed_kmh"
+# Most steps, (stop - start) / step, one sweep may span: the grid is built
+# whole before any point runs, so a larger range would only exhaust memory.
+MAX_POINTS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,8 @@ class SweepSpec:
             raise DomainError("sweep step must be > 0")
         if self.start > self.stop:
             raise DomainError("sweep start must be <= stop")
+        if (self.stop - self.start) / self.step >= MAX_POINTS:
+            raise DomainError(f"sweep range asks for more than {MAX_POINTS} points")
         if not (0 <= self.layer_index < len(self.scheme.layers)):
             raise DomainError(f"layer index {self.layer_index} out of range")
 

@@ -176,7 +176,7 @@ def _anneal_evaluations(fleet, units, params, config):
     if len(fleet) == 1:
         return 1
     uniform = AllocationMatrix.uniform(len(units), len(fleet)).entries
-    energy = _ColumnKernel(fleet, units, params, config.penalty_weight).energy(uniform)[0]
+    energy = _ColumnKernel(fleet, units, params).energy(uniform)[0]
     t = t0 = max(0.1 * abs(energy), 1e-6)
     n_temperatures = 0
     while t >= 1e-4 * t0:
@@ -225,7 +225,7 @@ def test_c6_vehicle_choice_reproduces_reported_directions():
                                  external_factors=scheme.external_factors)
     assert result.feasible
     # certificate: the anneal is never worse than the best vertex allocation
-    vertex = vertex_optimum(fleet, units, layer.params, scenario.sa.penalty_weight)
+    vertex = vertex_optimum(fleet, units, layer.params)
     assert vertex.feasible and result.objective <= vertex.objective
     mass_25t = result.allocation.column_mass_share(units, 0)
     assert mass_25t >= 0.95
@@ -250,7 +250,7 @@ def test_c6_vehicle_choice_reproduces_reported_directions():
     s_units = [u for a in s_layer.fleet for u in a.demand.units]
     s_result = simulated_annealing(s_fleet, s_units, s_layer.params, single.sa)
     assert s_result.feasible
-    s_vertex = vertex_optimum(s_fleet, s_units, s_layer.params, single.sa.penalty_weight)
+    s_vertex = vertex_optimum(s_fleet, s_units, s_layer.params)
     assert s_vertex.feasible and s_result.objective <= s_vertex.objective
     mass_17t = s_result.allocation.column_mass_share(s_units, 1)
     assert mass_17t >= 0.95

@@ -75,8 +75,9 @@ def test_sweep_rows_and_markers(tmp_path):
 
 
 def test_sweep_bad_range_exits_2(capsys):
-    # non-finite values would grow the sweep grid until memory runs out
-    for range_ in ("oops", "0:8:nan", "0:inf:1", "nan:8:1"):
+    # non-finite values, or ~7.75e9 points, would grow the sweep grid until
+    # memory runs out
+    for range_ in ("oops", "0:8:nan", "0:inf:1", "nan:8:1", "0.25:8:1e-9"):
         assert run(["sweep", "--scenario", str(BORDEAUX), "--scheme", "pi",
                     "--layer", "2", "--param", "lead_time_h", "--range", range_]) == 2
         assert capsys.readouterr().err.startswith("invalid request:")

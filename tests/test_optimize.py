@@ -276,7 +276,7 @@ def test_sa_best_energy_equals_full_evaluation(fleet, units):
     # best energy it reports must still be exactly the full evaluation.
     config = SaConfig(seed=11, restarts=2, steps_per_temperature=50)
     result = simulated_annealing(fleet, units, PARAMS, config, keep_trace=True)
-    assert result.trace[-1] == _ColumnKernel(fleet, units, PARAMS, config.penalty_weight) \
+    assert result.trace[-1] == _ColumnKernel(fleet, units, PARAMS) \
         .energy(result.allocation.entries)[0]
 
 
@@ -343,14 +343,14 @@ def test_vertex_energies_equal_full_evaluation(instance):
     else:
         fleet, units, params = next((f, u, p) for label, f, u, p in _c5_instances()
                                     if label == instance)
-    kernel = _ColumnKernel(fleet, units, params, 1000.0)
+    kernel = _ColumnKernel(fleet, units, params)
     corners = [tuple(float(k == i) for k in range(len(fleet))) for i in range(len(fleet))]
     vertices = list(_vertices(kernel))
     # every vertex, once each, in itertools.product order
     assert [rows for _, _, rows in vertices] == \
         list(itertools.product(corners, repeat=len(units)))
     for energy, feasible, rows in vertices:
-        assert energy == _ColumnKernel(fleet, units, params, 1000.0).energy(rows)[0]
+        assert energy == _ColumnKernel(fleet, units, params).energy(rows)[0]
         full_energy, _, full_feasible = kernel.energy(rows)
         assert (energy, feasible) == (full_energy, full_feasible)
 
@@ -400,7 +400,7 @@ def test_sa_never_ends_above_the_best_vertex(vehicles, units, network, seed):
                            shift_duration_h=shift, lead_time_h=24)
     config = SaConfig(seed=seed, restarts=1, steps_per_temperature=2, cooling_rate=0.5)
     result = simulated_annealing(fleet, units, params, config)
-    kernel = _ColumnKernel(fleet, units, params, config.penalty_weight)
+    kernel = _ColumnKernel(fleet, units, params)
     vertices = list(_vertices(kernel))
     energy, _, feasible = kernel.energy(result.allocation.entries)
     feasible_vertices = [e for e, ok, _ in vertices if ok]
@@ -414,7 +414,7 @@ def test_over_budget_instance_seeds_only_the_corners(monkeypatch):
     fleet = [vt(f"v{i}", 4000 * (i + 1), 5 + i) for i in range(4)]
     units = [DeliveryUnitType(f"u{j}", 50.0 * (j + 1), 3 + j) for j in range(7)]
     assert 4 ** 7 > optimize._VERTEX_BUDGET
-    kernel = _ColumnKernel(fleet, units, PARAMS, 1000.0)
+    kernel = _ColumnKernel(fleet, units, PARAMS)
     corners = [tuple(float(k == i) for k in range(4)) for i in range(4)]
     assert [rows for _, _, rows in _vertices(kernel)] == [(c,) * 7 for c in corners]
     config = SaConfig(seed=2, restarts=1, steps_per_temperature=2, cooling_rate=0.5)
@@ -543,7 +543,7 @@ def test_grid_four_units_equals_plain_enumeration(lead_time_h):
              DeliveryUnitType("u3", 900.0, 4), DeliveryUnitType("u4", 80.0, 25)]
     params = replace(PARAMS, lead_time_h=lead_time_h)
     result = brute_force_grid(fleet, units, params, step=0.25)
-    kernel = _ColumnKernel(fleet, units, params, 1000.0)
+    kernel = _ColumnKernel(fleet, units, params)
     splits = [(k / 4, 1 - k / 4) for k in range(5)]
     best = None
     for rows in itertools.product(splits, repeat=4):
@@ -602,7 +602,7 @@ def test_optimizer_scores_the_solver_plan(entry_point, vehicles):
     result = entry_point(fleet, units, params)
     assert result.objective == pytest.approx(48.55, abs=1e-6)
     assert result.feasible
-    assert _ColumnKernel(fleet, units, params, 1000.0).energy(result.allocation.entries) \
+    assert _ColumnKernel(fleet, units, params).energy(result.allocation.entries) \
         == (result.objective, result.objective, True)
 
 

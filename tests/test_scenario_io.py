@@ -1,8 +1,10 @@
 import math
+from dataclasses import asdict
 
 import pytest
 import yaml
 
+from citydist.cli import run
 from citydist.scenario import (
     Scenario,
     ScenarioError,
@@ -162,6 +164,40 @@ def test_non_finite_number_rejected_with_path(tmp_path, field, value):
     with pytest.raises(ScenarioParseError) as e:
         load_scenario(str(path))
     assert str(e.value) == f"vehicles[truck].{field}: expected a finite number"
+
+
+@pytest.mark.parametrize("sa, message", [
+    (None, "sa: expected a mapping, got NoneType"),
+    ({"cooling_rate": 0}, "sa: cooling_rate must be in (0, 1)"),
+    ({"cooling_rate": 1}, "sa: cooling_rate must be in (0, 1)"),
+    ({"steps_per_temperature": 0}, "sa: steps_per_temperature and restarts must be >= 1"),
+    ({"restarts": 0}, "sa: steps_per_temperature and restarts must be >= 1"),
+    ({"seed": True}, "sa.seed: expected an integer"),
+    ({"seed": 1.5}, "sa.seed: expected an integer"),
+    ({"seed": None}, "sa.seed: expected an integer"),
+    ({"cooling_rate": None}, "sa.cooling_rate: expected a number"),
+    ({"initial_temperature": 5.0}, "sa: unknown field(s): initial_temperature"),
+    ({"min_temperature": 0.01}, "sa: unknown field(s): min_temperature"),
+    ({"penalty_weight": 1000.0}, "sa: unknown field(s): penalty_weight"),
+    ({"grid_step": 0.05}, "sa: unknown field(s): grid_step"),
+], ids=["block_null", "cooling_0", "cooling_1", "steps_0", "restarts_0", "seed_bool", "seed_float",
+        "seed_null", "cooling_null", "initial_temperature", "min_temperature",
+        "penalty_weight", "grid_step"])
+def test_sa_block_rejected_with_path(tmp_path, capsys, sa, message):
+    doc = _variant(sa=sa)
+    with pytest.raises(ScenarioError) as e:
+        parse_scenario(doc)
+    assert e.value.path.startswith("sa")
+    assert str(e.value) == message
+    path = tmp_path / "sa.scenario"
+    path.write_text(yaml.safe_dump(doc))
+    assert run(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
+
+
+def test_sa_block_loads_its_four_settings():
+    sa = {"seed": 7, "cooling_rate": 0.9, "steps_per_temperature": 3, "restarts": 2}
+    assert asdict(parse_scenario(_variant(sa=sa)).sa) == sa
 
 
 @pytest.mark.parametrize("value", [2.7, 30.0, True])

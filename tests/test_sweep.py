@@ -23,6 +23,7 @@ from citydist.schemes import (
 import citydist.schemes as schemes_module
 import citydist.sweep as sweep_module
 from citydist.sweep import (
+    MAX_POINTS,
     SweepReport,
     SweepRow,
     SweepSpec,
@@ -62,6 +63,12 @@ def test_spec_validation():
     for start, stop, step in ((0, 8, math.nan), (0, math.inf, 1), (math.nan, 8, 1)):
         with pytest.raises(DomainError, match="finite"):
             SweepSpec("lead_time_h", start, stop, step, scheme)
+    # a finite range can still ask for more points than memory holds
+    with pytest.raises(DomainError, match="points"):
+        SweepSpec("lead_time_h", 0, MAX_POINTS, 1, scheme)
+    with pytest.raises(DomainError, match="points"):
+        SweepSpec("lead_time_h", 1e-300, 1e300, 1e-300, scheme)
+    SweepSpec("lead_time_h", 1, MAX_POINTS, 1, scheme)  # 10^6 points are allowed
 
 
 def test_single_point_grid():

@@ -9,6 +9,9 @@ import importlib.util
 import json
 import subprocess
 import sys
+from dataclasses import fields
+
+from citydist.model import SaConfig
 
 from conftest import REPO, SINGLE_SUPPLIER
 
@@ -114,3 +117,27 @@ def test_perfbench_imports_resolve():
         assert hasattr(module, name) or \
             importlib.util.find_spec(f"{module_name}.{name}") is not None, \
             f"perfbench/{filename}: from {module_name} import {name} fails"
+
+
+def _sa_config_keywords():
+    """(file, keyword) of every keyword that perfbench/*.py and scripts/*.py
+    pass to SaConfig(...) or to replace(<...>.sa, ...), read from the source."""
+    paths = sorted((REPO / "perfbench").glob("*.py")) + sorted((REPO / "scripts").glob("*.py"))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "SaConfig" or (name == "replace" and node.args and
+                                      getattr(node.args[0], "attr", None) == "sa"):
+                for keyword in node.keywords:
+                    yield f"{path.parent.name}/{path.name}", keyword.arg
+
+
+def test_benchmark_sa_config_keywords_are_fields():
+    # Shrinking SaConfig must fail here, not in the benchmark's set-up.
+    current = {f.name for f in fields(SaConfig)}
+    keywords = list(_sa_config_keywords())
+    assert ("perfbench/workloads.py", "restarts") in keywords
+    for filename, keyword in keywords:
+        assert keyword in current, f"{filename}: SaConfig has no field '{keyword}'"
