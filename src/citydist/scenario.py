@@ -61,6 +61,7 @@ _FLEET_KEYS = {"vehicle", "share"}
 _DEMAND_KEYS = {"unit", "stops", "avg_weight_kg"}
 _PARAM_KEYS = {"radius_km", "area_km2", "stop_time_h", "daganzo_k",
                "congestion_factor", "shift_duration_h", "lead_time_h"}
+_PARAM_REQUIRED = {"radius_km", "area_km2", "stop_time_h"}
 _SCHEME_KEYS_COMMON = {"name", "type"}
 _SCHEME_KEYS = {
     "original": _SCHEME_KEYS_COMMON | {"params"},
@@ -74,6 +75,9 @@ _SCHEME_KEYS = {
 _EXTERNAL_KEYS = {"accident", "air_pollution", "climate_change", "noise", "congestion"}
 _SA_KEYS = {f.name for f in fields(SaConfig)}
 _OPT_KEYS = {"vehicles"}
+# build_pi makes one demand weight, and one inbound assignment per supplier,
+# for every hub: far larger counts only exhaust memory.
+MAX_HUB_COUNT = 10_000
 
 # libyaml's parser with the same safe constructor and resolver as
 # yaml.SafeLoader; the pure-Python parser only where PyYAML lacks libyaml.
@@ -328,6 +332,9 @@ def _parse_suppliers(node, path: str, vehicles: dict[str, VehicleType],
             _temperature_class(c, f"{p}.temperature_classes[{k}]") for k, c in
             enumerate(_require_list(item.get("temperature_classes", ["A"]),
                                     f"{p}.temperature_classes")))
+        if not tclasses:
+            raise ScenarioParseError(f"{p}.temperature_classes",
+                                     "at least one temperature class is required")
 
         shares = []
         for k, entry in enumerate(_require_list(item["fleet"], f"{p}.fleet")):
@@ -380,13 +387,17 @@ def _parse_suppliers(node, path: str, vehicles: dict[str, VehicleType],
     return out
 
 
-def _parse_params_block(node, path: str) -> dict:
+def _parse_params_block(node, path: str, defaults: dict | None = None) -> dict:
+    """A params block; a layer's block must give every required field that
+    network_defaults (passed as defaults) does not."""
     node = _require_mapping(node, path)
-    _check_keys(node, _PARAM_KEYS, set(), path)
+    _check_keys(node, _PARAM_KEYS,
+                set() if defaults is None else _PARAM_REQUIRED - set(defaults), path)
     return {k: _number(node, k, path) for k in node}
 
 
-def _parse_schemes(node, path: str, vehicles: dict[str, VehicleType]) -> list[dict]:
+def _parse_schemes(node, path: str, vehicles: dict[str, VehicleType],
+                   defaults: dict) -> list[dict]:
     out = []
     names = set()
     for i, item in enumerate(_require_list(node, path)):
@@ -407,22 +418,23 @@ def _parse_schemes(node, path: str, vehicles: dict[str, VehicleType]) -> list[di
         names.add(name)
         template = {"name": name, "type": kind}
         if kind == "original":
-            template["params"] = _parse_params_block(item["params"], f"{p}.params")
+            template["params"] = _parse_params_block(item["params"], f"{p}.params", defaults)
         else:
             for ref in ("shuttle_vehicle", "city_vehicle"):
                 if _name(item[ref], f"{p}.{ref}") not in vehicles:
                     raise ScenarioReferenceError(f"{p}.{ref}", f"unknown vehicle '{item[ref]}'")
                 template[ref] = item[ref]
-            template["shuttle_params"] = _parse_params_block(item["shuttle_params"],
-                                                             f"{p}.shuttle_params")
-            template["city_params"] = _parse_params_block(item["city_params"],
-                                                          f"{p}.city_params")
+            template["shuttle_params"] = _parse_params_block(
+                item["shuttle_params"], f"{p}.shuttle_params", defaults)
+            template["city_params"] = _parse_params_block(
+                item["city_params"], f"{p}.city_params", defaults)
             template["handling_cost_per_delivery"] = _number(
                 item, "handling_cost_per_delivery", p, default=DEFAULT_HANDLING_COST_PER_DELIVERY)
         if kind == "pi":
             hubs = _integer(item.get("hub_count", 2), f"{p}.hub_count")
-            if hubs < 1:
-                raise ScenarioInvariantError(f"{p}.hub_count", "must be an integer >= 1")
+            if not 1 <= hubs <= MAX_HUB_COUNT:
+                raise ScenarioInvariantError(
+                    f"{p}.hub_count", f"must be an integer from 1 to {MAX_HUB_COUNT}")
             template["hub_count"] = hubs
             tours = item.get("shuttle_tours_per_hub")
             if tours is not None and _integer(tours, f"{p}.shuttle_tours_per_hub") < 1:
@@ -466,7 +478,7 @@ def parse_scenario(doc: dict, source_path: str | None = None) -> Scenario:
     vehicles = _parse_vehicles(doc["vehicles"], "vehicles")
     unit_classes = _parse_unit_classes(doc["unit_classes"], "unit_classes")
     suppliers = _parse_suppliers(doc["suppliers"], "suppliers", vehicles, unit_classes)
-    schemes = _parse_schemes(doc["schemes"], "schemes", vehicles)
+    schemes = _parse_schemes(doc["schemes"], "schemes", vehicles, defaults)
 
     opt_node = doc.get("optimization", {"vehicles": []})
     opt_node = _require_mapping(opt_node, "optimization")

@@ -162,24 +162,33 @@ def merge_demands(demands) -> DemandProfile:
     return DemandProfile(total_weight_kg=direct_w, total_stops=direct_s)
 
 
-def _evaluate_assignment(a: FleetAssignment, layer: LayerSpec,
-                         factors: ExternalCostFactors | None):
-    """(vehicle id, tours, fractional tours or None, KPI column values) of one
-    assignment; the values are in the order evaluate_layer sums them."""
-    params = layer.params
-    vehicle = a.vehicle
-    demand = a.demand
-    weight = demand.total_weight_kg
-    dominant = a.capacity_unit if a.capacity_unit is not None else demand.dominant_unit()
-    cap_limit = _capacity_limit(vehicle, dominant)
+def capacity_limits(layer: LayerSpec) -> tuple[float, ...]:
+    """Payload per tour of each assignment: the vehicle's capacity for the
+    assignment's capacity unit, or else for its demand's dominant unit."""
+    return tuple(_capacity_limit(a.vehicle, a.capacity_unit if a.capacity_unit is not None
+                                 else a.demand.dominant_unit())
+                 for a in layer.fleet)
 
+
+def layer_plans(layer: LayerSpec,
+                cap_limits: tuple[float, ...]) -> list[tuple[int, float, float]]:
+    """(tours, distance_km, hours) of each assignment, per subregion.
+
+    Analytical layers take them from the tour solver; fixed-shuttle layers
+    run their pinned round trips, or weight over capacity (at least one).
+    """
+    params = layer.params
+    plans = []
     if layer.mode is LayerMode.ANALYTICAL:
-        try:
-            plan = solve_tour_plan(vehicle, demand, params, cap_limit)
-        except InfeasibleError as exc:
-            raise LayerInfeasibleError(layer.name, exc) from exc
-        tours, dist, time_h = plan.tours, plan.distance_km, plan.time_h
-    else:
+        for a, cap_limit in zip(layer.fleet, cap_limits):
+            try:
+                plan = solve_tour_plan(a.vehicle, a.demand, params, cap_limit)
+            except InfeasibleError as exc:
+                raise LayerInfeasibleError(layer.name, exc) from exc
+            plans.append((plan.tours, plan.distance_km, plan.time_h))
+        return plans
+    for a, cap_limit in zip(layer.fleet, cap_limits):
+        weight = a.demand.total_weight_kg
         if a.shuttle_tours is not None:
             tours = a.shuttle_tours
         elif weight > 0:
@@ -188,31 +197,33 @@ def _evaluate_assignment(a: FleetAssignment, layer: LayerSpec,
             tours = 0
         dist = tours * 2.0 * params.radius_km
         # one stop at the destination node per round trip
-        time_h = travel_and_stop_time(dist, tours, vehicle, params)
-
-    fill = fill_rate(weight, vehicle, cap_limit, tours) if tours else 0.0
-    ext = (external_cost(dist, factors)[1].values() if factors is not None
-           else (0.0,) * len(EXTERNAL_CATEGORIES))
-    return (vehicle.id, tours, weight / cap_limit if weight > 0 else None,
-            (dist, time_h, dist * vehicle.cost_per_km, time_h * vehicle.cost_per_hour,
-             demand.total_stops, weight, fill * weight, *ext))
+        plans.append((tours, dist, travel_and_stop_time(dist, tours, a.vehicle, params)))
+    return plans
 
 
-def evaluate_layer(layer: LayerSpec,
-                   factors: ExternalCostFactors | None = None) -> KpiReport:
-    """KPIs of one layer: each is one fsum over the assignments (fill rate
-    weighted by load) plus handling, times subregion_count."""
+def layer_report(layer: LayerSpec, plans, cap_limits: tuple[float, ...],
+                 factors: ExternalCostFactors | None) -> KpiReport:
+    """KPIs of one layer from its assignments' plans: each is one fsum over
+    the assignments (fill rate weighted by load) plus handling, times
+    subregion_count.  Nothing but the plans depends on the layer's params."""
     n = layer.subregion_count
     tours: dict[str, int] = {}
     frac: dict[str, float] = {}
     columns = []
-    for a in layer.fleet:
-        vehicle_id, m, m_frac, values = _evaluate_assignment(a, layer, factors)
+    for a, cap_limit, (m, dist, time_h) in zip(layer.fleet, cap_limits, plans):
+        vehicle = a.vehicle
+        vehicle_id = vehicle.id
+        demand = a.demand
+        weight = demand.total_weight_kg
         if m:
             tours[vehicle_id] = tours.get(vehicle_id, 0) + m
-        if m_frac is not None:
-            frac[vehicle_id] = frac.get(vehicle_id, 0.0) + m_frac
-        columns.append(values)
+        if weight > 0:
+            frac[vehicle_id] = frac.get(vehicle_id, 0.0) + weight / cap_limit
+        fill = fill_rate(weight, vehicle, cap_limit, m) if m else 0.0
+        ext = (external_cost(dist, factors)[1].values() if factors is not None
+               else (0.0,) * len(EXTERNAL_CATEGORIES))
+        columns.append((dist, time_h, dist * vehicle.cost_per_km, time_h * vehicle.cost_per_hour,
+                        demand.total_stops, weight, fill * weight, *ext))
     dist, time_h, dist_cost, time_cost, stops, loaded, fill_weight, *ext = (
         map(math.fsum, zip(*columns)) if columns else (0.0,) * (7 + len(EXTERNAL_CATEGORIES)))
     return KpiReport(
@@ -227,6 +238,13 @@ def evaluate_layer(layer: LayerSpec,
         tours_by_vehicle={k: v * n for k, v in tours.items()},
         tours_fractional_by_vehicle={k: v * n for k, v in frac.items()},
     )
+
+
+def evaluate_layer(layer: LayerSpec,
+                   factors: ExternalCostFactors | None = None) -> KpiReport:
+    """KPIs of one layer: the report of its plans."""
+    cap_limits = capacity_limits(layer)
+    return layer_report(layer, layer_plans(layer, cap_limits), cap_limits, factors)
 
 
 def evaluate_scheme(scheme: SchemeSpec) -> KpiReport:

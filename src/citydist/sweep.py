@@ -3,10 +3,13 @@
 A sweep replaces one numeric parameter of one layer at each grid point: any
 NetworkParams field, or the pseudo-field ``speed_kmh`` which rescales every
 vehicle in that layer's fleet.  Per point, the swept layer is constructed
-directly and evaluated into one report, and one KpiReport.aggregate sums it
-with the other layers' reports, which are evaluated once per sweep.
-Infeasible points are marked rather than aborting, and the report records
-where the tour counts first move away from their slack-side values.
+directly and its tour plans are solved.  While they equal the previous
+feasible point's plans, as on the plateaus of a lead-time or shift sweep,
+that point's report is reused; otherwise the swept layer's report is built
+and one KpiReport.aggregate sums it with the other layers' reports, which
+are evaluated once per sweep.  Infeasible points are marked rather than
+aborting, and the report records where the tour counts first move away
+from their slack-side values.
 """
 
 from __future__ import annotations
@@ -23,8 +26,11 @@ from .schemes import (
     LayerSpec,
     SchemeInfeasibleError,
     SchemeSpec,
+    capacity_limits,
     evaluate_layer,
     evaluate_scheme,  # noqa: F401  bound here for perfbench's tracer, which wraps it
+    layer_plans,
+    layer_report,
 )
 
 _PARAM_FIELDS = tuple(f.name for f in fields(NetworkParams))  # in positional order
@@ -114,44 +120,60 @@ def detect_threshold(rows) -> float | None:
     return None
 
 
-def _layer_outcome(layer: LayerSpec, factors):
-    """The layer's report, or the error that makes a point infeasible."""
-    try:
-        return evaluate_layer(layer, factors)
-    except (LayerInfeasibleError, DomainError) as exc:
-        return exc
+def _reports(layers, factors):
+    """Reports of unchanged layers, or the first error among them."""
+    reports = []
+    for layer in layers:
+        try:
+            reports.append(evaluate_layer(layer, factors))
+        except (LayerInfeasibleError, DomainError) as exc:
+            return exc
+    return reports
 
 
 def sweep_parameter(spec: SweepSpec) -> SweepReport:
     """Evaluate the scheme across the grid; infeasible points become markers.
-    Each row equals ``evaluate_scheme(apply_parameter(...))`` at its value."""
+    Each row equals ``evaluate_scheme(apply_parameter(...))`` at its value.
+
+    A point's report depends on the swept value only through the swept
+    layer's plans: the demands, capacity limits, unit costs, factors and the
+    other layers are the same at every point.  So the solver runs at every
+    point, and a point whose plans equal the last feasible point's shares
+    that point's report; rows on one plateau hold the same object.
+    """
     values = _grid(spec.start, spec.stop, spec.step)
     if not values:
         raise DomainError("sweep grid is empty")
     scheme, swept = spec.scheme, spec.layer_index
     factors = scheme.external_factors
-    # a sweep never changes demands: resolve each dominant unit once, not per point
-    pinned = replace(scheme.layers[swept], fleet=tuple(
-        a if a.capacity_unit is not None else replace(a, capacity_unit=a.demand.dominant_unit())
-        for a in scheme.layers[swept].fleet))
-    fixed = {}  # layer index -> outcome of an unchanged layer, once reached
+    base = scheme.layers[swept]
+    cap_limits = capacity_limits(base)
+    head = tail = None  # reports of the layers before / after the swept one, once reached
+    last_plans = last_report = None  # of the last feasible point
     rows = []
     for v in values:
-        layer = _apply_to_layer(pinned, spec.parameter, v)
-        reports = []
-        for i, base in enumerate(scheme.layers):
-            if i == swept:
-                out = _layer_outcome(layer, factors)
+        layer = _apply_to_layer(base, spec.parameter, v)
+        if head is None:
+            head = _reports(scheme.layers[:swept], factors)
+        out = head
+        if not isinstance(head, Exception):
+            try:
+                plans = layer_plans(layer, cap_limits)
+                if plans == last_plans:
+                    rows.append(SweepRow(v, last_report))
+                    continue
+                report = layer_report(layer, plans, cap_limits, factors)
+            except (LayerInfeasibleError, DomainError) as exc:
+                out = exc
             else:
-                out = fixed.get(i)
-                if out is None:
-                    out = fixed[i] = _layer_outcome(base, factors)
-            if isinstance(out, Exception):
-                break
-            reports.append(out)
-        else:
-            rows.append(SweepRow(v, KpiReport.aggregate(reports)))
-            continue
+                if tail is None:
+                    tail = _reports(scheme.layers[swept + 1:], factors)
+                out = tail
+                if not isinstance(tail, Exception):
+                    last_plans = plans
+                    last_report = KpiReport.aggregate([*head, report, *tail])
+                    rows.append(SweepRow(v, last_report))
+                    continue
         if isinstance(out, LayerInfeasibleError):
             out = SchemeInfeasibleError(scheme.name, out)
         rows.append(SweepRow(v, None, error=str(out)))

@@ -1,11 +1,18 @@
+import copy
+import io
 import json
+import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
+from hypothesis import given, settings
+import hypothesis.strategies as st
 import pytest
 import yaml
 
 from citydist.cli import run
+from citydist.scenario import MAX_HUB_COUNT
 
 from conftest import BORDEAUX, SINGLE_SUPPLIER
 
@@ -202,16 +209,10 @@ def test_non_numeric_hub_weights_exit_2(tmp_path, capsys):
 
 
 def _validate_mutated(tmp_path, field, value) -> int:
-    """Run `validate` on bordeaux.scenario with one dotted field replaced."""
-    doc = yaml.safe_load(BORDEAUX.read_text())
-    *parents, leaf = field.split(".")
-    node = doc
-    for key in parents:
-        node = node[int(key)] if key.isdigit() else node[key]
-    node[int(leaf) if leaf.isdigit() else leaf] = value
-    broken = tmp_path / "broken.scenario"
-    broken.write_text(yaml.safe_dump(doc))
-    return run(["validate", "--scenario", str(broken)])
+    """Run `validate` on bordeaux.scenario with one dotted field replaced, or
+    dropped when value is _DROP."""
+    path = tuple(int(key) if key.isdigit() else key for key in field.split("."))
+    return run(["validate", "--scenario", _written(_mutated(path, value), tmp_path)])
 
 
 @pytest.mark.parametrize("field, message", [
@@ -259,3 +260,108 @@ def test_wrong_type_exits_2_with_path(tmp_path, capsys, field, good, bad, messag
     assert _validate_mutated(tmp_path, field, good) == 0
     assert _validate_mutated(tmp_path, field, bad) == 2
     assert f"scenario error: {message}" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ mutated scenarios
+
+_DOC = yaml.safe_load(BORDEAUX.read_text())
+_SCHEMES = tuple(scheme["name"] for scheme in _DOC["schemes"])
+_DROP = "<drop the field>"
+# each leaf of bordeaux.scenario is replaced by one of these, or dropped
+_MUTATIONS = (["x"], {"x": 1}, True, math.nan, math.inf, -math.inf, 10 ** 30, -1, 0, "x",
+              None, _DROP)
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaf_paths(child, (*path, key))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _leaf_paths(child, (*path, i))
+    else:
+        yield path
+
+
+_LEAVES = tuple(_leaf_paths(_DOC))
+
+
+def _mutated(path, value) -> dict:
+    """bordeaux.scenario with the node at path replaced by value, or dropped."""
+    doc = copy.deepcopy(_DOC)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+def _written(doc, directory) -> str:
+    path = directory / "mutated.scenario"
+    path.write_text(yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper)))
+    return str(path)
+
+
+def _run_quietly(command, path, *options) -> tuple[int, str]:
+    """Exit code and combined stdout and stderr of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run([command, "--scenario", path, *options])
+    return code, out.getvalue() + err.getvalue()
+
+
+@pytest.mark.parametrize("key", ["radius_km", "area_km2", "stop_time_h"])
+@pytest.mark.parametrize("scheme_index, block", [
+    (i, block) for i, scheme in enumerate(_DOC["schemes"])
+    for block in ("params", "shuttle_params", "city_params") if block in scheme])
+def test_missing_required_params_field_exits_2_with_path(tmp_path, capsys, scheme_index,
+                                                         block, key):
+    # network_defaults gives none of these, so each layer's block must; the
+    # merged block used to reach NetworkParams() and raise TypeError
+    assert _validate_mutated(tmp_path, f"schemes.{scheme_index}.{block}.{key}", _DROP) == 2
+    assert (f"scenario error: schemes[{_SCHEMES[scheme_index]}].{block}: "
+            f"missing required field(s): {key}") in capsys.readouterr().err
+    # a default makes the field optional again
+    doc = _mutated(("schemes", scheme_index, block, key), _DROP)
+    doc["network_defaults"][key] = _DOC["schemes"][scheme_index][block][key]
+    assert run(["validate", "--scenario", _written(doc, tmp_path)]) == 0
+
+
+def test_empty_temperature_classes_exit_2_with_path(tmp_path, capsys):
+    # the coverage check used to read temperature_classes[0] and raise IndexError
+    assert _validate_mutated(tmp_path, "suppliers.0.temperature_classes", []) == 2
+    assert ("scenario error: suppliers[supplier_1].temperature_classes: "
+            "at least one temperature class is required") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hubs", [MAX_HUB_COUNT + 1, 10 ** 30, 0])
+def test_hub_count_out_of_range_exits_2_with_path(tmp_path, capsys, hubs):
+    # build_pi makes a weight per hub: 10^30 hubs used to exhaust memory
+    assert _validate_mutated(tmp_path, "schemes.2.hub_count", hubs) == 2
+    assert (f"scenario error: schemes[pi].hub_count: must be an integer from 1 to "
+            f"{MAX_HUB_COUNT}") in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutations")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(path=st.sampled_from(_LEAVES), value=st.sampled_from(_MUTATIONS),
+       scheme=st.sampled_from(_SCHEMES))
+def test_mutated_scenario_exits_cleanly(mutation_dir, path, value, scheme):
+    """A malformed scenario is refused with exit 2, or evaluates to finite
+    KPIs (or an infeasible verdict); nothing raises or prints NaN/Infinity."""
+    written = _written(_mutated(path, value), mutation_dir)
+    code, out = _run_quietly("validate", written)
+    assert code in (0, 2)
+    assert "NaN" not in out and "Infinity" not in out
+    if code == 0:  # a document that fails to load fails evaluate the same way
+        code, out = _run_quietly("evaluate", written, "--scheme", scheme, "--format", "json")
+        assert code in (0, 2, 3)
+        assert "NaN" not in out and "Infinity" not in out

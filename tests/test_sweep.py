@@ -212,6 +212,38 @@ def test_every_bundled_layer_sweep_equals_per_point_evaluation(scenario, scheme_
         _assert_matches_per_point(SweepSpec(parameter, start, stop, step, scheme, k))
 
 
+@pytest.mark.parametrize("parameter", ["lead_time_h", "shift_duration_h"])
+@pytest.mark.parametrize("scheme_name", ["pi", "pi_small"])
+def test_fine_plateau_sweeps_equal_per_point_evaluation(scheme_name, parameter):
+    # every point where the city layer's tour plans change lies in 0.51-6.65 h
+    scheme = BORDEAUX_SCENARIO.scheme(scheme_name)
+    _assert_matches_per_point(SweepSpec(parameter, 0.01, 8.0, 0.01, scheme, 1))
+
+
+def test_lead_time_sweep_builds_one_report_per_plateau(monkeypatch):
+    calls = {"layer_plans": 0, "layer_report": 0}
+
+    def counted(name):
+        stage = getattr(sweep_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return stage(*args)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(sweep_module, name, counted(name))
+    report = sweep_parameter(SweepSpec("lead_time_h", 0.05, 8.0, 0.01,
+                                       BORDEAUX_SCENARIO.scheme("pi"), 1))
+    feasible = [r for r in report.rows if r.feasible]
+    # on a lead-time sweep a layer's plans follow from its tour counts alone
+    plateaus = [r for i, r in enumerate(feasible)
+                if i == 0 or r.tours_tuple() != feasible[i - 1].tours_tuple()]
+    assert (len(report.rows), len(feasible), len(plateaus)) == (796, 750, 67)
+    # the solver runs at every point, the report stage once per plateau
+    assert calls == {"layer_plans": len(report.rows), "layer_report": len(plateaus)}
+    assert len({id(r.report) for r in feasible}) == len(plateaus)
+
+
 FAR_PARAMS = NetworkParams(radius_km=30, area_km2=186, stop_time_h=0.25,
                            shift_duration_h=16, lead_time_h=1.0)
 SHUTTLE_PARAMS = NetworkParams(radius_km=20, area_km2=186, stop_time_h=0.5)
@@ -255,12 +287,17 @@ def test_invalid_swept_value_raises_before_any_layer_error():
 
 
 def test_unchanged_layers_are_evaluated_once_per_sweep(monkeypatch):
+    # unchanged layers are evaluated whole, the swept one through its report stage
     scheme = BORDEAUX_SCENARIO.scheme("original")
     calls = []
     evaluate_layer = sweep_module.evaluate_layer
+    layer_report = sweep_module.layer_report
     monkeypatch.setattr(sweep_module, "evaluate_layer",
                         lambda layer, factors: calls.append(layer.name)
                         or evaluate_layer(layer, factors))
+    monkeypatch.setattr(sweep_module, "layer_report",
+                        lambda layer, *args: calls.append(layer.name)
+                        or layer_report(layer, *args))
     report = sweep_parameter(SweepSpec("speed_kmh", 10.0, 30.0, 5.0, scheme, 1))
     assert len(report.rows) == 5
     fixed = [layer.name for i, layer in enumerate(scheme.layers) if i != 1]
