@@ -15,7 +15,7 @@ from importlib import import_module
 from .model import ConsistencyError, DomainError, InfeasibleError, ModelError
 from .report import emit_report
 from .scenario import ScenarioError, load_scenario
-from .schemes import LayerMode, SchemeInfeasibleError, compare_schemes
+from .schemes import LayerMode, compare_schemes
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
@@ -166,7 +166,7 @@ def run(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
-    except (SchemeInfeasibleError, InfeasibleError) as exc:
+    except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except DomainError as exc:

@@ -305,14 +305,18 @@ def neighbor_move(allocation: AllocationMatrix, rng: random.Random) -> Allocatio
 
 def _allocation_layer(allocation: AllocationMatrix, fleet, units,
                       params: NetworkParams) -> LayerSpec:
+    """The layer an allocation describes: each vehicle's demand carries the
+    unit rows it has a share of, stops scaled by it, so its payload limit is
+    the one _ColumnKernel.column scores it by."""
     units = list(units)
     demands = induced_demand(allocation, units)
     assignments = []
-    for i, vehicle in enumerate(fleet):
-        if demands[i].total_weight_kg > 0 or demands[i].total_stops > 0:
-            dominant = dominant_index(units, [row[i] for row in allocation.entries])
-            assignments.append(FleetAssignment(
-                vehicle, demands[i], capacity_unit=units[dominant] if dominant >= 0 else None))
+    for i, (vehicle, demand) in enumerate(zip(fleet, demands)):
+        if demand.total_weight_kg > 0 or demand.total_stops > 0:
+            carried = tuple(replace(u, stops=u.stops * row[i])
+                            for u, row in zip(units, allocation.entries) if row[i] > 0)
+            assignments.append(FleetAssignment(vehicle, DemandProfile(
+                carried, demand.total_weight_kg, demand.total_stops)))
     if not assignments:
         assignments = [FleetAssignment(list(fleet)[0], DemandProfile.zero())]
     return LayerSpec(name="allocation", mode=LayerMode.ANALYTICAL,
@@ -322,7 +326,8 @@ def _allocation_layer(allocation: AllocationMatrix, fleet, units,
 def reallocated_scheme(scheme: SchemeSpec, layer_index: int, allocation: AllocationMatrix,
                        fleet, units) -> SchemeSpec:
     """The scheme with one layer's fleet replaced by the allocation's, each
-    vehicle with the capacity unit the optimizer scores it by."""
+    vehicle carrying the units, and so the payload limit, the optimizer
+    scores it by."""
     layer = scheme.layers[layer_index]
     layers = list(scheme.layers)
     layers[layer_index] = replace(

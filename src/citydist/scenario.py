@@ -1,7 +1,8 @@
 """Scenario files: a YAML document describing vehicles, demand and schemes.
 
-Loading validates every cross-reference and domain invariant up front and
-reports the offending path inside the document.  Error classes:
+Loading validates every cross-reference and domain invariant up front, builds
+each scheme once (so a layer's invariants fail there too) and reports the
+offending path inside the document.  Error classes:
 
 * ScenarioParseError      -- syntax, wrong types, unknown or missing fields
 * ScenarioReferenceError  -- dangling or duplicate identifiers
@@ -14,7 +15,7 @@ load -> emit -> load is a fixpoint and identical runs are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import yaml
 
@@ -155,7 +156,8 @@ class SupplierRecord:
 
 @dataclass
 class Scenario:
-    """A fully validated scenario document."""
+    """A fully validated scenario document; schemes maps each name to the
+    scheme built at load, scheme_templates keeps its form for to_dict."""
 
     name: str
     description: str
@@ -167,46 +169,19 @@ class Scenario:
     scheme_templates: list[dict]
     optimization_vehicles: list[str]
     sa: SaConfig
+    schemes: dict[str, SchemeSpec]
     source_path: str | None = None
 
     def scheme_names(self) -> list[str]:
         return [t["name"] for t in self.scheme_templates]
 
-    def params_from(self, block: dict) -> NetworkParams:
-        merged = dict(self.network_defaults)
-        merged.update(block)
-        return NetworkParams(**merged)
-
     def scheme(self, name: str) -> SchemeSpec:
-        template = next((t for t in self.scheme_templates if t["name"] == name), None)
-        if template is None:
+        scheme = self.schemes.get(name)
+        if scheme is None:
             raise ScenarioReferenceError(f"schemes.{name}",
                                          f"scheme '{name}' is not defined; "
                                          f"available: {', '.join(self.scheme_names())}")
-        suppliers = [rec.supplier for rec in self.suppliers]
-        kind = template["type"]
-        if kind == "original":
-            return build_original(suppliers, params=self.params_from(template["params"]),
-                                  external_factors=self.external_factors, name=name)
-        shuttle = self.vehicles[template["shuttle_vehicle"]]
-        city = self.vehicles[template["city_vehicle"]]
-        common = dict(
-            shuttle_params=self.params_from(template["shuttle_params"]),
-            city_params=self.params_from(template["city_params"]),
-            handling_cost_per_delivery=template["handling_cost_per_delivery"],
-            external_factors=self.external_factors,
-            name=name,
-        )
-        if kind == "ucc":
-            return build_ucc(suppliers, shuttle, city, **common)
-        hub_weights = template["hub_weights"]
-        return build_pi(
-            suppliers, shuttle, city,
-            hub_count=template["hub_count"],
-            shuttle_tours_per_hub=template["shuttle_tours_per_hub"],
-            consolidate_inbound=template["consolidate_inbound"],
-            hub_weights=tuple(hub_weights) if hub_weights else None,
-            **common)
+        return scheme
 
     def to_dict(self) -> dict:
         """Canonical nested representation with defaults materialized."""
@@ -458,6 +433,30 @@ def _parse_schemes(node, path: str, vehicles: dict[str, VehicleType],
     return out
 
 
+def _build_scheme(template: dict, scenario: Scenario) -> SchemeSpec:
+    """The scheme a template describes, each params block over the network
+    defaults; raises DomainError where a layer breaks an invariant."""
+    def params(block: str) -> NetworkParams:
+        return NetworkParams(**{**scenario.network_defaults, **template[block]})
+
+    suppliers = [rec.supplier for rec in scenario.suppliers]
+    name, kind, factors = template["name"], template["type"], scenario.external_factors
+    if kind == "original":
+        return build_original(suppliers, params("params"), factors, name)
+    vehicles = (scenario.vehicles[template["shuttle_vehicle"]],
+                scenario.vehicles[template["city_vehicle"]])
+    common = dict(shuttle_params=params("shuttle_params"), city_params=params("city_params"),
+                  handling_cost_per_delivery=template["handling_cost_per_delivery"],
+                  external_factors=factors, name=name)
+    if kind == "ucc":
+        return build_ucc(suppliers, *vehicles, **common)
+    hub_weights = template["hub_weights"]
+    return build_pi(suppliers, *vehicles, hub_count=template["hub_count"],
+                    shuttle_tours_per_hub=template["shuttle_tours_per_hub"],
+                    consolidate_inbound=template["consolidate_inbound"],
+                    hub_weights=tuple(hub_weights) if hub_weights else None, **common)
+
+
 def _parse_sa(node, path: str) -> SaConfig:
     node = _require_mapping(node, path)
     _check_keys(node, _SA_KEYS, set(), path)
@@ -478,7 +477,7 @@ def parse_scenario(doc: dict, source_path: str | None = None) -> Scenario:
     vehicles = _parse_vehicles(doc["vehicles"], "vehicles")
     unit_classes = _parse_unit_classes(doc["unit_classes"], "unit_classes")
     suppliers = _parse_suppliers(doc["suppliers"], "suppliers", vehicles, unit_classes)
-    schemes = _parse_schemes(doc["schemes"], "schemes", vehicles, defaults)
+    templates = _parse_schemes(doc["schemes"], "schemes", vehicles, defaults)
 
     opt_node = doc.get("optimization", {"vehicles": []})
     opt_node = _require_mapping(opt_node, "optimization")
@@ -497,17 +496,18 @@ def parse_scenario(doc: dict, source_path: str | None = None) -> Scenario:
         vehicles=vehicles,
         unit_classes=unit_classes,
         suppliers=suppliers,
-        scheme_templates=schemes,
+        scheme_templates=templates,
         optimization_vehicles=opt_vehicles,
         sa=_parse_sa(doc.get("sa", {}), "sa"),
+        schemes={},
         source_path=source_path,
     )
-    # materialize every scheme once so layer-level invariants fail at load time
-    for name in scenario.scheme_names():
+    # build every scheme once, so layer-level invariants fail at load time
+    for template in templates:
         try:
-            scenario.scheme(name)
+            scenario.schemes[template["name"]] = _build_scheme(template, scenario)
         except DomainError as exc:
-            raise ScenarioInvariantError(f"schemes[{name}]", str(exc)) from exc
+            raise ScenarioInvariantError(f"schemes[{template['name']}]", str(exc)) from exc
     return scenario
 
 

@@ -38,35 +38,18 @@ class LayerMode(str, Enum):
     FIXED_SHUTTLE = "fixed_shuttle"
 
 
-class LayerInfeasibleError(InfeasibleError):
-    """A layer cannot be served; identifies the layer and the constraint."""
-
-    def __init__(self, layer_name: str, cause: InfeasibleError):
-        self.layer_name = layer_name
-        super().__init__(cause.vehicle_id, cause.constraint, f"layer '{layer_name}'")
-
-
-class SchemeInfeasibleError(LayerInfeasibleError):
-    """A scheme cannot be served; identifies the failing layer."""
-
-    def __init__(self, scheme_name: str, cause: LayerInfeasibleError):
-        self.scheme_name = scheme_name
-        super().__init__(cause.layer_name, cause)
-
-
 @dataclass(frozen=True)
 class FleetAssignment:
     """One vehicle type serving one slice of a layer's demand.
 
     shuttle_tours pins the round-trip count in fixed-shuttle mode; None
     derives it from weight over effective capacity (at least one tour).
-    capacity_unit overrides the unit type governing effective capacity.
+    Effective capacity follows from the demand's dominant unit.
     """
 
     vehicle: VehicleType
     demand: DemandProfile
     shuttle_tours: int | None = None
-    capacity_unit: DeliveryUnitType | None = None
 
 
 @dataclass(frozen=True)
@@ -163,19 +146,18 @@ def merge_demands(demands) -> DemandProfile:
 
 
 def capacity_limits(layer: LayerSpec) -> tuple[float, ...]:
-    """Payload per tour of each assignment: the vehicle's capacity for the
-    assignment's capacity unit, or else for its demand's dominant unit."""
-    return tuple(_capacity_limit(a.vehicle, a.capacity_unit if a.capacity_unit is not None
-                                 else a.demand.dominant_unit())
-                 for a in layer.fleet)
+    """Payload per tour of each assignment: the vehicle's capacity for its
+    demand's dominant unit, or its weight limit when the demand has none."""
+    return tuple(_capacity_limit(a.vehicle, a.demand.dominant_unit()) for a in layer.fleet)
 
 
 def layer_plans(layer: LayerSpec,
                 cap_limits: tuple[float, ...]) -> list[tuple[int, float, float]]:
     """(tours, distance_km, hours) of each assignment, per subregion.
 
-    Analytical layers take them from the tour solver; fixed-shuttle layers
-    run their pinned round trips, or weight over capacity (at least one).
+    Analytical layers take them from the tour solver, whose InfeasibleError
+    is raised again naming the layer; fixed-shuttle layers run their pinned
+    round trips, or weight over capacity (at least one).
     """
     params = layer.params
     plans = []
@@ -184,7 +166,8 @@ def layer_plans(layer: LayerSpec,
             try:
                 plan = solve_tour_plan(a.vehicle, a.demand, params, cap_limit)
             except InfeasibleError as exc:
-                raise LayerInfeasibleError(layer.name, exc) from exc
+                raise InfeasibleError(exc.vehicle_id, exc.constraint,
+                                      f"layer '{layer.name}'") from exc
             plans.append((plan.tours, plan.distance_km, plan.time_h))
         return plans
     for a, cap_limit in zip(layer.fleet, cap_limits):
@@ -249,13 +232,8 @@ def evaluate_layer(layer: LayerSpec,
 
 def evaluate_scheme(scheme: SchemeSpec) -> KpiReport:
     """Field-wise sum over layers; fill rate weighted by each layer's load."""
-    reports = []
-    for layer in scheme.layers:
-        try:
-            reports.append(evaluate_layer(layer, scheme.external_factors))
-        except LayerInfeasibleError as exc:
-            raise SchemeInfeasibleError(scheme.name, exc) from exc
-    return KpiReport.aggregate(reports)
+    return KpiReport.aggregate([evaluate_layer(layer, scheme.external_factors)
+                                for layer in scheme.layers])
 
 
 @dataclass(frozen=True)
@@ -296,7 +274,7 @@ def compare_schemes(schemes, baseline_name: str | None = None) -> ComparisonTabl
     for s in schemes:
         try:
             rows.append(ComparisonRow(s.name, evaluate_scheme(s)))
-        except SchemeInfeasibleError as exc:
+        except InfeasibleError as exc:
             rows.append(ComparisonRow(s.name, None, error=str(exc)))
     return ComparisonTable(baseline=baseline, rows=tuple(rows))
 

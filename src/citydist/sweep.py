@@ -18,13 +18,11 @@ import math
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 
-from .model import DomainError, KpiReport, NetworkParams
+from .model import DomainError, InfeasibleError, KpiReport, NetworkParams
 from .report import SweepReport, SweepRow
 from .schemes import (
     FleetAssignment,
-    LayerInfeasibleError,
     LayerSpec,
-    SchemeInfeasibleError,
     SchemeSpec,
     capacity_limits,
     evaluate_layer,
@@ -71,7 +69,7 @@ def _apply_to_layer(layer: LayerSpec, parameter: str, value: float) -> LayerSpec
     params, fleet = layer.params, layer.fleet
     if parameter == SPEED_FIELD:
         fleet = tuple(FleetAssignment(replace(a.vehicle, speed_kmh=value), a.demand,
-                                      a.shuttle_tours, a.capacity_unit) for a in fleet)
+                                      a.shuttle_tours) for a in fleet)
     else:
         args = list(_param_values(params))
         args[_PARAM_FIELDS.index(parameter)] = value
@@ -126,7 +124,7 @@ def _reports(layers, factors):
     for layer in layers:
         try:
             reports.append(evaluate_layer(layer, factors))
-        except (LayerInfeasibleError, DomainError) as exc:
+        except (InfeasibleError, DomainError) as exc:
             return exc
     return reports
 
@@ -163,7 +161,7 @@ def sweep_parameter(spec: SweepSpec) -> SweepReport:
                     rows.append(SweepRow(v, last_report))
                     continue
                 report = layer_report(layer, plans, cap_limits, factors)
-            except (LayerInfeasibleError, DomainError) as exc:
+            except (InfeasibleError, DomainError) as exc:
                 out = exc
             else:
                 if tail is None:
@@ -174,8 +172,6 @@ def sweep_parameter(spec: SweepSpec) -> SweepReport:
                     last_report = KpiReport.aggregate([*head, report, *tail])
                     rows.append(SweepRow(v, last_report))
                     continue
-        if isinstance(out, LayerInfeasibleError):
-            out = SchemeInfeasibleError(scheme.name, out)
         rows.append(SweepRow(v, None, error=str(out)))
     feasible = [i for i, r in enumerate(rows) if r.feasible]
     first, last = (feasible[0], feasible[-1]) if feasible else (len(rows), -1)

@@ -12,7 +12,10 @@ import pytest
 import yaml
 
 from citydist.cli import run
-from citydist.scenario import MAX_HUB_COUNT
+from citydist.model import InfeasibleError
+from citydist.scenario import MAX_HUB_COUNT, load_scenario
+from citydist.schemes import compare_schemes, evaluate_scheme
+from citydist.sweep import SweepSpec, sweep_parameter
 
 from conftest import BORDEAUX, SINGLE_SUPPLIER
 
@@ -365,3 +368,28 @@ def test_mutated_scenario_exits_cleanly(mutation_dir, path, value, scheme):
         code, out = _run_quietly("evaluate", written, "--scheme", scheme, "--format", "json")
         assert code in (0, 2, 3)
         assert "NaN" not in out and "Infinity" not in out
+
+
+def test_infeasible_layer_reads_the_same_everywhere(tmp_path, capsys):
+    # pi's city layer at a 0.3 h lead time: the 10 km round trip to the hub
+    # alone takes longer, so no tour count meets it
+    path = _written(_mutated(("schemes", _SCHEMES.index("pi"), "city_params", "lead_time_h"),
+                             0.3), tmp_path)
+    message = ("no feasible tour count for vehicle 'truck_17t_city': "
+               "lead_time constraint diverges (layer 'hubs_to_stops')")
+    scenario = load_scenario(path)
+    scheme = scenario.scheme("pi")
+    with pytest.raises(InfeasibleError) as err:
+        evaluate_scheme(scheme)
+    assert str(err.value) == message
+    table = compare_schemes([scenario.scheme(name) for name in _SCHEMES])
+    for row in table.rows:
+        assert row.error == (message if row.scheme == "pi" else None)
+        assert (row.report is None) == (row.scheme == "pi")
+    # the swept layer itself, then an unchanged layer after the swept one
+    for layer_index, parameter, value in ((1, "lead_time_h", 0.3), (0, "radius_km", 25.0)):
+        report = sweep_parameter(SweepSpec(parameter, value, value, 1.0, scheme, layer_index))
+        assert [row.error for row in report.rows] == [message]
+    assert run(["evaluate", "--scenario", path, "--scheme", "pi"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"infeasible: {message}\n")

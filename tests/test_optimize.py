@@ -35,6 +35,7 @@ from citydist.optimize import (
     reallocated_scheme,
     simulated_annealing,
     vertex_optimum,
+    _allocation_layer,
     _canonical_row,
     _ColumnKernel,
     _transfer,
@@ -43,7 +44,7 @@ from citydist.optimize import (
 from citydist.report import to_jsonable
 from citydist.scenario import load_scenario
 from citydist.schemes import (FleetAssignment, LayerMode, LayerSpec, SchemeSpec,
-                              evaluate_layer, evaluate_scheme)
+                              capacity_limits, evaluate_layer, evaluate_scheme)
 
 from conftest import BORDEAUX, REPO
 from test_acceptance import _c5_instances
@@ -454,6 +455,38 @@ def test_reallocated_scheme_carries_the_capacity_unit():
     weight_only = replace(layer, fleet=tuple(
         FleetAssignment(v, d) for v, d in zip(fleet, induced_demand(allocation, units))))
     assert evaluate_layer(weight_only).total_tours == layer.subregion_count * 8
+
+
+def test_allocation_layer_payload_limits_are_the_kernels(monkeypatch):
+    # every vertex of pi_small's city layer and seeded interior allocations:
+    # the spliced layer plans each vehicle with the payload limit the
+    # optimizer's kernel scores that vehicle by
+    fleet, units, params = _pi_small_layer2()
+    kernel = _ColumnKernel(fleet, units, params)
+    scored = []
+
+    def recording(weight, stops, cap_limit, *rest, _solve=optimize._solve_fixed_point):
+        scored.append(cap_limit)
+        return _solve(weight, stops, cap_limit, *rest)
+
+    monkeypatch.setattr(optimize, "_solve_fixed_point", recording)
+    n = len(fleet)
+    corners = [tuple(float(k == i) for k in range(n)) for i in range(n)]
+    allocations = list(itertools.product(corners, repeat=len(units)))
+    rng = random.Random(3)
+    for _ in range(200):
+        rows = []
+        for _ in units:
+            shares = [rng.random() if rng.random() < 0.7 else 0.0 for _ in range(n)]
+            shares[rng.randrange(n)] += 0.01
+            rows.append(_canonical_row([x / sum(shares) for x in shares]))
+        allocations.append(tuple(rows))
+    for rows in allocations:
+        scored.clear()
+        for i in range(n):
+            kernel.column(rows, i)
+        layer = _allocation_layer(AllocationMatrix(rows), fleet, units, params)
+        assert capacity_limits(layer) == tuple(scored)
 
 
 def test_sa_trace_is_nonincreasing():

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
 import yaml
 
 from citydist.cli import run
+import citydist.scenario as scenario_module
 from citydist.scenario import (
     Scenario,
     ScenarioError,
@@ -238,3 +240,19 @@ def test_unknown_scheme_is_reference_error():
     scenario = parse_scenario(yaml.safe_load(MINIMAL))
     with pytest.raises(ScenarioReferenceError):
         scenario.scheme("mystery")
+
+
+def test_each_scheme_is_built_once_per_load(monkeypatch):
+    built = Counter()
+    for builder in ("build_original", "build_ucc", "build_pi"):
+        def counted(*args, _build=getattr(scenario_module, builder), **kwargs):
+            scheme = _build(*args, **kwargs)
+            built[scheme.name] += 1
+            return scheme
+        monkeypatch.setattr(scenario_module, builder, counted)
+    scenario = load_scenario(str(BORDEAUX))
+    names = scenario.scheme_names()
+    for name in names:
+        scenario.scheme(name)
+    assert built == {name: 1 for name in names}
+    assert scenario.scheme("pi") is scenario.scheme("pi")

@@ -12,6 +12,7 @@ from citydist.model import (
     DeliveryUnitType,
     DemandProfile,
     DomainError,
+    InfeasibleError,
     KpiReport,
     NetworkParams,
     TemperatureClass,
@@ -26,7 +27,6 @@ from citydist.schemes import (
     FleetAssignment,
     LayerMode,
     LayerSpec,
-    SchemeInfeasibleError,
     SchemeSpec,
     Supplier,
     build_original,
@@ -132,7 +132,7 @@ def test_layer_infeasibility_carries_layer_name():
                       (FleetAssignment(CITY, DemandProfile(total_weight_kg=5000,
                                                            total_stops=10)),))
     scheme = SchemeSpec("tight", (layer,), DEFAULT_EXTERNAL_FACTORS)
-    with pytest.raises(SchemeInfeasibleError) as err:
+    with pytest.raises(InfeasibleError) as err:
         evaluate_scheme(scheme)
     assert "city_leg" in str(err.value)
 
@@ -308,7 +308,7 @@ def _fieldwise_aggregate(reports):
 
 def _assignment_report(a, layer, factors):
     """Reference for one assignment of a layer, as its own report."""
-    dominant = a.capacity_unit or a.demand.dominant_unit()
+    dominant = a.demand.dominant_unit()
     cap = effective_capacity(a.vehicle, dominant) if dominant else a.vehicle.capacity_kg
     weight = a.demand.total_weight_kg
     if layer.mode is LayerMode.ANALYTICAL:
@@ -359,8 +359,7 @@ def _assignments(draw):
     else:
         demand = DemandProfile(total_weight_kg=counts[0] * 97.3, total_stops=counts[1])
     return FleetAssignment(vehicle, demand,
-                           shuttle_tours=draw(st.none() | st.integers(1, 6)),
-                           capacity_unit=draw(st.none() | st.sampled_from(_UNITS)))
+                           shuttle_tours=draw(st.none() | st.integers(1, 6)))
 
 
 _layers = st.builds(

@@ -6,6 +6,7 @@ from citydist.model import (
     DEFAULT_EXTERNAL_FACTORS,
     DemandProfile,
     DomainError,
+    InfeasibleError,
     KpiReport,
     NetworkParams,
     TemperatureClass,
@@ -16,7 +17,6 @@ from citydist.schemes import (
     FleetAssignment,
     LayerMode,
     LayerSpec,
-    SchemeInfeasibleError,
     SchemeSpec,
     evaluate_scheme,
 )
@@ -167,7 +167,7 @@ def _per_point_sweep(spec):
         scheme = apply_parameter(spec.scheme, spec.layer_index, spec.parameter, v)
         try:
             rows.append(SweepRow(v, evaluate_scheme(scheme)))
-        except (SchemeInfeasibleError, DomainError) as exc:
+        except (InfeasibleError, DomainError) as exc:
             rows.append(SweepRow(v, None, error=str(exc)))
     feasible = [i for i, r in enumerate(rows) if r.feasible]
     below = above = None
