@@ -146,10 +146,6 @@ class DemandProfile:
                    total_weight_kg=math.fsum(u.weight_kg for u in units),
                    total_stops=math.fsum(u.stops for u in units))
 
-    @classmethod
-    def zero(cls) -> "DemandProfile":
-        return cls()
-
     def dominant_unit(self) -> DeliveryUnitType | None:
         """Heaviest-per-stop unit present; governs footprint-limited capacity."""
         j = dominant_index(self.units, (1.0,) * len(self.units))
@@ -268,10 +264,6 @@ class KpiReport:
         return sum(self.tours_by_vehicle.values())
 
     @classmethod
-    def zero(cls) -> "KpiReport":
-        return cls()
-
-    @classmethod
     def aggregate(cls, reports) -> "KpiReport":
         """Field-wise sum, one fsum per column of the reports' fields; fill
         rate is weighted by each report's loaded weight."""
@@ -288,7 +280,7 @@ class KpiReport:
                          r.handling_cost, r.loaded_weight_kg, r.fill_rate * r.loaded_weight_kg,
                          *[ext(name, 0.0) for name in EXTERNAL_CATEGORIES]))
         if not rows:
-            return cls.zero()
+            return cls()
         dist, time_h, dist_cost, time_cost, handling, loaded, fill_weight, *ext_sums = map(
             math.fsum, zip(*rows))
         return cls(
@@ -334,15 +326,12 @@ def route_distance(tours: float, stops: float, params: NetworkParams) -> float:
     return 2.0 * params.radius_km * tours + spread
 
 
-def effective_capacity(vehicle: VehicleType, unit: DeliveryUnitType) -> float:
-    """Payload usable for a unit type: weight limit capped by footprint positions."""
-    return min(vehicle.capacity_kg, vehicle.max_units_footprint * unit.avg_weight_kg)
-
-
-def _capacity_limit(vehicle: VehicleType, dominant: DeliveryUnitType | None) -> float:
-    if dominant is None:
+def effective_capacity(vehicle: VehicleType, unit: DeliveryUnitType | None) -> float:
+    """Payload per tour, the one payload-limit rule: the weight limit, capped by the
+    footprint positions filled with the unit (a demand's dominant unit) unless it is None."""
+    if unit is None:
         return vehicle.capacity_kg
-    return effective_capacity(vehicle, dominant)
+    return min(vehicle.capacity_kg, vehicle.max_units_footprint * unit.avg_weight_kg)
 
 
 def _binding(cap: int, shift: int, lead: int, m: int) -> BindingConstraint:
@@ -443,18 +432,14 @@ def solve_tour_plan(vehicle: VehicleType, demand: DemandProfile, params: Network
     A plan is infeasible only when a time ceiling provably diverges: its
     round trip alone takes at least the whole budget, so no tour count
     catches it; the InfeasibleError names that constraint.  cap_limit, the
-    payload per tour, defaults to the capacity for the dominant unit.  The
-    plan's hours are the solver's, 0.0 for zero demand.
+    payload per tour, defaults to effective_capacity for the dominant unit.
+    Hours are the solver's; zero demand's fixed point is 0 tours, 0.0 km, 0.0 h.
     """
-    weight = demand.total_weight_kg
-    stops = demand.total_stops
-    if weight == 0 and stops == 0:
-        return TourPlan(vehicle, 0, 0.0, 0.0, BindingConstraint.CAPACITY)
     if cap_limit is None:
-        cap_limit = _capacity_limit(vehicle, demand.dominant_unit())
+        cap_limit = effective_capacity(vehicle, demand.dominant_unit())
     v_eff = vehicle.speed_kmh / params.congestion_factor
-    return TourPlan(vehicle, *_solve_fixed_point(weight, stops, cap_limit, v_eff,
-                                                 params, vehicle.id))
+    return TourPlan(vehicle, *_solve_fixed_point(demand.total_weight_kg, demand.total_stops,
+                                                 cap_limit, v_eff, params, vehicle.id))
 
 
 def travel_and_stop_time(distance_km: float, stops: float, vehicle: VehicleType,

@@ -140,7 +140,7 @@ class _ColumnKernel:
         self._avg = [u.avg_weight_kg for u in self.units]
         self._v_eff = [v.speed_kmh / params.congestion_factor for v in self.fleet]
         # indexed by dominant unit; the trailing entry (index -1) is "no unit"
-        self._cap_limit = [[effective_capacity(v, u) for u in self.units] + [v.capacity_kg]
+        self._cap_limit = [[effective_capacity(v, u) for u in (*self.units, None)]
                            for v in self.fleet]
 
     def plan(self, i: int, weight: float, stops: float,
@@ -318,7 +318,7 @@ def _allocation_layer(allocation: AllocationMatrix, fleet, units,
             assignments.append(FleetAssignment(vehicle, DemandProfile(
                 carried, demand.total_weight_kg, demand.total_stops)))
     if not assignments:
-        assignments = [FleetAssignment(list(fleet)[0], DemandProfile.zero())]
+        assignments = [FleetAssignment(list(fleet)[0], DemandProfile())]
     return LayerSpec(name="allocation", mode=LayerMode.ANALYTICAL,
                      params=params, fleet=tuple(assignments))
 
@@ -345,7 +345,7 @@ def _finish(kernel: _ColumnKernel, rows, external_factors, trace,
         kpis = evaluate_layer(_allocation_layer(allocation, fleet, units, params),
                               external_factors)
     except InfeasibleError:
-        kpis = KpiReport.zero()
+        kpis = KpiReport()
     return OptimizationResult(allocation=allocation, objective=objective,
                               feasible=feasible, violations=violations, kpis=kpis,
                               trace=trace, evaluations=evaluations)

@@ -16,6 +16,7 @@ from enum import Enum
 from .model import (
     DEFAULT_EXTERNAL_FACTORS,
     EXTERNAL_CATEGORIES,
+    ConsistencyError,
     DeliveryUnitType,
     DemandProfile,
     DomainError,
@@ -25,7 +26,7 @@ from .model import (
     NetworkParams,
     TemperatureClass,
     VehicleType,
-    _capacity_limit,
+    effective_capacity,
     external_cost,
     fill_rate,
     solve_tour_plan,
@@ -78,10 +79,6 @@ class LayerSpec:
     def total_weight_kg(self) -> float:
         return self.subregion_count * math.fsum(a.demand.total_weight_kg for a in self.fleet)
 
-    @property
-    def total_stops(self) -> float:
-        return self.subregion_count * math.fsum(a.demand.total_stops for a in self.fleet)
-
 
 @dataclass(frozen=True)
 class SchemeSpec:
@@ -112,9 +109,7 @@ class Supplier:
                 f"supplier '{self.name}': vehicle shares sum to {total}, expected 1")
 
     def assignments(self) -> tuple[FleetAssignment, ...]:
-        if len(self.fleet_shares) == 1:
-            vehicle, _ = self.fleet_shares[0]
-            return (FleetAssignment(vehicle, self.demand),)
+        """One assignment per vehicle with its share of the demand (1.0 scales to an equal one)."""
         return tuple(FleetAssignment(vehicle, self.demand.scale(share))
                      for vehicle, share in self.fleet_shares)
 
@@ -146,9 +141,8 @@ def merge_demands(demands) -> DemandProfile:
 
 
 def capacity_limits(layer: LayerSpec) -> tuple[float, ...]:
-    """Payload per tour of each assignment: the vehicle's capacity for its
-    demand's dominant unit, or its weight limit when the demand has none."""
-    return tuple(_capacity_limit(a.vehicle, a.demand.dominant_unit()) for a in layer.fleet)
+    """Payload per tour of each assignment: effective_capacity for its demand's dominant unit."""
+    return tuple(effective_capacity(a.vehicle, a.demand.dominant_unit()) for a in layer.fleet)
 
 
 def layer_plans(layer: LayerSpec,
@@ -354,29 +348,35 @@ def build_pi(suppliers, shuttle_vehicle: VehicleType, city_vehicle: VehicleType,
             f"build_pi: hub demand split sums to {math.fsum(hub_weights)}, expected 1")
     factors = external_factors or DEFAULT_EXTERNAL_FACTORS
     consolidated = merge_demands(s.demand for s in suppliers)
-
-    if consolidate_inbound:
-        inbound_fleet = tuple(
-            FleetAssignment(shuttle_vehicle, consolidated.scale(w), shuttle_tours_per_hub)
-            for w in hub_weights)
-    else:
-        inbound_fleet = tuple(
-            FleetAssignment(shuttle_vehicle, s.demand.scale(w), shuttle_tours_per_hub)
-            for s in suppliers for w in hub_weights)
+    # each source is scaled once per distinct hub weight; hubs of one weight share it
+    weights = set(hub_weights)
+    pooled = {w: consolidated.scale(w) for w in weights}
+    sources = [pooled] if consolidate_inbound else [
+        {w: s.demand.scale(w) for w in weights} for s in suppliers]
+    if shuttle_tours_per_hub is not None:  # the pinned count must carry each hub's load
+        for demand in (d for shares in sources for d in shares.values()):
+            cap = effective_capacity(shuttle_vehicle, demand.dominant_unit())
+            try:
+                fill_rate(demand.total_weight_kg, shuttle_vehicle, cap, shuttle_tours_per_hub)
+            except (ConsistencyError, DomainError) as exc:
+                raise DomainError(f"build_pi: shuttle_tours_per_hub ({shuttle_tours_per_hub}) "
+                                  f"is too few for a hub's inbound load: {exc}") from exc
     inbound = LayerSpec(
         name="suppliers_to_hubs", mode=LayerMode.FIXED_SHUTTLE, params=shuttle_params,
-        fleet=inbound_fleet, handling_cost_per_delivery=handling_cost_per_delivery)
+        fleet=tuple(FleetAssignment(shuttle_vehicle, shares[w], shuttle_tours_per_hub)
+                    for shares in sources for w in hub_weights),
+        handling_cost_per_delivery=handling_cost_per_delivery)
 
     symmetric = all(math.isclose(w, hub_weights[0], rel_tol=0, abs_tol=1e-12)
                     for w in hub_weights)
     if symmetric:
         city_layers = (LayerSpec(
             name="hubs_to_stops", mode=LayerMode.ANALYTICAL, params=city_params,
-            fleet=(FleetAssignment(city_vehicle, consolidated.scale(hub_weights[0])),),
+            fleet=(FleetAssignment(city_vehicle, pooled[hub_weights[0]]),),
             subregion_count=hub_count),)
     else:
         city_layers = tuple(LayerSpec(
             name=f"hub{i + 1}_to_stops", mode=LayerMode.ANALYTICAL, params=city_params,
-            fleet=(FleetAssignment(city_vehicle, consolidated.scale(w)),))
+            fleet=(FleetAssignment(city_vehicle, pooled[w]),))
             for i, w in enumerate(hub_weights))
     return SchemeSpec(name=name, layers=(inbound, *city_layers), external_factors=factors)

@@ -135,9 +135,11 @@ def sweep_parameter(spec: SweepSpec) -> SweepReport:
 
     A point's report depends on the swept value only through the swept
     layer's plans: the demands, capacity limits, unit costs, factors and the
-    other layers are the same at every point.  So the solver runs at every
-    point, and a point whose plans equal the last feasible point's shares
-    that point's report; rows on one plateau hold the same object.
+    other layers are the same at every point.  So the other layers are
+    evaluated once, up front, and the solver runs at every point; a point
+    whose plans equal the last feasible point's shares its report, so rows on
+    one plateau hold the same object.  A row's error is the first among the
+    earlier layers, the swept layer and the later layers, in that order.
     """
     values = _grid(spec.start, spec.stop, spec.step)
     if not values:
@@ -146,13 +148,12 @@ def sweep_parameter(spec: SweepSpec) -> SweepReport:
     factors = scheme.external_factors
     base = scheme.layers[swept]
     cap_limits = capacity_limits(base)
-    head = tail = None  # reports of the layers before / after the swept one, once reached
+    head = _reports(scheme.layers[:swept], factors)
+    tail = _reports(scheme.layers[swept + 1:], factors)
     last_plans = last_report = None  # of the last feasible point
     rows = []
     for v in values:
         layer = _apply_to_layer(base, spec.parameter, v)
-        if head is None:
-            head = _reports(scheme.layers[:swept], factors)
         out = head
         if not isinstance(head, Exception):
             try:
@@ -164,8 +165,6 @@ def sweep_parameter(spec: SweepSpec) -> SweepReport:
             except (InfeasibleError, DomainError) as exc:
                 out = exc
             else:
-                if tail is None:
-                    tail = _reports(scheme.layers[swept + 1:], factors)
                 out = tail
                 if not isinstance(tail, Exception):
                     last_plans = plans

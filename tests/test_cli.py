@@ -393,3 +393,31 @@ def test_infeasible_layer_reads_the_same_everywhere(tmp_path, capsys):
     assert run(["evaluate", "--scenario", path, "--scheme", "pi"]) == 3
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"infeasible: {message}\n")
+
+
+def test_too_few_pinned_shuttle_tours_exit_2_at_load(tmp_path):
+    # one 2.3 t van tour per hub cannot carry a hub's 19,946.5 kg: validate
+    # used to pass, and evaluate, compare and sweep to exit 4 in fill_rate
+    doc = copy.deepcopy(_DOC)
+    pi = doc["schemes"][_SCHEMES.index("pi")]
+    pi.update(shuttle_vehicle="van_2p3t_city", shuttle_tours_per_hub=1)
+    path = _written(doc, tmp_path)
+    for command, *options in (
+            ("validate",), ("evaluate", "--scheme", "pi"),
+            ("compare", "--schemes", "original,pi"),
+            ("sweep", "--scheme", "pi", "--layer", "2", "--param", "lead_time_h",
+             "--range", "2:8:2")):
+        code, out = _run_quietly(command, path, *options)
+        assert code == 2
+        assert out.startswith("scenario error: schemes[pi]")
+        assert "shuttle_tours_per_hub (1)" in out
+        assert "load per tour (19946.5 kg) exceeds effective capacity (2300.0 kg)" in out
+    # 8 tours still fall short; 9 carry the load, and the scheme evaluates
+    pi["shuttle_tours_per_hub"] = 8
+    assert _run_quietly("validate", _written(doc, tmp_path))[0] == 2
+    pi["shuttle_tours_per_hub"] = 9
+    path = _written(doc, tmp_path)
+    assert _run_quietly("validate", path)[0] == 0
+    code, out = _run_quietly("evaluate", path, "--scheme", "pi", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["tours_by_vehicle"]["van_2p3t_city"] == 2 * 9

@@ -19,6 +19,7 @@ from citydist.model import (
     InfeasibleError,
     NetworkParams,
     TemperatureClass,
+    TourPlan,
     VehicleType,
     dominant_index,
     effective_capacity,
@@ -67,7 +68,7 @@ def test_demand_dominant_unit_is_heaviest_present():
     units = (DeliveryUnitType("parcel", 10, 3), DeliveryUnitType("pallet", 450, 2),
              DeliveryUnitType("ghost", 900, 0))
     assert DemandProfile.from_units(units).dominant_unit().id == "pallet"
-    assert DemandProfile.zero().dominant_unit() is None
+    assert DemandProfile().dominant_unit() is None
 
 
 def test_dominant_index_first_among_ties_and_skips_absent_units():
@@ -131,8 +132,15 @@ def test_route_distance_affine_increment_exact(m, ns, r4, area):
 # ---------------------------------------------------------------- tour fixed point
 
 def test_solve_zero_demand(truck_25t, base_params):
-    plan = solve_tour_plan(truck_25t, DemandProfile.zero(), base_params)
-    assert (plan.tours, plan.distance_km) == (0, 0.0)
+    # the fixed point itself gives the whole zero plan, signs of zero included
+    zero_plan = TourPlan(truck_25t, 0, 0.0, 0.0, BindingConstraint.CAPACITY)
+    no_stops = DemandProfile.from_units((DeliveryUnitType("pallet", 450.0, 0.0),
+                                         DeliveryUnitType("parcel", 10.0, 0.0)))
+    for zero in (DemandProfile(), no_stops):
+        for cap_limit in (None, 2300.0):
+            plan = solve_tour_plan(truck_25t, zero, base_params, cap_limit)
+            assert plan == zero_plan
+            assert repr(plan) == repr(zero_plan)
 
 
 def test_solve_capacity_bound_example(truck_25t):
@@ -408,7 +416,7 @@ def _shuttle_layer(radius_km, *assignments):
 
 def test_distance_cost_examples(truck_17t):
     empty = LayerSpec("empty", LayerMode.ANALYTICAL, NetworkParams(1, 1, 0.25),
-                      (FleetAssignment(truck_17t, DemandProfile.zero()),))
+                      (FleetAssignment(truck_17t, DemandProfile()),))
     assert evaluate_layer(empty).distance_cost == 0.0
     # one 100 km round trip at the frozen-class rate of 8 EUR/km
     assert evaluate_layer(_shuttle_layer(50, (truck_17t, 1))).distance_cost == 800.0

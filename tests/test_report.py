@@ -18,16 +18,16 @@ from citydist.sweep import SweepReport, SweepRow
 
 
 def test_zero_report_renders_full_header_and_zero_row():
-    text = render(KpiReport.zero(), "csv")
+    text = render(KpiReport(), "csv")
     header, row = text.splitlines()
     assert header.split(",")[:3] == ["distance_km", "time_h", "distance_cost"]
     assert set(row.split(",")) <= {"0.00", "0"}
-    table = render(KpiReport.zero(), "table")
+    table = render(KpiReport(), "table")
     assert table.splitlines()[0].split()[0] == "distance_km"
 
 
 def test_json_round_trips_and_sorts_keys():
-    payload = json.loads(render(KpiReport.zero(), "json"))
+    payload = json.loads(render(KpiReport(), "json"))
     assert payload["transport_cost"] == 0.0
     assert list(payload) == sorted(payload)
 
@@ -44,7 +44,7 @@ def test_comparison_renders_delta_columns():
 
 
 def test_sweep_rows_carry_infeasible_marker():
-    rows = tuple(SweepRow(v, KpiReport.zero() if v > 2 else None,
+    rows = tuple(SweepRow(v, KpiReport() if v > 2 else None,
                           None if v > 2 else "diverged")
                  for v in (1.0, 2.0, 3.0, 4.0, 5.0))
     report = SweepReport("lead_time_h", rows, infeasible_below=2.0)
@@ -56,7 +56,7 @@ def test_sweep_rows_carry_infeasible_marker():
 
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
-        render(KpiReport.zero(), "xml")
+        render(KpiReport(), "xml")
 
 
 def test_external_total_in_json_uses_category_sum():

@@ -1,3 +1,4 @@
+import copy
 import math
 from collections import Counter
 from dataclasses import asdict
@@ -6,6 +7,7 @@ import pytest
 import yaml
 
 from citydist.cli import run
+from citydist.model import DemandProfile
 import citydist.scenario as scenario_module
 from citydist.scenario import (
     Scenario,
@@ -13,6 +15,7 @@ from citydist.scenario import (
     ScenarioInvariantError,
     ScenarioParseError,
     ScenarioReferenceError,
+    MAX_HUB_COUNT,
     emit_scenario,
     load_scenario,
     parse_scenario,
@@ -256,3 +259,24 @@ def test_each_scheme_is_built_once_per_load(monkeypatch):
         scenario.scheme(name)
     assert built == {name: 1 for name in names}
     assert scenario.scheme("pi") is scenario.scheme("pi")
+
+
+def test_pi_scales_each_demand_once_per_hub_weight(monkeypatch):
+    # equal hub weights share one scaled demand: 10,000 hubs used to make
+    # 60,004 scale calls for the same 6 distinct results
+    doc = yaml.safe_load(BORDEAUX.read_text())
+    pi = next(s for s in doc["schemes"] if s["name"] == "pi")
+    pi["consolidate_inbound"] = False
+    calls = Counter()
+    scale = DemandProfile.scale
+
+    def counted(self, factor):
+        calls[pi["hub_count"]] += 1
+        return scale(self, factor)
+
+    monkeypatch.setattr(DemandProfile, "scale", counted)
+    for hubs in (2, MAX_HUB_COUNT):
+        pi["hub_count"] = hubs
+        scheme = parse_scenario(copy.deepcopy(doc)).scheme("pi")
+        assert len(scheme.layers[0].fleet) == 6 * hubs
+    assert calls[MAX_HUB_COUNT] == calls[2] > 0

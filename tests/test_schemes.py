@@ -75,7 +75,7 @@ def suppliers():
 
 def test_zero_demand_layer_is_zero():
     layer = LayerSpec("empty", LayerMode.ANALYTICAL, UCC_CITY,
-                      (FleetAssignment(CITY, DemandProfile.zero()),))
+                      (FleetAssignment(CITY, DemandProfile()),))
     report = evaluate_layer(layer)
     assert report.total_distance_km == 0.0
     assert report.total_cost == 0.0
@@ -146,7 +146,7 @@ def test_build_original_rejects_empty():
 
 def test_build_original_zero_demand_supplier():
     vehicle = VehicleType("v", 17000, 20, 7.0, 30.0)
-    supplier = Supplier("idle", DemandProfile.zero(), ((vehicle, 1.0),))
+    supplier = Supplier("idle", DemandProfile(), ((vehicle, 1.0),))
     report = evaluate_scheme(build_original([supplier]))
     assert report.total_cost == 0.0 and report.total_distance_km == 0.0
 

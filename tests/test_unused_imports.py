@@ -1,4 +1,5 @@
-"""Every name a citydist module imports is used in that module.
+"""Every name a citydist module imports is used in that module, and every
+private module-level name is used somewhere in the package.
 
 A name bound on purpose for another module's use is marked on its line
 with ``# noqa: F401``, as ``sweep.evaluate_scheme`` is for perfbench's tracer.
@@ -42,3 +43,52 @@ def test_the_check_sees_an_unused_import(tmp_path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _private_definitions(tree) -> dict:
+    """Module-level ``_name`` definitions (dunders exempt): name -> the
+    nodes that define it, a def's or class's body included."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [(node.name, node)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [(t.id, t) for n in nodes for t in ast.walk(n) if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name, where in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, set()).update(map(id, ast.walk(where)))
+    return defined
+
+
+def _dead_private_names(paths) -> list[str]:
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    references = [node for tree in trees.values() for node in ast.walk(tree)
+                  if (isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store))
+                  or isinstance(node, ast.Attribute)]
+    dead = []
+    for module, tree in trees.items():
+        for name, own in _private_definitions(tree).items():
+            if not any(getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+                       for node in references if id(node) not in own):
+                dead.append(f"{module}: {name}")
+    return dead
+
+
+def test_the_check_sees_a_dead_private_name(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("_LIMIT = 3\n_USED = 4\n__all__ = []\n\n\n"
+                      "def _recursive(n):\n    return _recursive(n - 1) if n else _USED\n\n\n"
+                      "class _Unused:\n    pass\n")
+    other = tmp_path / "other.py"
+    other.write_text("from sample import _LIMIT\n\nprint(_LIMIT)\n")
+    assert _dead_private_names([source]) == ["sample.py: _LIMIT", "sample.py: _recursive",
+                                             "sample.py: _Unused"]
+    assert _dead_private_names([source, other]) == ["sample.py: _recursive",
+                                                    "sample.py: _Unused"]
+
+
+def test_no_dead_private_names():
+    assert _dead_private_names(SOURCES) == []
