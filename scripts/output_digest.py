@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""One sha256 per group of citydist outputs, to show that a change which
+should not alter any result leaves them byte-identical.
+
+Usage: python scripts/output_digest.py
+
+Run it on two checkouts and compare the lines.  Groups:
+
+  cli    stdout, stderr and exit code of in-process ``citydist.cli.run`` on
+         both bundled scenarios in the table, JSON and CSV formats:
+         ``validate``, ``evaluate`` of each scheme, ``compare`` of all
+         schemes, ``sweep`` of lead_time_h and speed_kmh on every layer,
+         and ``optimize --seed 11`` and ``--oracle`` on every analytical layer
+  sweeps repr() of the five sweeps of perfbench.workloads.SWEEPS
+  c5     repr() of simulated_annealing (seeds 1 and 5), vertex_optimum and
+         brute_force_grid (step 0.1) on perfbench.workloads.c5_instance
+         seeds 0-39
+
+perfbench is only imported, never written to.  The whole run takes well
+under a minute on one core.
+"""
+
+import hashlib
+import io
+import pathlib
+import random
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from citydist.cli import run  # noqa: E402
+from citydist.optimize import (  # noqa: E402
+    SaConfig,
+    brute_force_grid,
+    simulated_annealing,
+    vertex_optimum,
+)
+from citydist.scenario import load_scenario  # noqa: E402
+from citydist.schemes import LayerMode  # noqa: E402
+from citydist.sweep import sweep_parameter  # noqa: E402
+from perfbench.workloads import C5_PARAMS, c5_instance, sweep_specs  # noqa: E402
+
+SCENARIOS = (ROOT / "scenarios" / "bordeaux.scenario",
+             ROOT / "scenarios" / "bordeaux_single_supplier.scenario")
+FORMATS = ("table", "json", "csv")
+SWEEP_RANGES = (("lead_time_h", "0.25:8:0.25"), ("speed_kmh", "10:60:5"))
+
+
+def cli_commands():
+    """Each argument list of the cli group, in a fixed order."""
+    for path in SCENARIOS:
+        scenario = load_scenario(str(path))
+        names = scenario.scheme_names()
+        s = ["--scenario", str(path.relative_to(ROOT))]
+        yield ["validate", *s]
+        for fmt in FORMATS:
+            f = ["--format", fmt]
+            for name in names:
+                yield ["evaluate", *s, "--scheme", name, *f]
+            yield ["compare", *s, "--schemes", ",".join(names), *f]
+            for name in names:
+                layers = scenario.scheme(name).layers
+                for number, layer in enumerate(layers, 1):
+                    at = ["--scheme", name, "--layer", str(number)]
+                    for param, range_ in SWEEP_RANGES:
+                        yield ["sweep", *s, *at, "--param", param, "--range", range_, *f]
+                    if layer.mode is LayerMode.ANALYTICAL:
+                        yield ["optimize", *s, *at, "--seed", "11", *f]
+                        yield ["optimize", *s, *at, "--oracle", *f]
+
+
+def cli_outputs():
+    for argv in cli_commands():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+        yield f"{argv}\n{code}\n{out.getvalue()}\n{err.getvalue()}\n"
+
+
+def sweep_outputs():
+    for label, spec in sweep_specs(load_scenario(str(SCENARIOS[0]))).items():
+        yield f"{label}\n{sweep_parameter(spec)!r}\n"
+
+
+def c5_outputs():
+    for seed in range(40):
+        fleet, units = c5_instance(random.Random(seed))
+        for anneal_seed in (1, 5):
+            yield repr(simulated_annealing(fleet, units, C5_PARAMS, SaConfig(seed=anneal_seed)))
+        yield repr(vertex_optimum(fleet, units, C5_PARAMS))
+        yield repr(brute_force_grid(fleet, units, C5_PARAMS, step=0.1))
+
+
+def main():
+    for group, outputs in (("cli", cli_outputs), ("sweeps", sweep_outputs),
+                           ("c5", c5_outputs)):
+        digest = hashlib.sha256()
+        count = 0
+        for text in outputs():
+            digest.update(text.encode())
+            count += 1
+        print(f"{group:7s}{count:5d}  {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

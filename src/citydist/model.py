@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 
 
 class ModelError(Exception):
@@ -52,6 +53,7 @@ class BindingConstraint(str, Enum):
 
 
 EXTERNAL_CATEGORIES = ("accident", "air_pollution", "climate_change", "noise", "congestion")
+_rates = attrgetter(*EXTERNAL_CATEGORIES)
 
 # Dispersion term quantum (km).  Snapping k*sqrt(A*N) to a dyadic grid keeps
 # 2*r*m + spread additions exact in IEEE754 for radii on a 0.25 km grid, so
@@ -207,6 +209,10 @@ class ExternalCostFactors:
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in EXTERNAL_CATEGORIES}
 
+    def amounts(self, distance_km: float) -> list[float]:
+        """Each category's rate times the distance, in EXTERNAL_CATEGORIES order."""
+        return [rate * distance_km for rate in _rates(self)]
+
 
 # European road-freight externality rates (INFRAS/IWW per v.km; congestion
 # rate from the TU Delft study), summing to 61.6 per v.km.
@@ -224,6 +230,12 @@ class TourPlan:
     distance_km: float
     time_h: float
     binding_constraint: BindingConstraint
+
+
+# One layer's totals: the column sums KpiReport.from_rows adds up (distance,
+# hours, distance cost, time cost, handling, loaded weight, fill rate x loaded
+# weight, then external cost per category), fill rate, tours, fractional tours.
+TotalsRow = tuple[tuple[float, ...], float, dict[str, int], dict[str, float]]
 
 
 @dataclass(frozen=True)
@@ -264,37 +276,26 @@ class KpiReport:
         return sum(self.tours_by_vehicle.values())
 
     @classmethod
-    def aggregate(cls, reports) -> "KpiReport":
-        """Field-wise sum, one fsum per column of the reports' fields; fill
-        rate is weighted by each report's loaded weight."""
+    def from_row(cls, row: TotalsRow) -> "KpiReport":
+        """The report of one totals row, as schemes.layer_totals returns it."""
+        (dist, time_h, dist_cost, time_cost, handling, loaded, _, *ext), fill, tours, frac = row
+        return cls(dist, time_h, dist_cost, time_cost, handling,
+                   dict(zip(EXTERNAL_CATEGORIES, ext)), fill, loaded, tours, frac)
+
+    @classmethod
+    def from_rows(cls, rows: list[TotalsRow]) -> "KpiReport":
+        """Sum of one or more totals rows: one fsum per column, the fill rate
+        weighted by each row's loaded weight, the tour dicts merged in order."""
         tours: dict[str, int] = {}
         frac: dict[str, float] = {}
-        rows = []
-        for r in reports:
-            for k, v in r.tours_by_vehicle.items():
+        for _, _, row_tours, row_frac in rows:
+            for k, v in row_tours.items():
                 tours[k] = tours.get(k, 0) + v
-            for k, v in r.tours_fractional_by_vehicle.items():
+            for k, v in row_frac.items():
                 frac[k] = frac.get(k, 0.0) + v
-            ext = r.external_by_category.get
-            rows.append((r.total_distance_km, r.total_time_h, r.distance_cost, r.time_cost,
-                         r.handling_cost, r.loaded_weight_kg, r.fill_rate * r.loaded_weight_kg,
-                         *[ext(name, 0.0) for name in EXTERNAL_CATEGORIES]))
-        if not rows:
-            return cls()
-        dist, time_h, dist_cost, time_cost, handling, loaded, fill_weight, *ext_sums = map(
-            math.fsum, zip(*rows))
-        return cls(
-            total_distance_km=dist,
-            total_time_h=time_h,
-            distance_cost=dist_cost,
-            time_cost=time_cost,
-            handling_cost=handling,
-            external_by_category=dict(zip(EXTERNAL_CATEGORIES, ext_sums)),
-            fill_rate=fill_weight / loaded if loaded > 0 else 0.0,
-            loaded_weight_kg=loaded,
-            tours_by_vehicle=tours,
-            tours_fractional_by_vehicle=frac,
-        )
+        sums = tuple(map(math.fsum, zip(*[row[0] for row in rows])))
+        loaded, fill_weight = sums[5], sums[6]
+        return cls.from_row((sums, fill_weight / loaded if loaded > 0 else 0.0, tours, frac))
 
 
 @dataclass(frozen=True)
@@ -454,8 +455,7 @@ def external_cost(total_distance_km: float,
     """Monetized external impacts of the given vehicle-kilometres, by category."""
     if total_distance_km < 0:
         raise DomainError("external_cost: distance must be >= 0")
-    by_category = {name: getattr(factors, name) * total_distance_km
-                   for name in EXTERNAL_CATEGORIES}
+    by_category = dict(zip(EXTERNAL_CATEGORIES, factors.amounts(total_distance_km)))
     return math.fsum(by_category.values()), by_category
 
 

@@ -423,6 +423,9 @@ def _parse_schemes(node, path: str, vehicles: dict[str, VehicleType],
             if weights is not None:
                 weights = [_finite(w, f"{p}.hub_weights[{k}]") for k, w in
                            enumerate(_require_list(weights, f"{p}.hub_weights"))]
+                for k, w in enumerate(weights):
+                    if w < 0:
+                        raise ScenarioInvariantError(f"{p}.hub_weights[{k}]", "must be >= 0")
                 if not math.isclose(math.fsum(weights), 1.0, rel_tol=0, abs_tol=1e-9):
                     raise ScenarioInvariantError(
                         f"{p}.hub_weights",

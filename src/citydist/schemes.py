@@ -25,9 +25,9 @@ from .model import (
     KpiReport,
     NetworkParams,
     TemperatureClass,
+    TotalsRow,
     VehicleType,
     effective_capacity,
-    external_cost,
     fill_rate,
     solve_tour_plan,
     travel_and_stop_time,
@@ -178,12 +178,13 @@ def layer_plans(layer: LayerSpec,
     return plans
 
 
-def layer_report(layer: LayerSpec, plans, cap_limits: tuple[float, ...],
-                 factors: ExternalCostFactors | None) -> KpiReport:
-    """KPIs of one layer from its assignments' plans: each is one fsum over
-    the assignments (fill rate weighted by load) plus handling, times
-    subregion_count.  Nothing but the plans depends on the layer's params."""
+def layer_totals(layer: LayerSpec, plans, cap_limits: tuple[float, ...],
+                 factors: ExternalCostFactors | None) -> TotalsRow:
+    """One layer's totals row from its assignments' plans: each column is one
+    fsum over the assignments (fill rate weighted by load) plus handling,
+    times subregion_count.  Nothing but the plans depends on the layer's params."""
     n = layer.subregion_count
+    zeros = (0.0,) * len(EXTERNAL_CATEGORIES)
     tours: dict[str, int] = {}
     frac: dict[str, float] = {}
     columns = []
@@ -197,36 +198,34 @@ def layer_report(layer: LayerSpec, plans, cap_limits: tuple[float, ...],
         if weight > 0:
             frac[vehicle_id] = frac.get(vehicle_id, 0.0) + weight / cap_limit
         fill = fill_rate(weight, vehicle, cap_limit, m) if m else 0.0
-        ext = (external_cost(dist, factors)[1].values() if factors is not None
-               else (0.0,) * len(EXTERNAL_CATEGORIES))
         columns.append((dist, time_h, dist * vehicle.cost_per_km, time_h * vehicle.cost_per_hour,
-                        demand.total_stops, weight, fill * weight, *ext))
+                        demand.total_stops, weight, fill * weight,
+                        *(factors.amounts(dist) if factors is not None else zeros)))
     dist, time_h, dist_cost, time_cost, stops, loaded, fill_weight, *ext = (
-        map(math.fsum, zip(*columns)) if columns else (0.0,) * (7 + len(EXTERNAL_CATEGORIES)))
-    return KpiReport(
-        total_distance_km=dist * n,
-        total_time_h=time_h * n,
-        distance_cost=dist_cost * n,
-        time_cost=time_cost * n,
-        handling_cost=layer.handling_cost_per_delivery * stops * n,
-        external_by_category={name: v * n for name, v in zip(EXTERNAL_CATEGORIES, ext)},
-        fill_rate=fill_weight / loaded if loaded > 0 else 0.0,
-        loaded_weight_kg=loaded * n,
-        tours_by_vehicle={k: v * n for k, v in tours.items()},
-        tours_fractional_by_vehicle={k: v * n for k, v in frac.items()},
-    )
+        map(math.fsum, zip(*columns)) if columns else (0.0,) * (7 + len(zeros)))
+    fill = fill_weight / loaded if loaded > 0 else 0.0
+    loaded *= n
+    return ((dist * n, time_h * n, dist_cost * n, time_cost * n,
+             layer.handling_cost_per_delivery * stops * n, loaded, fill * loaded,
+             *[v * n for v in ext]),
+            fill, {k: v * n for k, v in tours.items()}, {k: v * n for k, v in frac.items()})
+
+
+def layer_row(layer: LayerSpec, factors: ExternalCostFactors | None = None) -> TotalsRow:
+    """The totals row of one layer: its plans, then layer_totals."""
+    cap_limits = capacity_limits(layer)
+    return layer_totals(layer, layer_plans(layer, cap_limits), cap_limits, factors)
 
 
 def evaluate_layer(layer: LayerSpec,
                    factors: ExternalCostFactors | None = None) -> KpiReport:
-    """KPIs of one layer: the report of its plans."""
-    cap_limits = capacity_limits(layer)
-    return layer_report(layer, layer_plans(layer, cap_limits), cap_limits, factors)
+    """KPIs of one layer: the report of its totals row."""
+    return KpiReport.from_row(layer_row(layer, factors))
 
 
 def evaluate_scheme(scheme: SchemeSpec) -> KpiReport:
-    """Field-wise sum over layers; fill rate weighted by each layer's load."""
-    return KpiReport.aggregate([evaluate_layer(layer, scheme.external_factors)
+    """Column sums over the layers' totals rows; fill rate weighted by each layer's load."""
+    return KpiReport.from_rows([layer_row(layer, scheme.external_factors)
                                 for layer in scheme.layers])
 
 

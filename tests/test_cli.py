@@ -211,6 +211,13 @@ def test_non_numeric_hub_weights_exit_2(tmp_path, capsys):
     assert "schemes[pi].hub_weights[0]: expected a number" in capsys.readouterr().err
 
 
+def test_negative_hub_weight_exits_2_with_path(tmp_path, capsys):
+    # the weights sum to 1, so only a per-weight check can refuse -0.5
+    assert _validate_mutated(tmp_path, "schemes.2.hub_weights", [1.5, -0.5]) == 2
+    assert ("scenario error: schemes[pi].hub_weights[1]: must be >= 0"
+            in capsys.readouterr().err)
+
+
 def _validate_mutated(tmp_path, field, value) -> int:
     """Run `validate` on bordeaux.scenario with one dotted field replaced, or
     dropped when value is _DROP."""

@@ -282,7 +282,7 @@ def test_merge_demands_mixes_units():
 # ------------------------------------- column sums against field-by-field sums
 
 def _fieldwise_aggregate(reports):
-    """Reference for KpiReport.aggregate: one fsum generator per field."""
+    """Reference for KpiReport.from_rows: one fsum generator per field."""
     reports = list(reports)
     tours, frac = {}, {}
     for r in reports:
@@ -398,7 +398,30 @@ _SUBDIVIDED = evaluate_layer(
     DEFAULT_EXTERNAL_FACTORS)
 
 
+def _totals_row(r):
+    """A report as a totals row, its columns read off the report's fields."""
+    return ((r.total_distance_km, r.total_time_h, r.distance_cost, r.time_cost,
+             r.handling_cost, r.loaded_weight_kg, r.fill_rate * r.loaded_weight_kg,
+             *[r.external_by_category.get(name, 0.0) for name in EXTERNAL_CATEGORIES]),
+            r.fill_rate, r.tours_by_vehicle, r.tours_fractional_by_vehicle)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(reports=st.lists(_reports | st.just(_SUBDIVIDED), min_size=1, max_size=6))
-def test_aggregate_is_bit_equal_to_fieldwise_sums(reports):
-    assert repr(KpiReport.aggregate(reports)) == repr(_fieldwise_aggregate(reports))
+def test_from_rows_is_bit_equal_to_fieldwise_sums(reports):
+    rows = [_totals_row(r) for r in reports]
+    assert repr(KpiReport.from_rows(rows)) == repr(_fieldwise_aggregate(reports))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(layers=st.lists(_layers, min_size=1, max_size=4),
+       factors=st.sampled_from((None, DEFAULT_EXTERNAL_FACTORS)))
+def test_scheme_is_bit_equal_to_fieldwise_sum_of_layers(layers, factors):
+    scheme = SchemeSpec("generated", tuple(layers), factors)
+    try:
+        parts = [evaluate_layer(layer, factors) for layer in layers]
+    except ConsistencyError:  # a pinned shuttle count too low for the load
+        with pytest.raises(ConsistencyError):
+            evaluate_scheme(scheme)
+        return
+    assert repr(evaluate_scheme(scheme)) == repr(_fieldwise_aggregate(parts))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -221,7 +222,7 @@ def test_fine_plateau_sweeps_equal_per_point_evaluation(scheme_name, parameter):
 
 
 def test_lead_time_sweep_builds_one_report_per_plateau(monkeypatch):
-    calls = {"layer_plans": 0, "layer_report": 0}
+    calls = {"layer_plans": 0, "layer_totals": 0}
 
     def counted(name):
         stage = getattr(sweep_module, name)
@@ -239,8 +240,8 @@ def test_lead_time_sweep_builds_one_report_per_plateau(monkeypatch):
     plateaus = [r for i, r in enumerate(feasible)
                 if i == 0 or r.tours_tuple() != feasible[i - 1].tours_tuple()]
     assert (len(report.rows), len(feasible), len(plateaus)) == (796, 750, 67)
-    # the solver runs at every point, the report stage once per plateau
-    assert calls == {"layer_plans": len(report.rows), "layer_report": len(plateaus)}
+    # the solver runs at every point, the totals stage once per plateau
+    assert calls == {"layer_plans": len(report.rows), "layer_totals": len(plateaus)}
     assert len({id(r.report) for r in feasible}) == len(plateaus)
 
 
@@ -287,21 +288,50 @@ def test_invalid_swept_value_raises_before_any_layer_error():
 
 
 def test_unchanged_layers_are_evaluated_once_per_sweep(monkeypatch):
-    # unchanged layers are evaluated whole, the swept one through its report stage
+    # unchanged layers are evaluated whole, the swept one through its totals stage
     scheme = BORDEAUX_SCENARIO.scheme("original")
     calls = []
-    evaluate_layer = sweep_module.evaluate_layer
-    layer_report = sweep_module.layer_report
-    monkeypatch.setattr(sweep_module, "evaluate_layer",
+    layer_row = sweep_module.layer_row
+    layer_totals = sweep_module.layer_totals
+    monkeypatch.setattr(sweep_module, "layer_row",
                         lambda layer, factors: calls.append(layer.name)
-                        or evaluate_layer(layer, factors))
-    monkeypatch.setattr(sweep_module, "layer_report",
+                        or layer_row(layer, factors))
+    monkeypatch.setattr(sweep_module, "layer_totals",
                         lambda layer, *args: calls.append(layer.name)
-                        or layer_report(layer, *args))
+                        or layer_totals(layer, *args))
     report = sweep_parameter(SweepSpec("speed_kmh", 10.0, 30.0, 5.0, scheme, 1))
     assert len(report.rows) == 5
     fixed = [layer.name for i, layer in enumerate(scheme.layers) if i != 1]
     assert sorted(calls) == sorted(fixed + ["supplier_2_direct"] * 5)
+
+
+def test_one_kpi_report_per_scheme_and_per_plateau(monkeypatch):
+    built = []
+    init = KpiReport.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(KpiReport, "__init__", counted)
+    for scenario in (BORDEAUX_SCENARIO, SINGLE_SUPPLIER_SCENARIO):
+        for name in scenario.scheme_names():
+            built.clear()
+            evaluate_scheme(scenario.scheme(name))
+            assert len(built) == 1, name
+    built.clear()
+    pi = BORDEAUX_SCENARIO.scheme("pi")
+    sweep_parameter(SweepSpec("lead_time_h", 0.05, 8.0, 0.01, pi, 1))
+    assert len(built) == 67  # one per plateau of the city layer's tour counts
+    built.clear()
+    original = BORDEAUX_SCENARIO.scheme("original")
+    sweep_parameter(SweepSpec("speed_kmh", 10.0, 30.0, 5.0, original, 1))
+    assert len(built) == 5
+
+
+def test_speed_sweep_keeps_every_other_vehicle_field():
+    # the swept vehicle is built field by field, not through dataclasses.replace
+    swept = apply_parameter(city_scheme(), 0, "speed_kmh", 27.5)
+    assert swept.layers[0].fleet[0].vehicle == replace(CITY, speed_kmh=27.5)
 
 
 def test_sweep_calls_the_tour_solver_bound_in_schemes(monkeypatch):
