@@ -15,6 +15,8 @@ Run it on two checkouts and compare the lines.  Groups:
   c5     repr() of simulated_annealing (seeds 1 and 5), vertex_optimum and
          brute_force_grid (step 0.1) on perfbench.workloads.c5_instance
          seeds 0-39
+  grid   repr() of brute_force_grid (step 0.05, as the benchmark, C5 and
+         ``optimize --oracle`` run it) on c5_instance seeds 0-39
 
 perfbench is only imported, never written to.  The whole run takes well
 under a minute on one core.
@@ -93,9 +95,15 @@ def c5_outputs():
         yield repr(brute_force_grid(fleet, units, C5_PARAMS, step=0.1))
 
 
+def grid_outputs():
+    for seed in range(40):
+        fleet, units = c5_instance(random.Random(seed))
+        yield repr(brute_force_grid(fleet, units, C5_PARAMS, step=0.05))
+
+
 def main():
     for group, outputs in (("cli", cli_outputs), ("sweeps", sweep_outputs),
-                           ("c5", c5_outputs)):
+                           ("c5", c5_outputs), ("grid", grid_outputs)):
         digest = hashlib.sha256()
         count = 0
         for text in outputs():

@@ -450,15 +450,6 @@ def travel_and_stop_time(distance_km: float, stops: float, vehicle: VehicleType,
     return distance_km / v_eff + params.stop_time_h * stops
 
 
-def external_cost(total_distance_km: float,
-                  factors: ExternalCostFactors) -> tuple[float, dict[str, float]]:
-    """Monetized external impacts of the given vehicle-kilometres, by category."""
-    if total_distance_km < 0:
-        raise DomainError("external_cost: distance must be >= 0")
-    by_category = dict(zip(EXTERNAL_CATEGORIES, factors.amounts(total_distance_km)))
-    return math.fsum(by_category.values()), by_category
-
-
 def fill_rate(loaded_weight_kg: float, vehicle: VehicleType, cap: float, tours: int) -> float:
     """Departure load per tour over the usable payload cap, in [0, 1]."""
     if loaded_weight_kg < 0:

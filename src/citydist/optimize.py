@@ -518,9 +518,13 @@ def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
     Enumerates every combination of per-row grid points.  Each vehicle's
     table of tick columns is scored by the annealer's _ColumnKernel.column,
     so the grid minimises the same penalized energy that the result reports.
-    Among equal objectives the lexicographically smallest matrix (rows
-    compared in order) wins.  Refuses instances whose joint grid exceeds the
-    evaluation budget, which bounds each vehicle's table of columns too.
+    The search gathers each vehicle's table slice over the last one or two
+    rows into two buffers reused by every prefix of the leading rows.
+    Feasible points come first; among equal objectives the lexicographically
+    smallest matrix (rows compared in order) wins.  Refuses a step outside
+    (0, 1] or whose inverse is not an integer, and instances whose joint
+    grid exceeds the evaluation budget, which bounds each vehicle's table
+    of columns too.
     """
     # Only the grid oracle needs numpy; importing it here keeps it off the
     # start-up of every other command.
@@ -530,6 +534,8 @@ def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
     units = list(units)
     if not fleet or not units:
         raise DomainError("brute_force_grid: need at least one vehicle and one unit type")
+    if not 0 < step <= 1:  # also refuses nan and inf
+        raise DomainError(f"brute_force_grid: step must be in (0, 1], got {step}")
     ticks = round(1.0 / step)
     if not math.isclose(ticks * step, 1.0, rel_tol=0, abs_tol=1e-9):
         raise DomainError("brute_force_grid: 1/step must be an integer")
@@ -549,34 +555,47 @@ def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
     # Per-vehicle energy for every possible tick column, then the joint
     # minimum is a sum of per-vehicle table lookups.  kernel.column reads
     # only entry vehicle_idx of each row, so the row of tick c carries the
-    # fraction c/ticks in every entry.
+    # fraction c/ticks in every entry; itertools.product yields C order.
     tick_rows = [(c / ticks,) * n_vehicles for c in range(ticks + 1)]
 
     def column_energy(vehicle_idx: int) -> tuple[np.ndarray, np.ndarray]:
         shape = (ticks + 1,) * n_units
         energy = np.empty(shape)
-        feas_obj = np.empty(shape)
-        for col in np.ndindex(shape):
-            term, ok = kernel.column([tick_rows[c] for c in col], vehicle_idx)
-            energy[col] = term
-            feas_obj[col] = term if ok else np.inf
+        flat = energy.reshape(-1)
+        divergent = []
+        for k, col in enumerate(itertools.product(tick_rows, repeat=n_units)):
+            flat[k], ok = kernel.column(col, vehicle_idx)
+            if not ok:
+                divergent.append(k)
+        feas_obj = energy.copy()
+        feas_obj.reshape(-1)[divergent] = np.inf
         return energy, feas_obj
 
     tables = [column_energy(i) for i in range(n_vehicles)]
     # The last one or two unit rows are searched as one array per prefix of
-    # the leading rows; prefixes run in itertools.product order and a later
-    # one must be strictly lower, so ties go to the lexicographically first.
+    # the leading rows: each vehicle's tail slice of its table is gathered by
+    # its column of the composition table, one axis at a time, the last into
+    # `total` or, added to it in vehicle order, `part`.  mode="clip" moves no
+    # index (entries are in range); it spares np.take a buffered `out`.  A
+    # later prefix must be strictly lower, so ties go to the lexicographically first.
     n_tail = min(2, n_units)
-    comp = np.asarray(rows)  # (n_rows, n_vehicles)
-    tails = [np.ix_(*[comp[:, i]] * n_tail) for i in range(n_vehicles)]
+    cols = np.asarray(rows).T.copy()  # (n_vehicles, n_rows)
+    total = np.empty((n_rows,) * n_tail)
+    part = np.empty_like(total)
 
     def search(feasible_only: bool) -> tuple[int, ...] | None:
         tbl = [t[1] if feasible_only else t[0] for t in tables]
         best_val = np.inf
         best_idx = None
         for lead in itertools.product(range(n_rows), repeat=n_units - n_tail):
-            total = sum(tbl[i][tuple(rows[c][i] for c in lead) + tails[i]]
-                        for i in range(n_vehicles))
+            for i in range(n_vehicles):
+                gathered = tbl[i][tuple(rows[c][i] for c in lead)]
+                for axis in range(n_tail - 1):
+                    gathered = np.take(gathered, cols[i], axis=axis)
+                np.take(gathered, cols[i], axis=n_tail - 1, out=part if i else total,
+                        mode="clip")
+                if i:
+                    np.add(total, part, out=total)
             k = int(np.argmin(total))
             if total.flat[k] < best_val:
                 best_val = total.flat[k]

@@ -19,7 +19,6 @@ from citydist.model import (
     NetworkParams,
     TemperatureClass,
     VehicleType,
-    external_cost,
     route_distance,
     solve_tour_plan,
 )
@@ -107,8 +106,8 @@ def test_c2_model_identities_exact():
             math.fsum(p.external_by_category.values()) for p in parts)
     # external-impact linearity within 1e-9 relative
     for alpha in (0.5, 2.0, 10.0):
-        base, _ = external_cost(137.25, DEFAULT_EXTERNAL_FACTORS)
-        scaled, _ = external_cost(alpha * 137.25, DEFAULT_EXTERNAL_FACTORS)
+        base = math.fsum(DEFAULT_EXTERNAL_FACTORS.amounts(137.25))
+        scaled = math.fsum(DEFAULT_EXTERNAL_FACTORS.amounts(alpha * 137.25))
         assert scaled == pytest.approx(alpha * base, rel=1e-9)
     # route length affine in the tour count with an exactly 2r increment
     for r in (5.0, 10.0, 20.0, 30.0):

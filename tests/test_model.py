@@ -15,6 +15,7 @@ from citydist.model import (
     DeliveryUnitType,
     DemandProfile,
     DomainError,
+    EXTERNAL_CATEGORIES,
     ExternalCostFactors,
     InfeasibleError,
     NetworkParams,
@@ -23,7 +24,6 @@ from citydist.model import (
     VehicleType,
     dominant_index,
     effective_capacity,
-    external_cost,
     fill_rate,
     route_distance,
     solve_tour_plan,
@@ -469,21 +469,18 @@ def test_total_time_is_unpriced(truck_25t, base_params, weight, stops, changes, 
 
 
 def test_external_cost_examples():
-    total, by_cat = external_cost(0.0, DEFAULT_EXTERNAL_FACTORS)
-    assert total == 0.0 and set(by_cat.values()) == {0.0}
+    assert DEFAULT_EXTERNAL_FACTORS.amounts(0.0) == [0.0] * len(EXTERNAL_CATEGORIES)
     assert DEFAULT_EXTERNAL_FACTORS.total == 61.6  # 3.4+20.5+6.3+27.4+4
-    total, by_cat = external_cost(100.0, DEFAULT_EXTERNAL_FACTORS)
-    assert total == pytest.approx(6160.0, rel=1e-12)
-    assert by_cat["noise"] == pytest.approx(2740.0, rel=1e-12)
-    with pytest.raises(DomainError):
-        external_cost(-1.0, DEFAULT_EXTERNAL_FACTORS)
+    amounts = DEFAULT_EXTERNAL_FACTORS.amounts(100.0)
+    assert math.fsum(amounts) == pytest.approx(6160.0, rel=1e-12)
+    assert amounts[EXTERNAL_CATEGORIES.index("noise")] == pytest.approx(2740.0, rel=1e-12)
 
 
 @given(dist=st.floats(min_value=0.001, max_value=1e6),
        alpha=st.sampled_from([0.5, 2.0, 10.0]))
 def test_external_cost_linear(dist, alpha):
-    t1, _ = external_cost(dist, DEFAULT_EXTERNAL_FACTORS)
-    t2, _ = external_cost(alpha * dist, DEFAULT_EXTERNAL_FACTORS)
+    t1 = math.fsum(DEFAULT_EXTERNAL_FACTORS.amounts(dist))
+    t2 = math.fsum(DEFAULT_EXTERNAL_FACTORS.amounts(alpha * dist))
     assert t2 == pytest.approx(alpha * t1, rel=1e-9)
 
 

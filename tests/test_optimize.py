@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -38,6 +39,7 @@ from citydist.optimize import (
     _allocation_layer,
     _canonical_row,
     _ColumnKernel,
+    _compositions,
     _transfer,
     _vertices,
 )
@@ -562,32 +564,60 @@ def test_grid_refuses_oversized_instances():
     assert result.evaluations == 1
 
 
-@pytest.mark.parametrize("lead_time_h", [24.0, 4.0, 2.0])
-def test_grid_four_units_equals_plain_enumeration(lead_time_h):
-    # 2 vehicles x 4 units at step 0.25: 5^4 joint points.  At 4 h a few
-    # points are infeasible and the optimum splits a row; at 2 h no point
-    # is feasible, as each round trip takes the whole window.  Quarter
-    # shares of integer weights sum exactly, so the grid's fsum columns
-    # equal the kernel's; feasible points come first, then the least
-    # objective (else the least energy), and among equals the
-    # lexicographically first matrix.
-    fleet = [vt("a", 17000, 8), vt("b", 4000, 5, speed=15)]
+@pytest.mark.parametrize("lead_time_h, n_vehicles, n_units", [
+    pytest.param(24.0, 2, 4, id="24.0"), pytest.param(4.0, 2, 4, id="4.0"),
+    pytest.param(2.0, 2, 4, id="2.0"), pytest.param(24.0, 3, 3, id="3x3-24.0"),
+    pytest.param(4.0, 3, 3, id="3x3-4.0"), pytest.param(2.0, 3, 3, id="3x3-2.0"),
+    pytest.param(4.0, 3, 1, id="3x1-4.0")])
+def test_grid_four_units_equals_plain_enumeration(lead_time_h, n_vehicles, n_units):
+    # 2 vehicles x 4 units at step 0.25: 5^4 joint points, and at 4 h a few
+    # are infeasible and the optimum splits a row.  3 vehicles, as in the
+    # benchmark, have 15 compositions per row.  At 2 h no point is
+    # feasible, as each round trip takes the whole window, so the second
+    # search runs.  Quarter shares of integer weights sum exactly, so the
+    # grid's fsum columns equal the kernel's; feasible points come first,
+    # then the least objective (else the least energy), and among equals
+    # the lexicographically first matrix.
+    fleet = [vt("a", 17000, 8), vt("b", 4000, 5, speed=15), vt("c", 9000, 6)][:n_vehicles]
     units = [DeliveryUnitType("u1", 450.0, 12), DeliveryUnitType("u2", 80.0, 25),
-             DeliveryUnitType("u3", 900.0, 4), DeliveryUnitType("u4", 80.0, 25)]
+             DeliveryUnitType("u3", 900.0, 4), DeliveryUnitType("u4", 80.0, 25)][:n_units]
     params = replace(PARAMS, lead_time_h=lead_time_h)
     result = brute_force_grid(fleet, units, params, step=0.25)
     kernel = _ColumnKernel(fleet, units, params)
-    splits = [(k / 4, 1 - k / 4) for k in range(5)]
+    row_choices = [tuple(t / 4 for t in c) for c in _compositions(4, n_vehicles)]
     best = None
-    for rows in itertools.product(splits, repeat=4):
+    for rows in itertools.product(row_choices, repeat=n_units):
         energy, objective, feasible = kernel.energy(rows)
         key = (not feasible, objective if feasible else energy)
         if best is None or key < best[0]:
             best = (key, rows)
-    assert result.evaluations == 5 ** 4
+    assert result.evaluations == len(row_choices) ** n_units
     assert result.allocation.entries == best[1]
     assert result.feasible is not best[0][0]
     assert result.objective == kernel.energy(best[1])[1]
+
+
+@pytest.mark.parametrize("step", [0.0, -0.05, -1.0, math.nan])
+def test_grid_refuses_step_outside_unit_interval(step):
+    fleet = [vt("a", 17000, 8), vt("b", 4000, 5)]
+    units = [PALLET, DeliveryUnitType("parcel", 80.0, 25)]
+    with pytest.raises(DomainError, match="step"):
+        brute_force_grid(fleet, units, PARAMS, step=step)
+
+
+def test_grid_search_memory_stays_small(monkeypatch):
+    # one step-0.05 call on a C5-range 3x3 instance: 231 compositions per
+    # row, six 21^3 tables and two 231^2 buffers.  A cached per-vehicle
+    # gathered table would add ~9 MB per vehicle.
+    fleet, units, params = _instance("c5_instance-7", monkeypatch)
+    brute_force_grid(fleet, units, params, step=0.05)  # numpy's first-call set-up
+    tracemalloc.start()
+    try:
+        brute_force_grid(fleet, units, params, step=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 def test_grid_tie_break_is_lexicographic():

@@ -18,7 +18,6 @@ from citydist.model import (
     TemperatureClass,
     VehicleType,
     effective_capacity,
-    external_cost,
     fill_rate,
     solve_tour_plan,
     travel_and_stop_time,
@@ -322,7 +321,8 @@ def _assignment_report(a, layer, factors):
         time_h = travel_and_stop_time(dist, tours, a.vehicle, layer.params)
     return KpiReport(
         dist, time_h, dist * a.vehicle.cost_per_km, time_h * a.vehicle.cost_per_hour, 0.0,
-        external_cost(dist, factors)[1] if factors else dict.fromkeys(EXTERNAL_CATEGORIES, 0.0),
+        dict(zip(EXTERNAL_CATEGORIES, factors.amounts(dist))) if factors
+        else dict.fromkeys(EXTERNAL_CATEGORIES, 0.0),
         fill_rate(weight, a.vehicle, cap, tours) if tours else 0.0, weight,
         {a.vehicle.id: tours} if tours else {},
         {a.vehicle.id: weight / cap} if weight > 0 else {})
