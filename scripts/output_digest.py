@@ -17,6 +17,11 @@ Run it on two checkouts and compare the lines.  Groups:
          seeds 0-39
   grid   repr() of brute_force_grid (step 0.05, as the benchmark, C5 and
          ``optimize --oracle`` run it) on c5_instance seeds 0-39
+  splice for 20 seeded interior allocations on each of c5_instance seeds
+         0-39 and 100-129: repr() of constraint_violations, the
+         (total_weight_kg, total_stops) pairs of induced_demand, and repr()
+         of evaluate_scheme(reallocated_scheme(...)) (or of its
+         InfeasibleError) on a one-layer scheme of the instance
 
 perfbench is only imported, never written to.  The whole run takes well
 under a minute on one core.
@@ -24,6 +29,7 @@ under a minute on one core.
 
 import hashlib
 import io
+import os
 import pathlib
 import random
 import sys
@@ -33,14 +39,29 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from citydist.cli import run  # noqa: E402
+from citydist.model import (  # noqa: E402
+    DEFAULT_EXTERNAL_FACTORS,
+    DemandProfile,
+    InfeasibleError,
+)
 from citydist.optimize import (  # noqa: E402
+    AllocationMatrix,
     SaConfig,
     brute_force_grid,
+    constraint_violations,
+    induced_demand,
+    reallocated_scheme,
     simulated_annealing,
     vertex_optimum,
 )
 from citydist.scenario import load_scenario  # noqa: E402
-from citydist.schemes import LayerMode  # noqa: E402
+from citydist.schemes import (  # noqa: E402
+    FleetAssignment,
+    LayerMode,
+    LayerSpec,
+    SchemeSpec,
+    evaluate_scheme,
+)
 from citydist.sweep import sweep_parameter  # noqa: E402
 from perfbench.workloads import C5_PARAMS, c5_instance, sweep_specs  # noqa: E402
 
@@ -101,9 +122,42 @@ def grid_outputs():
         yield repr(brute_force_grid(fleet, units, C5_PARAMS, step=0.05))
 
 
+def interior_rows(rng: random.Random, n_units: int, n_vehicles: int):
+    """One allocation's rows: random shares, about 30% of them zero."""
+    rows = []
+    for _ in range(n_units):
+        shares = [rng.random() if rng.random() < 0.7 else 0.0 for _ in range(n_vehicles)]
+        shares[rng.randrange(n_vehicles)] += 0.01
+        total = sum(shares)
+        rows.append(tuple(x / total for x in shares))
+    return tuple(rows)
+
+
+def splice_outputs():
+    for seed in (*range(40), *range(100, 130)):
+        fleet, units = c5_instance(random.Random(seed))
+        scheme = SchemeSpec("instance", (LayerSpec(
+            "instance", LayerMode.ANALYTICAL, C5_PARAMS,
+            (FleetAssignment(fleet[0], DemandProfile.from_units(units)),)),),
+            DEFAULT_EXTERNAL_FACTORS)
+        rng = random.Random(seed)
+        for _ in range(20):
+            allocation = AllocationMatrix(interior_rows(rng, len(units), len(fleet)))
+            totals = [(d.total_weight_kg, d.total_stops)
+                      for d in induced_demand(allocation, units)]
+            try:
+                report = evaluate_scheme(reallocated_scheme(scheme, 0, allocation, fleet, units))
+            except InfeasibleError as exc:
+                report = exc
+            yield (f"{constraint_violations(allocation, fleet, units, C5_PARAMS)!r}\n"
+                   f"{totals!r}\n{report!r}\n")
+
+
 def main():
+    os.chdir(ROOT)  # the cli group names the scenarios by their relative paths
     for group, outputs in (("cli", cli_outputs), ("sweeps", sweep_outputs),
-                           ("c5", c5_outputs), ("grid", grid_outputs)):
+                           ("c5", c5_outputs), ("grid", grid_outputs),
+                           ("splice", splice_outputs)):
         digest = hashlib.sha256()
         count = 0
         for text in outputs():

@@ -318,13 +318,17 @@ class SaConfig:
             raise DomainError("steps_per_temperature and restarts must be >= 1")
 
 
+def _spread(params: NetworkParams, stops: float) -> float:
+    """The dispersion term k*sqrt(A*N) of a route, snapped to _SPREAD_QUANTUM."""
+    return round(params.daganzo_k * math.sqrt(params.area_km2 * stops)
+                 / _SPREAD_QUANTUM) * _SPREAD_QUANTUM
+
+
 def route_distance(tours: float, stops: float, params: NetworkParams) -> float:
     """Estimated daily route length: 2*r*m line haul plus k*sqrt(A*N) dispersion."""
     if tours < 0 or stops < 0:
         raise DomainError("route_distance: tours and stops must be >= 0")
-    spread = params.daganzo_k * math.sqrt(params.area_km2 * stops)
-    spread = round(spread / _SPREAD_QUANTUM) * _SPREAD_QUANTUM
-    return 2.0 * params.radius_km * tours + spread
+    return 2.0 * params.radius_km * tours + _spread(params, stops)
 
 
 def effective_capacity(vehicle: VehicleType, unit: DeliveryUnitType | None) -> float:
@@ -383,8 +387,7 @@ def _solve_fixed_point(weight: float, stops: float, cap_limit: float, v_eff: flo
     more) rounding blurs where the ceilings are first met: the count
     returned then meets every ceiling but may not be the least that does.
     """
-    spread = params.daganzo_k * math.sqrt(params.area_km2 * stops)
-    spread = round(spread / _SPREAD_QUANTUM) * _SPREAD_QUANTUM
+    spread = _spread(params, stops)
     radius = params.radius_km
     two_r = 2.0 * radius
     shift_h = params.shift_duration_h

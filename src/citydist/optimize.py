@@ -29,8 +29,8 @@ from .model import (
     NetworkParams,
     SaConfig,
     _solve_fixed_point,
-    dominant_index,
     effective_capacity,
+    solve_tour_plan,
 )
 from .report import OptimizationResult
 from .schemes import FleetAssignment, LayerMode, LayerSpec, SchemeSpec, evaluate_layer
@@ -96,15 +96,19 @@ class ConstraintSlack:
 
 
 def induced_demand(allocation: AllocationMatrix, units) -> list[DemandProfile]:
-    """Per-vehicle demand implied by an allocation; stops may be fractional."""
+    """Per-vehicle demand of an allocation, the one path from an allocation to
+    a layer: the unit rows the vehicle has a share of, stops scaled by it, so
+    the payload limit is the one _ColumnKernel.column scores; fsum totals."""
     units = list(units)
     if allocation.n_units != len(units):
         raise DomainError("allocation rows must match unit count")
     out = []
     for i in range(allocation.n_vehicles):
-        weight = math.fsum(u.weight_kg * allocation.entries[j][i] for j, u in enumerate(units))
-        stops = math.fsum(u.stops * allocation.entries[j][i] for j, u in enumerate(units))
-        out.append(DemandProfile(total_weight_kg=weight, total_stops=stops))
+        shares = [row[i] for row in allocation.entries]
+        out.append(DemandProfile(
+            tuple(replace(u, stops=u.stops * f) for u, f in zip(units, shares) if f > 0),
+            math.fsum(u.weight_kg * f for u, f in zip(units, shares)),
+            math.fsum(u.stops * f for u, f in zip(units, shares))))
     return out
 
 
@@ -122,17 +126,19 @@ class _ColumnKernel:
     proves there is none; an allocation is feasible when every vehicle's plan
     converges, as in evaluate_scheme.  The annealer, vertex_optimum and the
     grid oracle all score allocations through column(), so they minimise one
-    energy, the one _finish reports.  Built once per call, the kernel holds
-    what does not depend on the allocation: each vehicle's congestion-adjusted
-    speed, each unit's total weight (avg_weight_kg * stops) and the capacity
-    limit of each (vehicle, dominant unit) pair.  Allocations are plain row
-    tuples here; only results handed out to callers become validated
-    AllocationMatrix objects.
+    energy, the one _finish reports.  Built once per call, it refuses an empty
+    fleet or unit list and holds what does not depend on the allocation: each
+    vehicle's congestion-adjusted speed, each unit's total weight
+    (avg_weight_kg * stops) and the capacity limit of each (vehicle, dominant
+    unit) pair.  Allocations are plain row tuples here; only results handed
+    out to callers become validated AllocationMatrix objects.
     """
 
     def __init__(self, fleet, units, params: NetworkParams):
         self.fleet = list(fleet)
         self.units = list(units)
+        if not self.fleet or not self.units:
+            raise DomainError("optimizer: need at least one vehicle and one unit type")
         self.params = params
         self._unit_range = range(len(self.units))
         self._weight = [u.avg_weight_kg * u.stops for u in self.units]
@@ -143,27 +149,21 @@ class _ColumnKernel:
         self._cap_limit = [[effective_capacity(v, u) for u in (*self.units, None)]
                            for v in self.fleet]
 
-    def plan(self, i: int, weight: float, stops: float,
-             dominant: int) -> tuple[int, float, float, float]:
-        """(tours, distance, hours, transport cost) of vehicle i serving the
-        given demand; raises InfeasibleError when the plan diverges."""
-        vehicle = self.fleet[i]
-        m, d, time_h, _ = _solve_fixed_point(weight, stops, self._cap_limit[i][dominant],
-                                             self._v_eff[i], self.params, vehicle.id)
-        return m, d, time_h, d * vehicle.cost_per_km + time_h * vehicle.cost_per_hour
-
     def term(self, i: int, weight: float, stops: float, dominant: int):
-        """Column term of vehicle i for the given demand.
+        """Column term of vehicle i for the given demand: its plan's transport cost.
 
         Divergent vehicles contribute a penalty that grows with the assigned
         demand, steering the search back toward servable allocations.
         """
         if weight == 0 and stops == 0:
             return _EMPTY_TERM
+        vehicle = self.fleet[i]
         try:
-            return self.plan(i, weight, stops, dominant)[3], True
+            _, d, time_h, _ = _solve_fixed_point(weight, stops, self._cap_limit[i][dominant],
+                                                 self._v_eff[i], self.params, vehicle.id)
         except InfeasibleError:
             return _PENALTY_WEIGHT * (1.0 + weight / 1000.0 + stops), False
+        return d * vehicle.cost_per_km + time_h * vehicle.cost_per_hour, True
 
     def column(self, rows, i: int):
         """Column term of vehicle i under the allocation rows.  The dominant
@@ -207,27 +207,22 @@ def constraint_violations(allocation: AllocationMatrix, fleet, units,
 
     Report-only diagnostics in per-tour forms: total assigned weight against
     m*capacity, total travel+stop time against m shifts, and time to the
-    last customer against m lead-time windows.  Feasibility is the solver's.
+    last customer against m lead-time windows.  Each vehicle's plan is
+    solve_tour_plan's for its induced_demand, so feasibility is the solver's.
     """
-    kernel = _ColumnKernel(fleet, units, params)
-    demands = induced_demand(allocation, kernel.units)
     out = []
-    for i, vehicle in enumerate(kernel.fleet):
-        weight, stops = demands[i].total_weight_kg, demands[i].total_stops
-        if weight == 0 and stops == 0:
-            cap = shift = lead = 0.0
+    for vehicle, demand in zip(fleet, induced_demand(allocation, units)):
+        try:
+            plan = solve_tour_plan(vehicle, demand, params)
+        except InfeasibleError:
+            cap = shift = lead = math.inf
         else:
-            try:
-                m, d, time_h, _ = kernel.plan(
-                    i, weight, stops,
-                    dominant_index(kernel.units, [row[i] for row in allocation.entries]))
-            except InfeasibleError:
-                cap = shift = lead = math.inf
-            else:
-                cap = weight - m * vehicle.capacity_kg
-                shift = time_h - m * params.shift_duration_h
-                lead = (((d - params.radius_km * m) / kernel._v_eff[i]
-                         + params.stop_time_h * stops) - m * params.lead_time_h)
+            m, d = plan.tours, plan.distance_km
+            cap = demand.total_weight_kg - m * vehicle.capacity_kg
+            shift = plan.time_h - m * params.shift_duration_h
+            v_eff = vehicle.speed_kmh / params.congestion_factor
+            lead = (((d - params.radius_km * m) / v_eff
+                     + params.stop_time_h * demand.total_stops) - m * params.lead_time_h)
         out.append(ConstraintSlack(vehicle.id, "capacity", cap))
         out.append(ConstraintSlack(vehicle.id, "shift", shift))
         out.append(ConstraintSlack(vehicle.id, "lead_time", lead))
@@ -305,22 +300,12 @@ def neighbor_move(allocation: AllocationMatrix, rng: random.Random) -> Allocatio
 
 def _allocation_layer(allocation: AllocationMatrix, fleet, units,
                       params: NetworkParams) -> LayerSpec:
-    """The layer an allocation describes: each vehicle's demand carries the
-    unit rows it has a share of, stops scaled by it, so its payload limit is
-    the one _ColumnKernel.column scores it by."""
-    units = list(units)
-    demands = induced_demand(allocation, units)
-    assignments = []
-    for i, (vehicle, demand) in enumerate(zip(fleet, demands)):
-        if demand.total_weight_kg > 0 or demand.total_stops > 0:
-            carried = tuple(replace(u, stops=u.stops * row[i])
-                            for u, row in zip(units, allocation.entries) if row[i] > 0)
-            assignments.append(FleetAssignment(vehicle, DemandProfile(
-                carried, demand.total_weight_kg, demand.total_stops)))
-    if not assignments:
-        assignments = [FleetAssignment(list(fleet)[0], DemandProfile())]
-    return LayerSpec(name="allocation", mode=LayerMode.ANALYTICAL,
-                     params=params, fleet=tuple(assignments))
+    """The layer an allocation describes: one assignment per vehicle whose
+    induced_demand is not empty (none when the allocation carries nothing)."""
+    return LayerSpec(name="allocation", mode=LayerMode.ANALYTICAL, params=params, fleet=tuple(
+        FleetAssignment(vehicle, demand)
+        for vehicle, demand in zip(fleet, induced_demand(allocation, units))
+        if demand.total_weight_kg > 0 or demand.total_stops > 0))
 
 
 def reallocated_scheme(scheme: SchemeSpec, layer_index: int, allocation: AllocationMatrix,
@@ -383,9 +368,6 @@ def simulated_annealing(fleet, units, params: NetworkParams,
     """
     kernel = _ColumnKernel(fleet, units, params)
     n_vehicles, n_units = len(kernel.fleet), len(kernel.units)
-    if not n_vehicles or not n_units:
-        raise DomainError("simulated_annealing: need at least one vehicle and one unit type")
-
     if n_vehicles == 1:
         rows = ((1.0,),) * n_units
         return _finish(kernel, rows, external_factors,
@@ -500,8 +482,6 @@ def vertex_optimum(fleet, units, params: NetworkParams,
     _VERTEX_BUDGET vertices."""
     kernel = _ColumnKernel(fleet, units, params)
     n_vehicles, n_units = len(kernel.fleet), len(kernel.units)
-    if not n_vehicles or not n_units:
-        raise DomainError("vertex_optimum: need at least one vehicle and one unit type")
     if n_vehicles ** n_units > _VERTEX_BUDGET:
         raise GridTooLargeError(
             f"vertex_optimum: {n_vehicles}^{n_units} = {n_vehicles ** n_units} vertices "
@@ -530,25 +510,20 @@ def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
     # start-up of every other command.
     import numpy as np
 
-    fleet = list(fleet)
-    units = list(units)
-    if not fleet or not units:
-        raise DomainError("brute_force_grid: need at least one vehicle and one unit type")
+    kernel = _ColumnKernel(fleet, units, params)
     if not 0 < step <= 1:  # also refuses nan and inf
         raise DomainError(f"brute_force_grid: step must be in (0, 1], got {step}")
     ticks = round(1.0 / step)
     if not math.isclose(ticks * step, 1.0, rel_tol=0, abs_tol=1e-9):
         raise DomainError("brute_force_grid: 1/step must be an integer")
-    n_vehicles, n_units = len(fleet), len(units)
-    rows = _compositions(ticks, n_vehicles)
-    n_rows = len(rows)
+    n_vehicles, n_units = len(kernel.fleet), len(kernel.units)
+    n_rows = math.comb(ticks + n_vehicles - 1, n_vehicles - 1)  # compositions per row
     joint = n_rows ** n_units
     if joint > _GRID_BUDGET:
         raise GridTooLargeError(
             f"brute_force_grid: {n_rows}^{n_units} = {joint} grid points exceeds "
             f"the budget of {_GRID_BUDGET}")
 
-    kernel = _ColumnKernel(fleet, units, params)
     if n_vehicles == 1:  # one vehicle carries every unit: the only grid point
         return _finish(kernel, ((1.0,),) * n_units, external_factors, None, joint)
 
@@ -572,6 +547,7 @@ def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
         return energy, feas_obj
 
     tables = [column_energy(i) for i in range(n_vehicles)]
+    rows = _compositions(ticks, n_vehicles)
     # The last one or two unit rows are searched as one array per prefix of
     # the leading rows: each vehicle's tail slice of its table is gathered by
     # its column of the composition table, one axis at a time, the last into

@@ -403,8 +403,11 @@ def _parse_schemes(node, path: str, vehicles: dict[str, VehicleType],
                 item["shuttle_params"], f"{p}.shuttle_params", defaults)
             template["city_params"] = _parse_params_block(
                 item["city_params"], f"{p}.city_params", defaults)
-            template["handling_cost_per_delivery"] = _number(
-                item, "handling_cost_per_delivery", p, default=DEFAULT_HANDLING_COST_PER_DELIVERY)
+            rate = _number(item, "handling_cost_per_delivery", p,
+                           default=DEFAULT_HANDLING_COST_PER_DELIVERY)
+            if rate < 0:
+                raise ScenarioInvariantError(f"{p}.handling_cost_per_delivery", "must be >= 0")
+            template["handling_cost_per_delivery"] = rate
         if kind == "pi":
             hubs = _integer(item.get("hub_count", 2), f"{p}.hub_count")
             if not 1 <= hubs <= MAX_HUB_COUNT:
@@ -426,6 +429,10 @@ def _parse_schemes(node, path: str, vehicles: dict[str, VehicleType],
                 for k, w in enumerate(weights):
                     if w < 0:
                         raise ScenarioInvariantError(f"{p}.hub_weights[{k}]", "must be >= 0")
+                if len(weights) != hubs:
+                    raise ScenarioInvariantError(
+                        f"{p}.hub_weights",
+                        f"one weight per hub required: {len(weights)} for {hubs} hubs")
                 if not math.isclose(math.fsum(weights), 1.0, rel_tol=0, abs_tol=1e-9):
                     raise ScenarioInvariantError(
                         f"{p}.hub_weights",
@@ -437,10 +444,15 @@ def _parse_schemes(node, path: str, vehicles: dict[str, VehicleType],
 
 
 def _build_scheme(template: dict, scenario: Scenario) -> SchemeSpec:
-    """The scheme a template describes, each params block over the network
-    defaults; raises DomainError where a layer breaks an invariant."""
+    """The scheme a template describes, every builder value from here, each
+    params block over the network defaults.  A block whose merged values are
+    invalid raises ScenarioInvariantError; a layer's invariant, DomainError."""
     def params(block: str) -> NetworkParams:
-        return NetworkParams(**{**scenario.network_defaults, **template[block]})
+        try:
+            return NetworkParams(**{**scenario.network_defaults, **template[block]})
+        except DomainError as exc:
+            raise ScenarioInvariantError(f"schemes[{template['name']}].{block}",
+                                         str(exc)) from exc
 
     suppliers = [rec.supplier for rec in scenario.suppliers]
     name, kind, factors = template["name"], template["type"], scenario.external_factors

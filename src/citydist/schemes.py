@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import (
-    DEFAULT_EXTERNAL_FACTORS,
     EXTERNAL_CATEGORIES,
     ConsistencyError,
     DeliveryUnitType,
@@ -114,12 +113,7 @@ class Supplier:
                      for vehicle, share in self.fleet_shares)
 
 
-# Layer parameter sets of the case-study network (overridable per scenario).
-DIRECT_DELIVERY_PARAMS = NetworkParams(radius_km=30.0, area_km2=186.0, stop_time_h=0.25)
-UCC_SHUTTLE_PARAMS = NetworkParams(radius_km=20.0, area_km2=186.0, stop_time_h=0.5)
-UCC_CITY_PARAMS = NetworkParams(radius_km=10.0, area_km2=186.0, stop_time_h=0.25)
-HUB_SHUTTLE_PARAMS = NetworkParams(radius_km=30.0, area_km2=186.0, stop_time_h=0.5)
-HUB_CITY_PARAMS = NetworkParams(radius_km=5.0, area_km2=93.0, stop_time_h=0.25)
+# A scenario's handling rate where its scheme gives none.
 DEFAULT_HANDLING_COST_PER_DELIVERY = 10.0
 
 
@@ -272,37 +266,34 @@ def compare_schemes(schemes, baseline_name: str | None = None) -> ComparisonTabl
     return ComparisonTable(baseline=baseline, rows=tuple(rows))
 
 
-def build_original(suppliers, params: NetworkParams = DIRECT_DELIVERY_PARAMS,
-                   external_factors: ExternalCostFactors | None = None,
-                   name: str = "original") -> SchemeSpec:
-    """Every supplier delivers independently: one analytical layer per supplier."""
+def build_original(suppliers, params: NetworkParams,
+                   external_factors: ExternalCostFactors, name: str) -> SchemeSpec:
+    """Every supplier delivers independently: one analytical layer per
+    supplier.  Every value comes from the caller (a scenario's template)."""
     suppliers = list(suppliers)
     if not suppliers:
         raise DomainError("build_original: empty supplier list")
-    factors = external_factors or DEFAULT_EXTERNAL_FACTORS
     layers = tuple(
         LayerSpec(name=f"{s.name}_direct", mode=LayerMode.ANALYTICAL,
                   params=params, fleet=s.assignments())
         for s in suppliers)
-    return SchemeSpec(name=name, layers=layers, external_factors=factors)
+    return SchemeSpec(name=name, layers=layers, external_factors=external_factors)
 
 
 def build_ucc(suppliers, shuttle_vehicle: VehicleType, city_vehicle: VehicleType,
-              shuttle_params: NetworkParams = UCC_SHUTTLE_PARAMS,
-              city_params: NetworkParams = UCC_CITY_PARAMS,
-              handling_cost_per_delivery: float = DEFAULT_HANDLING_COST_PER_DELIVERY,
-              external_factors: ExternalCostFactors | None = None,
-              name: str = "ucc") -> SchemeSpec:
+              shuttle_params: NetworkParams, city_params: NetworkParams,
+              handling_cost_per_delivery: float,
+              external_factors: ExternalCostFactors, name: str) -> SchemeSpec:
     """All demand consolidated at one center, then delivered city-wide.
 
     Layer 1 shuttles each supplier's goods to the center (tours from weight
     over shuttle capacity); layer 2 serves all stops analytically with the
-    city vehicle.  Handling is charged per delivery at the center.
+    city vehicle.  Handling is charged per delivery at the center.  Every
+    value comes from the caller (a scenario's template).
     """
     suppliers = list(suppliers)
     if not suppliers:
         raise DomainError("build_ucc: empty supplier list")
-    factors = external_factors or DEFAULT_EXTERNAL_FACTORS
     inbound = LayerSpec(
         name="suppliers_to_center", mode=LayerMode.FIXED_SHUTTLE, params=shuttle_params,
         fleet=tuple(FleetAssignment(shuttle_vehicle, s.demand) for s in suppliers),
@@ -311,27 +302,25 @@ def build_ucc(suppliers, shuttle_vehicle: VehicleType, city_vehicle: VehicleType
     outbound = LayerSpec(
         name="center_to_stops", mode=LayerMode.ANALYTICAL, params=city_params,
         fleet=(FleetAssignment(city_vehicle, consolidated),))
-    return SchemeSpec(name=name, layers=(inbound, outbound), external_factors=factors)
+    return SchemeSpec(name=name, layers=(inbound, outbound), external_factors=external_factors)
 
 
 def build_pi(suppliers, shuttle_vehicle: VehicleType, city_vehicle: VehicleType,
-             hub_count: int = 2,
-             shuttle_tours_per_hub: int | None = None,
-             consolidate_inbound: bool = False,
-             hub_weights: tuple[float, ...] | None = None,
-             shuttle_params: NetworkParams = HUB_SHUTTLE_PARAMS,
-             city_params: NetworkParams = HUB_CITY_PARAMS,
-             handling_cost_per_delivery: float = DEFAULT_HANDLING_COST_PER_DELIVERY,
-             external_factors: ExternalCostFactors | None = None,
-             name: str = "pi") -> SchemeSpec:
+             hub_count: int, shuttle_tours_per_hub: int | None,
+             consolidate_inbound: bool, hub_weights: tuple[float, ...] | None,
+             shuttle_params: NetworkParams, city_params: NetworkParams,
+             handling_cost_per_delivery: float,
+             external_factors: ExternalCostFactors, name: str) -> SchemeSpec:
     """Open-network transshipment hubs, one per subregion.
 
-    Demand splits across hubs (equally unless hub_weights is given).  With
+    Demand splits across hubs, equally when hub_weights is None.  With
     consolidate_inbound the inbound layer carries one pooled flow per hub,
     reflecting shared inbound transport; otherwise each supplier shuttles to
-    each hub separately.  city_params.area_km2 is the area of one subregion.
-    Equal hub weights evaluate a single subregion scaled by hub_count;
-    unequal weights get one city layer per hub.
+    each hub separately.  shuttle_tours_per_hub pins each inbound flow's
+    round trips; None derives them from weight.  city_params.area_km2 is the
+    area of one subregion.  Equal hub weights evaluate a single subregion
+    scaled by hub_count; unequal weights get one city layer per hub.  Every
+    value comes from the caller (a scenario's template).
     """
     suppliers = list(suppliers)
     if not suppliers:
@@ -345,7 +334,6 @@ def build_pi(suppliers, shuttle_vehicle: VehicleType, city_vehicle: VehicleType,
     if not math.isclose(math.fsum(hub_weights), 1.0, rel_tol=0, abs_tol=1e-9):
         raise DomainError(
             f"build_pi: hub demand split sums to {math.fsum(hub_weights)}, expected 1")
-    factors = external_factors or DEFAULT_EXTERNAL_FACTORS
     consolidated = merge_demands(s.demand for s in suppliers)
     # each source is scaled once per distinct hub weight; hubs of one weight share it
     weights = set(hub_weights)
@@ -378,4 +366,5 @@ def build_pi(suppliers, shuttle_vehicle: VehicleType, city_vehicle: VehicleType,
             name=f"hub{i + 1}_to_stops", mode=LayerMode.ANALYTICAL, params=city_params,
             fleet=(FleetAssignment(city_vehicle, pooled[w]),))
             for i, w in enumerate(hub_weights))
-    return SchemeSpec(name=name, layers=(inbound, *city_layers), external_factors=factors)
+    return SchemeSpec(name=name, layers=(inbound, *city_layers),
+                      external_factors=external_factors)

@@ -218,6 +218,21 @@ def test_negative_hub_weight_exits_2_with_path(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("schemes.2.hub_weights", [0.5, 0.5, 0.0],
+     "schemes[pi].hub_weights: one weight per hub required: 3 for 2 hubs"),
+    ("schemes.1.handling_cost_per_delivery", -1,
+     "schemes[ucc].handling_cost_per_delivery: must be >= 0"),
+    ("schemes.1.city_params.radius_km", -1,
+     "schemes[ucc].city_params: params.radius_km must be > 0"),
+], ids=["hub_weights_count", "handling_cost_negative", "city_params_radius"])
+def test_scheme_field_refusal_names_its_path(tmp_path, capsys, field, value, message):
+    # each used to be refused by a builder or NetworkParams, under the bare
+    # scheme path
+    assert _validate_mutated(tmp_path, field, value) == 2
+    assert f"scenario error: {message}" in capsys.readouterr().err
+
+
 def _validate_mutated(tmp_path, field, value) -> int:
     """Run `validate` on bordeaux.scenario with one dotted field replaced, or
     dropped when value is _DROP."""

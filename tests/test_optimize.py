@@ -454,8 +454,8 @@ def test_reallocated_scheme_carries_the_capacity_unit():
     assert kpis.transport_cost == pytest.approx(layer.subregion_count * objective, rel=1e-12)
     assert kpis.total_tours == layer.subregion_count * 9
     # the splice without capacity units plans the truck by weight alone
-    weight_only = replace(layer, fleet=tuple(
-        FleetAssignment(v, d) for v, d in zip(fleet, induced_demand(allocation, units))))
+    half = DemandProfile(total_weight_kg=450.0 * 31, total_stops=31.0)
+    weight_only = replace(layer, fleet=tuple(FleetAssignment(v, half) for v in fleet))
     assert evaluate_layer(weight_only).total_tours == layer.subregion_count * 8
 
 
@@ -620,6 +620,23 @@ def test_grid_search_memory_stays_small(monkeypatch):
     assert peak < 2.5e6
 
 
+def test_grid_refuses_a_fine_step_before_building_its_rows():
+    # 3 vehicles x 2 units at step 0.001: 501,501 compositions per row.  The
+    # row count comes from math.comb; the list of compositions (~54 MB
+    # traced) is built only for a grid inside the budget.
+    importlib.import_module("numpy")  # its first import is not the grid's
+    fleet = [vt(f"v{i}", 17000, 5 + i) for i in range(3)]
+    units = [PALLET, DeliveryUnitType("parcel", 80.0, 25)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLargeError, match="501501\\^2 = 251503253001 grid points"):
+            brute_force_grid(fleet, units, PARAMS, step=0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_grid_tie_break_is_lexicographic():
     # two identical vehicles: every split of the single unit costs the same
     # at the corners; the lexicographically smallest matrix must win
@@ -704,3 +721,33 @@ def test_optimizer_minimises_what_evaluate_scheme_reports(label, monkeypatch):
         assert result.objective == result.kpis.transport_cost
         spliced = reallocated_scheme(scheme, 0, result.allocation, fleet, units)
         assert evaluate_scheme(spliced).transport_cost == result.objective
+
+
+def test_interior_allocations_price_within_one_ulp_of_evaluate_scheme(monkeypatch):
+    # 20 seeded allocations on each of ten c5_instance seeds, about 30% of
+    # the shares zero.  Off the vertices the optimizer's cost and the
+    # spliced scheme's may differ in the last bit, never by more: the kernel
+    # adds each vehicle's d*c_km + t*c_h in vehicle order with running
+    # weight and stop sums, the report fsums distance and time costs.
+    checked = 0
+    for seed in range(10):
+        fleet, units, params = _instance(f"c5_instance-{seed}", monkeypatch)
+        scheme = SchemeSpec("instance", (LayerSpec(
+            "instance", LayerMode.ANALYTICAL, params,
+            (FleetAssignment(fleet[0], DemandProfile.from_units(units)),)),),
+            ExternalCostFactors(0.0, 0.0, 0.0, 0.0, 0.0))
+        rng = random.Random(seed)
+        for _ in range(20):
+            rows = []
+            for _ in units:
+                shares = [rng.random() if rng.random() < 0.7 else 0.0 for _ in fleet]
+                shares[rng.randrange(len(fleet))] += 0.01
+                rows.append(tuple(x / sum(shares) for x in shares))
+            allocation = AllocationMatrix(tuple(rows))
+            objective = objective_value(allocation, fleet, units, params)
+            if objective == math.inf:
+                continue
+            spliced = evaluate_scheme(reallocated_scheme(scheme, 0, allocation, fleet, units))
+            assert abs(spliced.transport_cost - objective) <= math.ulp(objective)
+            checked += 1
+    assert checked >= 150

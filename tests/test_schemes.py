@@ -140,25 +140,26 @@ def test_layer_infeasibility_carries_layer_name():
 
 def test_build_original_rejects_empty():
     with pytest.raises(DomainError):
-        build_original([])
+        build_original([], UCC_CITY, DEFAULT_EXTERNAL_FACTORS, "original")
 
 
 def test_build_original_zero_demand_supplier():
     vehicle = VehicleType("v", 17000, 20, 7.0, 30.0)
     supplier = Supplier("idle", DemandProfile(), ((vehicle, 1.0),))
-    report = evaluate_scheme(build_original([supplier]))
+    report = evaluate_scheme(build_original([supplier], UCC_CITY, DEFAULT_EXTERNAL_FACTORS, "original"))
     assert report.total_cost == 0.0 and report.total_distance_km == 0.0
 
 
 def test_build_original_one_layer_per_supplier(suppliers):
-    scheme = build_original(suppliers)
+    scheme = build_original(suppliers, UCC_CITY, DEFAULT_EXTERNAL_FACTORS, "original")
     assert len(scheme.layers) == len(suppliers)
     assert all(layer.mode is LayerMode.ANALYTICAL for layer in scheme.layers)
 
 
 def test_build_ucc_shuttle_tours_and_handling(suppliers):
     scheme = build_ucc(suppliers, SHUTTLE, CITY,
-                       shuttle_params=UCC_SHUTTLE, city_params=UCC_CITY)
+                       shuttle_params=UCC_SHUTTLE, city_params=UCC_CITY,
+                       handling_cost_per_delivery=10.0, external_factors=DEFAULT_EXTERNAL_FACTORS, name="ucc")
     inbound, outbound = scheme.layers
     report = evaluate_layer(inbound)
     # ceil(7260/25000)=1, ceil(20160/25000)=1, ceil(1673/25000)=1 -> 3 round trips
@@ -171,8 +172,9 @@ def test_build_ucc_shuttle_tours_and_handling(suppliers):
 
 def test_build_pi_pinned_two_tours_per_hub(suppliers):
     scheme = build_pi(suppliers, SHUTTLE, CITY, hub_count=2,
-                      shuttle_tours_per_hub=2, consolidate_inbound=True,
-                      shuttle_params=PI_SHUTTLE, city_params=PI_CITY)
+                      shuttle_tours_per_hub=2, consolidate_inbound=True, hub_weights=None,
+                      shuttle_params=PI_SHUTTLE, city_params=PI_CITY,
+                      handling_cost_per_delivery=10.0, external_factors=DEFAULT_EXTERNAL_FACTORS, name="pi")
     inbound = evaluate_layer(scheme.layers[0])
     assert inbound.total_distance_km == 2 * 2 * 2 * 30.0  # 2 hubs x 2 tours x 60 km
     assert inbound.tours_by_vehicle == {"shuttle_25t": 4}
@@ -180,16 +182,20 @@ def test_build_pi_pinned_two_tours_per_hub(suppliers):
 
 def test_build_pi_rejects_bad_hub_split(suppliers):
     with pytest.raises(DomainError):
-        build_pi(suppliers, SHUTTLE, CITY, hub_count=2, hub_weights=(0.6, 0.3),
-                 shuttle_params=PI_SHUTTLE, city_params=PI_CITY)
+        build_pi(suppliers, SHUTTLE, CITY, hub_count=2, shuttle_tours_per_hub=None,
+                 consolidate_inbound=False, hub_weights=(0.6, 0.3),
+                 shuttle_params=PI_SHUTTLE, city_params=PI_CITY,
+                 handling_cost_per_delivery=10.0, external_factors=DEFAULT_EXTERNAL_FACTORS, name="pi")
 
 
 def test_build_pi_one_hub_with_ucc_geometry_degenerates_to_ucc(suppliers):
     ucc = build_ucc(suppliers, SHUTTLE, CITY,
-                    shuttle_params=UCC_SHUTTLE, city_params=UCC_CITY)
-    pi = build_pi(suppliers, SHUTTLE, CITY, hub_count=1,
-                  consolidate_inbound=False,
-                  shuttle_params=UCC_SHUTTLE, city_params=UCC_CITY)
+                    shuttle_params=UCC_SHUTTLE, city_params=UCC_CITY,
+                    handling_cost_per_delivery=10.0, external_factors=DEFAULT_EXTERNAL_FACTORS, name="ucc")
+    pi = build_pi(suppliers, SHUTTLE, CITY, hub_count=1, shuttle_tours_per_hub=None,
+                  consolidate_inbound=False, hub_weights=None,
+                  shuttle_params=UCC_SHUTTLE, city_params=UCC_CITY,
+                  handling_cost_per_delivery=10.0, external_factors=DEFAULT_EXTERNAL_FACTORS, name="pi")
     left, right = evaluate_scheme(ucc), evaluate_scheme(pi)
     assert left.total_distance_km == right.total_distance_km
     assert left.transport_cost == right.transport_cost
@@ -202,10 +208,13 @@ def test_build_pi_one_hub_with_ucc_geometry_degenerates_to_ucc(suppliers):
 def test_weight_conservation_across_consolidation(suppliers):
     total = math.fsum(s.demand.total_weight_kg for s in suppliers)
     for scheme in (build_ucc(suppliers, SHUTTLE, CITY, shuttle_params=UCC_SHUTTLE,
-                             city_params=UCC_CITY),
-                   build_pi(suppliers, SHUTTLE, CITY, hub_count=2,
-                            consolidate_inbound=True,
-                            shuttle_params=PI_SHUTTLE, city_params=PI_CITY)):
+                             city_params=UCC_CITY, handling_cost_per_delivery=10.0,
+                             external_factors=DEFAULT_EXTERNAL_FACTORS, name="ucc"),
+                   build_pi(suppliers, SHUTTLE, CITY, hub_count=2, shuttle_tours_per_hub=None,
+                            consolidate_inbound=True, hub_weights=None,
+                            shuttle_params=PI_SHUTTLE, city_params=PI_CITY,
+                            handling_cost_per_delivery=10.0, external_factors=DEFAULT_EXTERNAL_FACTORS,
+                            name="pi")):
         inbound = scheme.layers[0]
         outbound_weight = math.fsum(l.total_weight_kg for l in scheme.layers[1:])
         assert inbound.total_weight_kg == total
@@ -213,9 +222,10 @@ def test_weight_conservation_across_consolidation(suppliers):
 
 
 def test_scheme_additivity_is_exact(suppliers):
-    scheme = build_pi(suppliers, SHUTTLE, CITY, hub_count=2,
-                      consolidate_inbound=True,
-                      shuttle_params=PI_SHUTTLE, city_params=PI_CITY)
+    scheme = build_pi(suppliers, SHUTTLE, CITY, hub_count=2, shuttle_tours_per_hub=None,
+                      consolidate_inbound=True, hub_weights=None,
+                      shuttle_params=PI_SHUTTLE, city_params=PI_CITY,
+                      handling_cost_per_delivery=10.0, external_factors=DEFAULT_EXTERNAL_FACTORS, name="pi")
     whole = evaluate_scheme(scheme)
     parts = [evaluate_layer(l, scheme.external_factors) for l in scheme.layers]
     assert whole.total_distance_km == math.fsum(p.total_distance_km for p in parts)
@@ -231,7 +241,7 @@ def test_scheme_additivity_is_exact(suppliers):
 
 
 def test_single_layer_scheme_equals_layer(suppliers):
-    scheme = build_original(suppliers[:1])
+    scheme = build_original(suppliers[:1], UCC_CITY, DEFAULT_EXTERNAL_FACTORS, "original")
     assert evaluate_scheme(scheme) == evaluate_layer(scheme.layers[0],
                                                      scheme.external_factors)
 
@@ -240,12 +250,12 @@ def test_single_layer_scheme_equals_layer(suppliers):
 
 def test_compare_requires_two(suppliers):
     with pytest.raises(DomainError):
-        compare_schemes([build_original(suppliers)])
+        compare_schemes([build_original(suppliers, UCC_CITY, DEFAULT_EXTERNAL_FACTORS, "original")])
 
 
 def test_compare_identical_schemes_zero_deltas(suppliers):
-    a = build_original(suppliers, name="a")
-    b = build_original(suppliers, name="b")
+    a = build_original(suppliers, UCC_CITY, DEFAULT_EXTERNAL_FACTORS, "a")
+    b = build_original(suppliers, UCC_CITY, DEFAULT_EXTERNAL_FACTORS, "b")
     table = compare_schemes([a, b])
     deltas = table.deltas_vs_baseline(table.rows[1])
     assert all(v == 0.0 for v in deltas.values() if v is not None)
@@ -261,9 +271,9 @@ def test_compare_percentage_arithmetic():
 
 
 def test_compare_flags_infeasible_member(suppliers):
-    good = build_original(suppliers, name="good")
+    good = build_original(suppliers, UCC_CITY, DEFAULT_EXTERNAL_FACTORS, "good")
     tight = NetworkParams(radius_km=30, area_km2=186, stop_time_h=0.25, lead_time_h=1.5)
-    bad = build_original(suppliers, params=tight, name="bad")
+    bad = build_original(suppliers, tight, DEFAULT_EXTERNAL_FACTORS, "bad")
     table = compare_schemes([good, bad])
     row = next(r for r in table.rows if r.scheme == "bad")
     assert row.report is None and row.error
