@@ -17,6 +17,9 @@ Run it on two checkouts and compare the lines.  Groups:
          seeds 0-39
   grid   repr() of brute_force_grid (step 0.05, as the benchmark, C5 and
          ``optimize --oracle`` run it) on c5_instance seeds 0-39
+  allsweeps  repr() of sweep_parameter (or of its DomainError) for each
+         range of SWEEP_GRIDS on every layer of every scheme of both bundled
+         scenarios, the grids that tests/test_sweep.py compares point by point
   splice for 20 seeded interior allocations on each of c5_instance seeds
          0-39 and 100-129: repr() of constraint_violations, the
          (total_weight_kg, total_stops) pairs of induced_demand, and repr()
@@ -42,6 +45,7 @@ from citydist.cli import run  # noqa: E402
 from citydist.model import (  # noqa: E402
     DEFAULT_EXTERNAL_FACTORS,
     DemandProfile,
+    DomainError,
     InfeasibleError,
 )
 from citydist.optimize import (  # noqa: E402
@@ -62,13 +66,24 @@ from citydist.schemes import (  # noqa: E402
     SchemeSpec,
     evaluate_scheme,
 )
-from citydist.sweep import sweep_parameter  # noqa: E402
+from citydist.sweep import SweepSpec, sweep_parameter  # noqa: E402
 from perfbench.workloads import C5_PARAMS, c5_instance, sweep_specs  # noqa: E402
 
 SCENARIOS = (ROOT / "scenarios" / "bordeaux.scenario",
              ROOT / "scenarios" / "bordeaux_single_supplier.scenario")
 FORMATS = ("table", "json", "csv")
 SWEEP_RANGES = (("lead_time_h", "0.25:8:0.25"), ("speed_kmh", "10:60:5"))
+# (parameter, start, stop, step) of test_every_bundled_layer_sweep_equals_per_point_evaluation
+SWEEP_GRIDS = (
+    ("lead_time_h", 0.05, 8.0, 0.35),
+    ("speed_kmh", 1.0, 41.0, 4.0),
+    ("radius_km", 0.5, 60.0, 2.5),
+    ("area_km2", 5.0, 400.0, 15.0),
+    ("stop_time_h", 0.05, 2.0, 0.1),
+    ("daganzo_k", 0.1, 2.0, 0.1),
+    ("congestion_factor", 1.0, 3.0, 0.1),
+    ("shift_duration_h", 0.5, 24.0, 1.0),
+)
 
 
 def cli_commands():
@@ -105,6 +120,20 @@ def cli_outputs():
 def sweep_outputs():
     for label, spec in sweep_specs(load_scenario(str(SCENARIOS[0]))).items():
         yield f"{label}\n{sweep_parameter(spec)!r}\n"
+
+
+def allsweep_outputs():
+    for path in SCENARIOS:
+        scenario = load_scenario(str(path))
+        for name in scenario.scheme_names():
+            scheme = scenario.scheme(name)
+            for grid in SWEEP_GRIDS:
+                for k in range(len(scheme.layers)):
+                    try:
+                        report = sweep_parameter(SweepSpec(*grid, scheme, k))
+                    except DomainError as exc:
+                        report = exc
+                    yield f"{path.name} {name} {k} {grid}\n{report!r}\n"
 
 
 def c5_outputs():
@@ -157,7 +186,7 @@ def main():
     os.chdir(ROOT)  # the cli group names the scenarios by their relative paths
     for group, outputs in (("cli", cli_outputs), ("sweeps", sweep_outputs),
                            ("c5", c5_outputs), ("grid", grid_outputs),
-                           ("splice", splice_outputs)):
+                           ("splice", splice_outputs), ("allsweeps", allsweep_outputs)):
         digest = hashlib.sha256()
         count = 0
         for text in outputs():

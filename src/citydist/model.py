@@ -232,6 +232,15 @@ class TourPlan:
     binding_constraint: BindingConstraint
 
 
+def merge_tallies(tallies) -> dict:
+    """Per-key sums of the given dicts, taken in their order; keys in first-seen order."""
+    out = {}
+    for tally in tallies:
+        for k, v in tally.items():
+            out[k] = out.get(k, 0) + v
+    return out
+
+
 # One layer's totals: the column sums KpiReport.from_rows adds up (distance,
 # hours, distance cost, time cost, handling, loaded weight, fill rate x loaded
 # weight, then external cost per category), fill rate, tours, fractional tours.
@@ -283,16 +292,14 @@ class KpiReport:
                    dict(zip(EXTERNAL_CATEGORIES, ext)), fill, loaded, tours, frac)
 
     @classmethod
-    def from_rows(cls, rows: list[TotalsRow]) -> "KpiReport":
+    def from_rows(cls, rows: list[TotalsRow], tours: dict[str, int] | None = None,
+                  frac: dict[str, float] | None = None) -> "KpiReport":
         """Sum of one or more totals rows: one fsum per column, the fill rate
-        weighted by each row's loaded weight, the tour dicts merged in order."""
-        tours: dict[str, int] = {}
-        frac: dict[str, float] = {}
-        for _, _, row_tours, row_frac in rows:
-            for k, v in row_tours.items():
-                tours[k] = tours.get(k, 0) + v
-            for k, v in row_frac.items():
-                frac[k] = frac.get(k, 0.0) + v
+        weighted by each row's loaded weight, each tour dict the merge_tallies
+        of the rows' own, unless both are passed in already merged."""
+        if tours is None:
+            tours = merge_tallies(row[2] for row in rows)
+            frac = merge_tallies(row[3] for row in rows)
         sums = tuple(map(math.fsum, zip(*[row[0] for row in rows])))
         loaded, fill_weight = sums[5], sums[6]
         return cls.from_row((sums, fill_weight / loaded if loaded > 0 else 0.0, tours, frac))

@@ -28,6 +28,7 @@ from .model import (
     VehicleType,
     effective_capacity,
     fill_rate,
+    merge_tallies,
     solve_tour_plan,
     travel_and_stop_time,
 )
@@ -73,10 +74,6 @@ class LayerSpec:
             raise DomainError(f"layer '{self.name}': subregion_count must be >= 1")
         if self.handling_cost_per_delivery < 0:
             raise DomainError(f"layer '{self.name}': handling cost must be >= 0")
-
-    @property
-    def total_weight_kg(self) -> float:
-        return self.subregion_count * math.fsum(a.demand.total_weight_kg for a in self.fleet)
 
 
 @dataclass(frozen=True)
@@ -139,26 +136,26 @@ def capacity_limits(layer: LayerSpec) -> tuple[float, ...]:
     return tuple(effective_capacity(a.vehicle, a.demand.dominant_unit()) for a in layer.fleet)
 
 
-def layer_plans(layer: LayerSpec,
+def layer_plans(layer: LayerSpec, params: NetworkParams, vehicles,
                 cap_limits: tuple[float, ...]) -> list[tuple[int, float, float]]:
-    """(tours, distance_km, hours) of each assignment, per subregion.
+    """(tours, distance_km, hours) of each assignment, per subregion, with the
+    given params and one vehicle per assignment in place of the layer's own.
 
     Analytical layers take them from the tour solver, whose InfeasibleError
     is raised again naming the layer; fixed-shuttle layers run their pinned
     round trips, or weight over capacity (at least one).
     """
-    params = layer.params
     plans = []
     if layer.mode is LayerMode.ANALYTICAL:
-        for a, cap_limit in zip(layer.fleet, cap_limits):
+        for a, vehicle, cap_limit in zip(layer.fleet, vehicles, cap_limits):
             try:
-                plan = solve_tour_plan(a.vehicle, a.demand, params, cap_limit)
+                plan = solve_tour_plan(vehicle, a.demand, params, cap_limit)
             except InfeasibleError as exc:
                 raise InfeasibleError(exc.vehicle_id, exc.constraint,
                                       f"layer '{layer.name}'") from exc
             plans.append((plan.tours, plan.distance_km, plan.time_h))
         return plans
-    for a, cap_limit in zip(layer.fleet, cap_limits):
+    for a, vehicle, cap_limit in zip(layer.fleet, vehicles, cap_limits):
         weight = a.demand.total_weight_kg
         if a.shuttle_tours is not None:
             tours = a.shuttle_tours
@@ -168,47 +165,55 @@ def layer_plans(layer: LayerSpec,
             tours = 0
         dist = tours * 2.0 * params.radius_km
         # one stop at the destination node per round trip
-        plans.append((tours, dist, travel_and_stop_time(dist, tours, a.vehicle, params)))
+        plans.append((tours, dist, travel_and_stop_time(dist, tours, vehicle, params)))
     return plans
 
 
-def layer_totals(layer: LayerSpec, plans, cap_limits: tuple[float, ...],
-                 factors: ExternalCostFactors | None) -> TotalsRow:
-    """One layer's totals row from its assignments' plans: each column is one
-    fsum over the assignments (fill rate weighted by load) plus handling,
-    times subregion_count.  Nothing but the plans depends on the layer's params."""
+def layer_constants(layer: LayerSpec, cap_limits: tuple[float, ...]) -> tuple:
+    """The part of a layer's totals that no params field or fleet speed changes:
+    each assignment's (vehicle, weight, payload limit), the handling column, the
+    loaded weight of one subregion, the fractional tours and subregion_count.
+    The vehicles are read only for their ids and unit costs."""
     n = layer.subregion_count
+    fleet = tuple((a.vehicle, a.demand.total_weight_kg, cap_limit)
+                  for a, cap_limit in zip(layer.fleet, cap_limits))
+    frac = merge_tallies({v.id: weight / cap} for v, weight, cap in fleet if weight > 0)
+    stops = math.fsum(a.demand.total_stops for a in layer.fleet)
+    return (fleet, layer.handling_cost_per_delivery * stops * n,
+            math.fsum(weight for _, weight, _ in fleet), {k: v * n for k, v in frac.items()}, n)
+
+
+def layer_totals(constants: tuple, plans,
+                 factors: ExternalCostFactors | None) -> TotalsRow:
+    """One layer's totals row from its constants and its assignments' plans:
+    each column is one fsum over the assignments (fill rate weighted by load)
+    plus handling, times subregion_count."""
+    fleet, handling, loaded, frac, n = constants
     zeros = (0.0,) * len(EXTERNAL_CATEGORIES)
     tours: dict[str, int] = {}
-    frac: dict[str, float] = {}
     columns = []
-    for a, cap_limit, (m, dist, time_h) in zip(layer.fleet, cap_limits, plans):
-        vehicle = a.vehicle
-        vehicle_id = vehicle.id
-        demand = a.demand
-        weight = demand.total_weight_kg
+    for (vehicle, weight, cap_limit), (m, dist, time_h) in zip(fleet, plans):
+        fill = 0.0
         if m:
-            tours[vehicle_id] = tours.get(vehicle_id, 0) + m
-        if weight > 0:
-            frac[vehicle_id] = frac.get(vehicle_id, 0.0) + weight / cap_limit
-        fill = fill_rate(weight, vehicle, cap_limit, m) if m else 0.0
+            tours[vehicle.id] = tours.get(vehicle.id, 0) + m
+            fill = fill_rate(weight, vehicle, cap_limit, m)
         columns.append((dist, time_h, dist * vehicle.cost_per_km, time_h * vehicle.cost_per_hour,
-                        demand.total_stops, weight, fill * weight,
+                        fill * weight,
                         *(factors.amounts(dist) if factors is not None else zeros)))
-    dist, time_h, dist_cost, time_cost, stops, loaded, fill_weight, *ext = (
-        map(math.fsum, zip(*columns)) if columns else (0.0,) * (7 + len(zeros)))
+    dist, time_h, dist_cost, time_cost, fill_weight, *ext = (
+        map(math.fsum, zip(*columns)) if columns else (0.0,) * (5 + len(zeros)))
     fill = fill_weight / loaded if loaded > 0 else 0.0
     loaded *= n
-    return ((dist * n, time_h * n, dist_cost * n, time_cost * n,
-             layer.handling_cost_per_delivery * stops * n, loaded, fill * loaded,
+    return ((dist * n, time_h * n, dist_cost * n, time_cost * n, handling, loaded, fill * loaded,
              *[v * n for v in ext]),
-            fill, {k: v * n for k, v in tours.items()}, {k: v * n for k, v in frac.items()})
+            fill, {k: v * n for k, v in tours.items()}, dict(frac))
 
 
 def layer_row(layer: LayerSpec, factors: ExternalCostFactors | None = None) -> TotalsRow:
-    """The totals row of one layer: its plans, then layer_totals."""
+    """The totals row of one layer: its constants and plans, then layer_totals."""
     cap_limits = capacity_limits(layer)
-    return layer_totals(layer, layer_plans(layer, cap_limits), cap_limits, factors)
+    plans = layer_plans(layer, layer.params, [a.vehicle for a in layer.fleet], cap_limits)
+    return layer_totals(layer_constants(layer, cap_limits), plans, factors)
 
 
 def evaluate_layer(layer: LayerSpec,

@@ -2,13 +2,17 @@
 
 A sweep replaces one numeric parameter of one layer at each grid point: any
 NetworkParams field, or the pseudo-field ``speed_kmh`` which rescales every
-vehicle in that layer's fleet.  Per point, the swept layer is constructed
-directly and its tour plans are solved.  While they equal the previous
-feasible point's plans, as on the plateaus of a lead-time or shift sweep,
-that point's report is reused; otherwise the swept layer's totals row is
-built and one KpiReport.from_rows sums it with the other layers' rows, which
-are computed once per sweep.  Infeasible points are marked rather than
-aborting, and the report records where the tour counts first move away
+vehicle in that layer's fleet.  A point builds only what its value changes,
+one validated NetworkParams or the swept vehicles, and solves the swept
+layer's tour plans with them (schemes.layer_plans).  The rest is computed
+once per sweep through the same schemes stages that evaluate_scheme runs:
+the swept layer's constants (schemes.layer_constants), the other layers'
+totals rows and their merged tour dicts.  While a point's plans equal the
+previous feasible point's, as on the plateaus of a lead-time or shift sweep,
+that point's report is reused; otherwise schemes.layer_totals turns the
+constants and plans into the swept layer's row, and one KpiReport.from_rows
+sums it with the other layers' rows.  Infeasible points are marked rather
+than aborting, and the report records where the tour counts first move away
 from their slack-side values.
 """
 
@@ -18,14 +22,15 @@ import math
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 
-from .model import DomainError, InfeasibleError, KpiReport, NetworkParams, VehicleType
+from .model import (DomainError, InfeasibleError, KpiReport, NetworkParams, VehicleType,
+                    merge_tallies)
 from .report import SweepReport, SweepRow
 from .schemes import (
     FleetAssignment,
-    LayerSpec,
     SchemeSpec,
     capacity_limits,
     evaluate_scheme,  # noqa: F401  bound here for perfbench's tracer, which wraps it
+    layer_constants,
     layer_plans,
     layer_row,
     layer_totals,
@@ -34,8 +39,8 @@ from .schemes import (
 _PARAM_FIELDS = tuple(f.name for f in fields(NetworkParams))  # in positional order
 _param_values = attrgetter(*_PARAM_FIELDS)
 SPEED_FIELD = "speed_kmh"
-# Most steps, (stop - start) / step, one sweep may span: the grid is built
-# whole before any point runs, so a larger range would only exhaust memory.
+# Most points, and most steps (stop - start) / step, of one sweep: the grid is
+# built whole before any point runs, so a larger range would only exhaust memory.
 MAX_POINTS = 10 ** 6
 
 
@@ -58,7 +63,10 @@ class SweepSpec:
             raise DomainError("sweep step must be > 0")
         if self.start > self.stop:
             raise DomainError("sweep start must be <= stop")
-        if (self.stop - self.start) / self.step >= MAX_POINTS:
+        # start + i*step never decreases with i, and can stall when the step is tiny
+        # next to start: more than MAX_POINTS points exactly when index MAX_POINTS is kept
+        if ((self.stop - self.start) / self.step >= MAX_POINTS
+                or self.start + MAX_POINTS * self.step <= _end(self.stop, self.step)):
             raise DomainError(f"sweep range asks for more than {MAX_POINTS} points")
         if not (0 <= self.layer_index < len(self.scheme.layers)):
             raise DomainError(f"layer index {self.layer_index} out of range")
@@ -70,35 +78,39 @@ def _with_speed(v: VehicleType, speed_kmh: float) -> VehicleType:
                        v.temperature_class, v.max_units_footprint)
 
 
-def _apply_to_layer(layer: LayerSpec, parameter: str, value: float) -> LayerSpec:
-    """New layer with its parameter (or fleet speed) replaced."""
-    params, fleet = layer.params, layer.fleet
+def _swept(params: NetworkParams, vehicles, parameter: str, value: float):
+    """(params, vehicles) of a layer with its parameter (or fleet speed) set
+    to value; the one of the two that the parameter does not touch is returned as given."""
     if parameter == SPEED_FIELD:
-        fleet = tuple(FleetAssignment(_with_speed(a.vehicle, value), a.demand, a.shuttle_tours)
-                      for a in fleet)
-    else:
-        args = list(_param_values(params))
-        args[_PARAM_FIELDS.index(parameter)] = value
-        params = NetworkParams(*args)
-    return LayerSpec(layer.name, layer.mode, params, fleet,
-                     layer.handling_cost_per_delivery, layer.subregion_count)
+        return params, [_with_speed(v, value) for v in vehicles]
+    args = list(_param_values(params))
+    args[_PARAM_FIELDS.index(parameter)] = value
+    return NetworkParams(*args), vehicles
 
 
 def apply_parameter(scheme: SchemeSpec, layer_index: int, parameter: str,
                     value: float) -> SchemeSpec:
     """New scheme with one layer's parameter (or fleet speed) replaced."""
     layers = list(scheme.layers)
-    layers[layer_index] = _apply_to_layer(layers[layer_index], parameter, value)
+    layer = layers[layer_index]
+    params, vehicles = _swept(layer.params, [a.vehicle for a in layer.fleet], parameter, value)
+    layers[layer_index] = replace(layer, params=params, fleet=tuple(
+        FleetAssignment(v, a.demand, a.shuttle_tours) for v, a in zip(vehicles, layer.fleet)))
     return replace(scheme, layers=tuple(layers))
 
 
+def _end(stop: float, step: float) -> float:
+    """Largest grid value kept: the interval is closed, within half a step of stop."""
+    return stop + step / 2 + 1e-12
+
+
 def _grid(start: float, stop: float, step: float) -> list[float]:
-    # closed interval; the last point is kept when within half a step of stop
+    end = _end(stop, step)
     values = []
     i = 0
     while True:
         v = start + i * step
-        if v > stop + step / 2 + 1e-12:
+        if v > end:
             break
         values.append(min(v, stop) if v > stop else v)
         i += 1
@@ -141,41 +153,48 @@ def sweep_parameter(spec: SweepSpec) -> SweepReport:
 
     A point's report depends on the swept value only through the swept
     layer's plans: the demands, capacity limits, unit costs, factors and the
-    other layers are the same at every point.  So the other layers' totals
-    rows are computed once, up front, and the solver runs at every point; a
-    point whose plans equal the last feasible point's shares its report, so
-    rows on one plateau hold the same object.  A row's error is the first
-    among the earlier layers, the swept layer and the later layers, in that
-    order.
+    other layers are the same at every point.  So the swept layer's constants
+    and the other layers' totals rows are computed once, up front, and the
+    solver runs at every point; a point whose plans equal the last feasible
+    point's shares its report, so rows on one plateau hold the same object.
+    A row's error is the first among the earlier layers, the swept layer and
+    the later layers, in that order.
     """
-    values = _grid(spec.start, spec.stop, spec.step)
-    if not values:
-        raise DomainError("sweep grid is empty")
+    values = _grid(spec.start, spec.stop, spec.step)  # start is always kept
     scheme, swept = spec.scheme, spec.layer_index
     factors = scheme.external_factors
     base = scheme.layers[swept]
+    vehicles = [a.vehicle for a in base.fleet]
     cap_limits = capacity_limits(base)
+    constants = layer_constants(base, cap_limits)
     head = _rows(scheme.layers[:swept], factors)
     tail = _rows(scheme.layers[swept + 1:], factors)
+    if isinstance(head, list) and isinstance(tail, list):
+        # the other layers' tour dicts are merged once; the fractional tours,
+        # constants[3] for the swept layer, are the same at every point
+        head_tours, tail_tours = (merge_tallies(r[2] for r in rows) for rows in (head, tail))
+        frac = merge_tallies([*(r[3] for r in head), constants[3], *(r[3] for r in tail)])
     last_plans = last_report = None  # of the last feasible point
     rows = []
     for v in values:
-        layer = _apply_to_layer(base, spec.parameter, v)
+        params, fleet = _swept(base.params, vehicles, spec.parameter, v)
         out = head
         if not isinstance(head, Exception):
             try:
-                plans = layer_plans(layer, cap_limits)
+                plans = layer_plans(base, params, fleet, cap_limits)
                 if plans == last_plans:
                     rows.append(SweepRow(v, last_report))
                     continue
-                totals = layer_totals(layer, plans, cap_limits, factors)
+                totals = layer_totals(constants, plans, factors)
             except (InfeasibleError, DomainError) as exc:
                 out = exc
             else:
                 out = tail
                 if not isinstance(tail, Exception):
                     last_plans = plans
-                    last_report = KpiReport.from_rows([*head, totals, *tail])
+                    last_report = KpiReport.from_rows(
+                        [*head, totals, *tail],
+                        merge_tallies((head_tours, totals[2], tail_tours)), dict(frac))
                     rows.append(SweepRow(v, last_report))
                     continue
         rows.append(SweepRow(v, None, error=str(out)))

@@ -93,6 +93,16 @@ def test_sweep_bad_range_exits_2(capsys):
         assert capsys.readouterr().err.startswith("invalid request:")
 
 
+@pytest.mark.parametrize("range_", ["1:1:1e-18", "1e308:1e308:1"])
+def test_sweep_step_lost_to_rounding_exits_2(capsys, range_):
+    # start + i*step rounds to start: 1,000,200 points of 1.0, or a grid
+    # that never passes its end
+    assert run(["sweep", "--scenario", str(BORDEAUX), "--scheme", "original",
+                "--layer", "2", "--param", "speed_kmh", f"--range={range_}"]) == 2
+    assert capsys.readouterr().err == (
+        "invalid request: sweep range asks for more than 1000000 points\n")
+
+
 def test_optimize_oracle_small_instance(tmp_path):
     out = tmp_path / "opt.json"
     code = run(["optimize", "--scenario", str(SINGLE_SUPPLIER),

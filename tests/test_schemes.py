@@ -216,8 +216,9 @@ def test_weight_conservation_across_consolidation(suppliers):
                             handling_cost_per_delivery=10.0, external_factors=DEFAULT_EXTERNAL_FACTORS,
                             name="pi")):
         inbound = scheme.layers[0]
-        outbound_weight = math.fsum(l.total_weight_kg for l in scheme.layers[1:])
-        assert inbound.total_weight_kg == total
+        outbound_weight = math.fsum(l.subregion_count * a.demand.total_weight_kg
+                                    for l in scheme.layers[1:] for a in l.fleet)
+        assert math.fsum(a.demand.total_weight_kg for a in inbound.fleet) == total
         assert outbound_weight == total
 
 

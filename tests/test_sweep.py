@@ -69,7 +69,12 @@ def test_spec_validation():
         SweepSpec("lead_time_h", 0, MAX_POINTS, 1, scheme)
     with pytest.raises(DomainError, match="points"):
         SweepSpec("lead_time_h", 1e-300, 1e300, 1e-300, scheme)
+    # a step lost to rounding next to start: the grid never reaches its end
+    for start, stop, step in ((1, 1, 1e-18), (1e308, 1e308, 1), (0, 0.9e-12, 1e-18)):
+        with pytest.raises(DomainError, match="points"):
+            SweepSpec("lead_time_h", start, stop, step, scheme)
     SweepSpec("lead_time_h", 1, MAX_POINTS, 1, scheme)  # 10^6 points are allowed
+    assert len(_grid(1, MAX_POINTS, 1)) == MAX_POINTS
 
 
 def test_single_point_grid():
@@ -297,12 +302,12 @@ def test_unchanged_layers_are_evaluated_once_per_sweep(monkeypatch):
                         lambda layer, factors: calls.append(layer.name)
                         or layer_row(layer, factors))
     monkeypatch.setattr(sweep_module, "layer_totals",
-                        lambda layer, *args: calls.append(layer.name)
-                        or layer_totals(layer, *args))
+                        lambda constants, *args: calls.append("totals")
+                        or layer_totals(constants, *args))
     report = sweep_parameter(SweepSpec("speed_kmh", 10.0, 30.0, 5.0, scheme, 1))
     assert len(report.rows) == 5
     fixed = [layer.name for i, layer in enumerate(scheme.layers) if i != 1]
-    assert sorted(calls) == sorted(fixed + ["supplier_2_direct"] * 5)
+    assert sorted(calls) == sorted(fixed + ["totals"] * 5)
 
 
 def test_one_kpi_report_per_scheme_and_per_plateau(monkeypatch):
@@ -326,6 +331,33 @@ def test_one_kpi_report_per_scheme_and_per_plateau(monkeypatch):
     original = BORDEAUX_SCENARIO.scheme("original")
     sweep_parameter(SweepSpec("speed_kmh", 10.0, 30.0, 5.0, original, 1))
     assert len(built) == 5
+
+
+@pytest.mark.parametrize("scheme_name, parameter, start, stop, step", [
+    ("pi", "lead_time_h", 0.05, 8.0, 0.01),
+    ("original", "speed_kmh", 5.0, 60.0, 0.1),
+])
+def test_sweep_points_build_no_layer_or_assignment(monkeypatch, scheme_name, parameter,
+                                                   start, stop, step):
+    scheme = BORDEAUX_SCENARIO.scheme(scheme_name)  # built at load, before any count
+    built = []
+    for cls in (LayerSpec, FleetAssignment):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(self)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    solves = []
+    solve = schemes_module.solve_tour_plan
+    monkeypatch.setattr(schemes_module, "solve_tour_plan",
+                        lambda *args: solves.append(args) or solve(*args))
+    report = sweep_parameter(SweepSpec(parameter, start, stop, step, scheme, 1))
+    assert built == []
+    # still one solver call per analytical assignment and point, which
+    # perfbench's tracer counts, plus one for each of the other layers'
+    analytical = [len(layer.fleet) if layer.mode is LayerMode.ANALYTICAL else 0
+                  for layer in scheme.layers]
+    assert len(solves) == len(report.rows) * analytical[1] + sum(analytical) - analytical[1]
+    assert analytical[1] >= 1
 
 
 def test_speed_sweep_keeps_every_other_vehicle_field():
