@@ -25,6 +25,9 @@ Run it on two checkouts and compare the lines.  Groups:
          (total_weight_kg, total_stops) pairs of induced_demand, and repr()
          of evaluate_scheme(reallocated_scheme(...)) (or of its
          InfeasibleError) on a one-layer scheme of the instance
+  anneal repr() of simulated_annealing(..., keep_trace=True) on both C6
+         cases, bordeaux.scenario pi_small layer 2 and the single-supplier
+         original layer 1, at seeds 1, 5, 11 and 42
 
 perfbench is only imported, never written to.  The whole run takes well
 under a minute on one core.
@@ -37,6 +40,7 @@ import pathlib
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
@@ -182,11 +186,25 @@ def splice_outputs():
                    f"{totals!r}\n{report!r}\n")
 
 
+def anneal_outputs():
+    for path, name, k in ((SCENARIOS[0], "pi_small", 1), (SCENARIOS[1], "original", 0)):
+        scenario = load_scenario(str(path))
+        scheme = scenario.scheme(name)
+        layer = scheme.layers[k]
+        fleet = [scenario.vehicles[v] for v in scenario.optimization_vehicles]
+        units = [u for a in layer.fleet for u in a.demand.units]
+        for seed in (1, 5, 11, 42):
+            yield repr(simulated_annealing(fleet, units, layer.params,
+                                           replace(scenario.sa, seed=seed),
+                                           scheme.external_factors, keep_trace=True))
+
+
 def main():
     os.chdir(ROOT)  # the cli group names the scenarios by their relative paths
     for group, outputs in (("cli", cli_outputs), ("sweeps", sweep_outputs),
                            ("c5", c5_outputs), ("grid", grid_outputs),
-                           ("splice", splice_outputs), ("allsweeps", allsweep_outputs)):
+                           ("splice", splice_outputs), ("allsweeps", allsweep_outputs),
+                           ("anneal", anneal_outputs)):
         digest = hashlib.sha256()
         count = 0
         for text in outputs():

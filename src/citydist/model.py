@@ -52,6 +52,10 @@ class BindingConstraint(str, Enum):
     LEAD_TIME = "lead_time"
 
 
+# The tour solver's usual answer, bound once: on Python 3.11 reading a member
+# through its enum class costs about ten times a global lookup.
+_CAPACITY = BindingConstraint.CAPACITY
+
 EXTERNAL_CATEGORIES = ("accident", "air_pollution", "climate_change", "noise", "congestion")
 _rates = attrgetter(*EXTERNAL_CATEGORIES)
 
@@ -76,13 +80,14 @@ class VehicleType:
     max_units_footprint: int = 33
 
     def __post_init__(self):
-        if self.capacity_kg <= 0:
+        # each test is written so that NaN fails it
+        if not self.capacity_kg > 0:
             raise DomainError(f"vehicle '{self.id}': capacity_kg must be > 0")
-        if self.speed_kmh <= 0:
+        if not self.speed_kmh > 0:
             raise DomainError(f"vehicle '{self.id}': speed_kmh must be > 0")
-        if self.cost_per_km < 0 or self.cost_per_hour < 0:
+        if not (self.cost_per_km >= 0 and self.cost_per_hour >= 0):
             raise DomainError(f"vehicle '{self.id}': unit costs must be >= 0")
-        if self.max_units_footprint < 1:
+        if not self.max_units_footprint >= 1:
             raise DomainError(f"vehicle '{self.id}': max_units_footprint must be >= 1")
 
 
@@ -99,9 +104,9 @@ class DeliveryUnitType:
     stops: float
 
     def __post_init__(self):
-        if self.avg_weight_kg <= 0:
+        if not self.avg_weight_kg > 0:
             raise DomainError(f"unit '{self.id}': avg_weight_kg must be > 0")
-        if self.stops < 0:
+        if not self.stops >= 0:
             raise DomainError(f"unit '{self.id}': stops must be >= 0")
 
     @property
@@ -130,7 +135,7 @@ class DemandProfile:
     total_stops: float = 0.0
 
     def __post_init__(self):
-        if self.total_weight_kg < 0 or self.total_stops < 0:
+        if not (self.total_weight_kg >= 0 and self.total_stops >= 0):
             raise DomainError("demand totals must be >= 0")
         if self.units:
             w = math.fsum(u.weight_kg for u in self.units)
@@ -155,7 +160,7 @@ class DemandProfile:
 
     def scale(self, factor: float) -> "DemandProfile":
         """Scale stop counts (and hence weight) by a factor, keeping unit mix."""
-        if factor < 0:
+        if not factor >= 0:
             raise DomainError("scale factor must be >= 0")
         units = tuple(replace(u, stops=u.stops * factor) for u in self.units)
         if units:
@@ -179,9 +184,9 @@ class NetworkParams:
     def __post_init__(self):
         for name in ("radius_km", "area_km2", "stop_time_h", "daganzo_k",
                      "shift_duration_h", "lead_time_h"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise DomainError(f"params.{name} must be > 0")
-        if self.congestion_factor < 1:
+        if not self.congestion_factor >= 1:
             raise DomainError("params.congestion_factor must be >= 1")
         if self.lead_time_h > 24:
             raise DomainError("params.lead_time_h must be <= 24")
@@ -199,7 +204,7 @@ class ExternalCostFactors:
 
     def __post_init__(self):
         for name in EXTERNAL_CATEGORIES:
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise DomainError(f"external factor '{name}' must be >= 0")
 
     @property
@@ -346,17 +351,6 @@ def effective_capacity(vehicle: VehicleType, unit: DeliveryUnitType | None) -> f
     return min(vehicle.capacity_kg, vehicle.max_units_footprint * unit.avg_weight_kg)
 
 
-def _binding(cap: int, shift: int, lead: int, m: int) -> BindingConstraint:
-    """First of (capacity, shift, lead time) whose ceiling equals m."""
-    if cap == m:
-        return BindingConstraint.CAPACITY
-    if shift == m:
-        return BindingConstraint.SHIFT
-    if lead == m:
-        return BindingConstraint.LEAD_TIME
-    return BindingConstraint.CAPACITY
-
-
 def _closed_form_floor(two_r: float, v_eff: float, budget: float, intercept: float) -> int:
     """A tour count just below the least m >= ceil(b*m + intercept/budget),
     b = 2r/(v_eff*budget): that m is intercept/(budget*(1 - b)) rounded up,
@@ -385,14 +379,17 @@ def _solve_fixed_point(weight: float, stops: float, cap_limit: float, v_eff: flo
     innermost call: keep it free of per-iteration allocations.
 
     The map is monotone, so iterating it from the capacity ceiling, or from
-    any count below the least fixed point, climbs to that point.  A time
-    ceiling is affine in m with slope b = 2r/(v_eff*budget): at b >= 1 it
-    can never be caught once ahead, which proves divergence; below 1 its own
-    least fixed point has a closed form.  So when the first check fails, the
-    walk jumps once to just below the largest of those closed forms and
-    climbs the last few steps.  Within ~1e-7 of slope 1 (10^7 tours and
-    more) rounding blurs where the ceilings are first met: the count
-    returned then meets every ceiling but may not be the least that does.
+    any count below the least fixed point, climbs to that point.  The first
+    count is the capacity ceiling; when both time ceilings are met there, as
+    for nearly every plan the annealer scores, it is returned, bound by
+    capacity, after that one evaluation.  A time ceiling is affine in m with
+    slope b = 2r/(v_eff*budget): at b >= 1 it can never be caught once
+    ahead, which proves divergence; below 1 its own least fixed point has a
+    closed form.  So when the first count falls short, the walk jumps once
+    to just below the largest of those closed forms and climbs the last few
+    steps.  Within ~1e-7 of slope 1 (10^7 tours and more) rounding blurs
+    where the ceilings are first met: the count returned then meets every
+    ceiling but may not be the least that does.
     """
     spread = _spread(params, stops)
     radius = params.radius_km
@@ -402,18 +399,16 @@ def _solve_fixed_point(weight: float, stops: float, cap_limit: float, v_eff: flo
     stop_shift = params.stop_time_h * stops
     stop_lead = params.stop_time_h * (stops - 1)
     ceil = math.ceil
-    cap = ceil(weight / cap_limit)
-
-    m = max(0, cap)
-    start = None
+    m = cap = ceil(weight / cap_limit)  # weight >= 0, so the first count is >= 0
     while True:
         d = two_r * m + spread
         hours = d / v_eff + stop_shift
         shift = ceil(hours / shift_h)
         lead = ceil(((d - radius) / v_eff + stop_lead) / lead_h)
-        m_next = max(0, cap, shift, lead)
-        if m_next <= m:
-            return m, d, hours, _binding(cap, shift, lead, m)
+        if shift <= m >= lead:  # the first of the ceilings equal to m binds
+            return m, d, hours, (
+                _CAPACITY if m == cap else BindingConstraint.SHIFT if shift == m
+                else BindingConstraint.LEAD_TIME if lead == m else _CAPACITY)
         # Per-tour line haul measured against each time budget; a ceiling whose
         # requirement grows at least as fast as m can never be caught once ahead.
         if shift > m and two_r / (v_eff * shift_h) >= 1.0:
@@ -422,16 +417,16 @@ def _solve_fixed_point(weight: float, stops: float, cap_limit: float, v_eff: flo
         if lead > m and two_r / (v_eff * lead_h) >= 1.0:
             raise InfeasibleError(vehicle_id, BindingConstraint.LEAD_TIME,
                                   f"round trip exceeds the lead-time budget at any tour count (m >= {m})")
-        if start is None:
+        if m == cap:  # every later count is above the first
             m = start = max(
-                m_next,
+                shift, lead,
                 _closed_form_floor(two_r, v_eff, shift_h, spread / v_eff + stop_shift),
                 _closed_form_floor(two_r, v_eff, lead_h, (spread - radius) / v_eff + stop_lead))
         else:
             # Rounding can hold a slope within ~1e-11 of 1 one tour above m
             # for millions of steps: past 64 tours beyond the jump, the
             # stride doubles instead.
-            m = max(m_next, 2 * m - start - 64)
+            m = max(shift, lead, 2 * m - start - 64)
 
 
 def solve_tour_plan(vehicle: VehicleType, demand: DemandProfile, params: NetworkParams,

@@ -36,7 +36,7 @@ from .report import OptimizationResult
 from .schemes import FleetAssignment, LayerMode, LayerSpec, SchemeSpec, evaluate_layer
 
 _ROW_SUM_TOL = 1e-9
-# Scale of the energy a divergent vehicle column adds; see _ColumnKernel.term.
+# Scale of the energy a divergent vehicle column adds; see _ColumnKernel.column.
 _PENALTY_WEIGHT = 1000.0
 
 
@@ -128,10 +128,10 @@ class _ColumnKernel:
     grid oracle all score allocations through column(), so they minimise one
     energy, the one _finish reports.  Built once per call, it refuses an empty
     fleet or unit list and holds what does not depend on the allocation: each
-    vehicle's congestion-adjusted speed, each unit's total weight
-    (avg_weight_kg * stops) and the capacity limit of each (vehicle, dominant
-    unit) pair.  Allocations are plain row tuples here; only results handed
-    out to callers become validated AllocationMatrix objects.
+    unit's total weight (avg_weight_kg * stops), and one tuple per vehicle of
+    its capacity limit per dominant unit, congestion-adjusted speed, costs
+    per km and per hour, and id.  Allocations are plain row tuples here; only
+    results handed out to callers become validated AllocationMatrix objects.
     """
 
     def __init__(self, fleet, units, params: NetworkParams):
@@ -144,30 +144,18 @@ class _ColumnKernel:
         self._weight = [u.avg_weight_kg * u.stops for u in self.units]
         self._stops = [u.stops for u in self.units]
         self._avg = [u.avg_weight_kg for u in self.units]
-        self._v_eff = [v.speed_kmh / params.congestion_factor for v in self.fleet]
-        # indexed by dominant unit; the trailing entry (index -1) is "no unit"
-        self._cap_limit = [[effective_capacity(v, u) for u in (*self.units, None)]
-                           for v in self.fleet]
-
-    def term(self, i: int, weight: float, stops: float, dominant: int):
-        """Column term of vehicle i for the given demand: its plan's transport cost.
-
-        Divergent vehicles contribute a penalty that grows with the assigned
-        demand, steering the search back toward servable allocations.
-        """
-        if weight == 0 and stops == 0:
-            return _EMPTY_TERM
-        vehicle = self.fleet[i]
-        try:
-            _, d, time_h, _ = _solve_fixed_point(weight, stops, self._cap_limit[i][dominant],
-                                                 self._v_eff[i], self.params, vehicle.id)
-        except InfeasibleError:
-            return _PENALTY_WEIGHT * (1.0 + weight / 1000.0 + stops), False
-        return d * vehicle.cost_per_km + time_h * vehicle.cost_per_hour, True
+        congestion = params.congestion_factor
+        # capacity limits indexed by dominant unit; the trailing entry (index -1) is "no unit"
+        self._vehicle = [([effective_capacity(v, u) for u in (*self.units, None)],
+                          v.speed_kmh / congestion, v.cost_per_km, v.cost_per_hour, v.id)
+                         for v in self.fleet]
 
     def column(self, rows, i: int):
-        """Column term of vehicle i under the allocation rows.  The dominant
-        unit is model.dominant_index, inlined: this is the walk's hot path."""
+        """Column term of vehicle i under the allocation rows: its plan's
+        transport cost.  Divergent vehicles contribute a penalty that grows
+        with the assigned demand, steering the search back toward servable
+        allocations.  The dominant unit is model.dominant_index, inlined:
+        this is the walk's hot path."""
         weights, stops, avg = self._weight, self._stops, self._avg
         w = s = 0.0
         dominant = -1
@@ -179,7 +167,15 @@ class _ColumnKernel:
             s += stops[j] * f
             if stops[j] > 0 and (dominant < 0 or avg[j] > avg[dominant]):
                 dominant = j
-        return self.term(i, w, s, dominant)
+        if w == 0 and s == 0:
+            return _EMPTY_TERM
+        cap_limits, v_eff, per_km, per_hour, vehicle_id = self._vehicle[i]
+        try:
+            _, d, time_h, _ = _solve_fixed_point(w, s, cap_limits[dominant], v_eff,
+                                                 self.params, vehicle_id)
+        except InfeasibleError:
+            return _PENALTY_WEIGHT * (1.0 + w / 1000.0 + s), False
+        return d * per_km + time_h * per_hour, True
 
     def terms(self, rows) -> list:
         return [self.column(rows, i) for i in range(len(self.fleet))]
@@ -269,8 +265,15 @@ def _transfer(rows, rng: random.Random, n_vehicles: int) -> tuple[int, tuple[flo
     sequence of moves.
     """
     getrandbits = rng.getrandbits
-    j = _below(getrandbits, len(rows))
-    a = _below(getrandbits, n_vehicles)
+    n_rows = len(rows)
+    k = n_rows.bit_length()  # j and a: _below's draws, written out for the walk's step
+    j = getrandbits(k)
+    while j >= n_rows:
+        j = getrandbits(k)
+    k = n_vehicles.bit_length()
+    a = getrandbits(k)
+    while a >= n_vehicles:
+        a = getrandbits(k)
     if n_vehicles <= 21:  # sample() picks from a list pool up to 21 items
         b = _below(getrandbits, n_vehicles - 1)
         if b == a:
@@ -358,13 +361,16 @@ def simulated_annealing(fleet, units, params: NetworkParams,
     plus, per restart, the starting point and every step.
 
     A move changes one row in two columns (a third at most, through the row
-    repair), so each step re-evaluates only the columns whose entries
-    changed and re-adds the cached column terms in vehicle order: every
-    energy equals a full evaluation bit for bit.  A move whose canonical row
-    equals the current one (the clipped fraction was 0) only counts as an
-    evaluation and extends the trace: its energy would equal the current
-    one, which it accepts without an acceptance draw and which no best
-    record is above.
+    repair).  A step writes the new row into the current rows in place,
+    re-evaluates only the columns whose entries changed, takes the other
+    column terms from the current ones and sums the energy in vehicle order,
+    so every energy equals a full evaluation bit for bit; a rejected move
+    puts the old row back, and only a new best record copies the rows.  A
+    move whose canonical row equals the current one (the clipped fraction
+    was 0) only counts as an evaluation and extends the trace: its energy
+    would equal the current one, which it accepts without an acceptance
+    draw and which no best record is above.  Every restart starts from the
+    same row-uniform allocation, so it is scored once, after the vertices.
     """
     kernel = _ColumnKernel(fleet, units, params)
     n_vehicles, n_units = len(kernel.fleet), len(kernel.units)
@@ -373,60 +379,58 @@ def simulated_annealing(fleet, units, params: NetworkParams,
         return _finish(kernel, rows, external_factors,
                        (kernel.energy(rows)[1],) if keep_trace else None, 1)
 
-    vehicle_range = range(n_vehicles)
-    best_feasible: tuple[float, tuple] | None = None
-    best_any: tuple[float, tuple] | None = None
+    start = AllocationMatrix.uniform(n_units, n_vehicles).entries
+    start_terms = kernel.terms(start)
+    e_start, _, start_feasible = _total(start_terms)
+    # the lowest energy seen and the lowest feasible one, with their rows
+    any_e = best_e = math.inf
+    any_rows = best_rows = None
+    vertices = list(_vertices(kernel))
+    for e, feasible, rows in (*vertices, (e_start, start_feasible, start)):
+        if any_rows is None or e < any_e:
+            any_e, any_rows = e, rows
+        if feasible and (best_rows is None or e < best_e):
+            best_e, best_rows = e, rows
+    evaluations = len(vertices) + config.restarts  # and every step, below
+
     trace: list[float] = []
-    evaluations = 0
-
-    def consider(energy: float, feasible: bool, rows: tuple):
-        nonlocal best_feasible, best_any
-        if best_any is None or energy < best_any[0]:
-            best_any = (energy, rows)
-        if feasible and (best_feasible is None or energy < best_feasible[0]):
-            best_feasible = (energy, rows)
-
-    for e, feas, vertex in _vertices(kernel):
-        evaluations += 1
-        consider(e, feas, vertex)
-
+    vehicle_range = range(n_vehicles)
+    steps = range(config.steps_per_temperature)
+    column, exp = kernel.column, math.exp
+    t0 = max(0.1 * abs(e_start), 1e-6)
+    t_min = 1e-4 * t0
     for restart in range(config.restarts):
         rng = random.Random(config.seed + restart)
-        current = AllocationMatrix.uniform(n_units, n_vehicles).entries
-        terms = kernel.terms(current)
-        e_cur, _, feas = _total(terms)
-        evaluations += 1
-        consider(e_cur, feas, current)
-
-        t0 = max(0.1 * abs(e_cur), 1e-6)
-        t_min = 1e-4 * t0
-        random_, exp, column_term = rng.random, math.exp, kernel.column
+        random_ = rng.random
+        current, terms, e_cur = list(start), start_terms, e_start
         t = t0
         while t >= t_min:
-            for _ in range(config.steps_per_temperature):
+            evaluations += len(steps)
+            for _ in steps:
                 j, row = _transfer(current, rng, n_vehicles)
-                evaluations += 1
                 old = current[j]
-                if row == old:
-                    if keep_trace:
-                        trace.append(best_feasible[0] if best_feasible else best_any[0])
-                    continue
-                candidate = current[:j] + (row,) + current[j + 1:]
-                new_terms = terms.copy()
-                for i in vehicle_range:
-                    if row[i] != old[i]:
-                        new_terms[i] = column_term(candidate, i)
-                e_new, _, feas = _total(new_terms)
-                accept = e_new <= e_cur or random_() < exp(-(e_new - e_cur) / t)
-                if accept:
-                    current, terms, e_cur = candidate, new_terms, e_new
-                consider(e_new, feas, candidate)
+                if row != old:
+                    current[j] = row
+                    new_terms = [column(current, i) if row[i] != old[i] else terms[i]
+                                 for i in vehicle_range]
+                    e_new = 0.0
+                    feasible = True
+                    for term, ok in new_terms:
+                        e_new += term
+                        feasible = feasible and ok
+                    if e_new < any_e:
+                        any_e, any_rows = e_new, tuple(current)
+                    if feasible and (best_rows is None or e_new < best_e):
+                        best_e, best_rows = e_new, tuple(current)
+                    if e_new <= e_cur or random_() < exp(-(e_new - e_cur) / t):
+                        terms, e_cur = new_terms, e_new
+                    else:
+                        current[j] = old
                 if keep_trace:
-                    trace.append(best_feasible[0] if best_feasible else best_any[0])
+                    trace.append(any_e if best_rows is None else best_e)
             t *= config.cooling_rate
 
-    chosen = best_feasible if best_feasible is not None else best_any
-    return _finish(kernel, chosen[1], external_factors,
+    return _finish(kernel, any_rows if best_rows is None else best_rows, external_factors,
                    tuple(trace) if keep_trace else None, evaluations)
 
 

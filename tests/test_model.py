@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -93,6 +94,39 @@ def test_network_params_invariants():
 def test_external_factor_fields_nonnegative():
     with pytest.raises(DomainError):
         ExternalCostFactors(-1, 0, 0, 0, 0)
+
+
+NAN = float("nan")
+# (case, constructor given one NaN field, the field's name in the refusal)
+_NAN_FIELDS = [
+    *((f"NetworkParams.{name}",
+       lambda name=name: NetworkParams(**{"radius_km": 30, "area_km2": 186,
+                                          "stop_time_h": 0.25, name: NAN}),
+       f"params.{name}")
+      for name in ("radius_km", "area_km2", "stop_time_h", "daganzo_k",
+                   "congestion_factor", "shift_duration_h", "lead_time_h")),
+    ("VehicleType.capacity_kg", lambda: VehicleType("v", NAN, 20, 5, 30), "capacity_kg"),
+    ("VehicleType.speed_kmh", lambda: VehicleType("v", 1000, NAN, 5, 30), "speed_kmh"),
+    ("VehicleType.cost_per_km", lambda: VehicleType("v", 1000, 20, NAN, 30), "unit costs"),
+    ("VehicleType.cost_per_hour", lambda: VehicleType("v", 1000, 20, 5, NAN), "unit costs"),
+    ("VehicleType.max_units_footprint",
+     lambda: VehicleType("v", 1000, 20, 5, 30, TemperatureClass.A, NAN), "max_units_footprint"),
+    ("DeliveryUnitType.avg_weight_kg", lambda: DeliveryUnitType("u", NAN, 5), "avg_weight_kg"),
+    ("DeliveryUnitType.stops", lambda: DeliveryUnitType("u", 10, NAN), "stops"),
+    ("DemandProfile.total_weight_kg", lambda: DemandProfile(total_weight_kg=NAN), "demand totals"),
+    ("DemandProfile.total_stops", lambda: DemandProfile(total_stops=NAN), "demand totals"),
+    ("DemandProfile.scale", lambda: demand(1000, 4).scale(NAN), "scale factor"),
+    *((f"ExternalCostFactors.{name}",
+       lambda k=k: ExternalCostFactors(*(NAN if j == k else 1.0 for j in range(5))),
+       f"external factor '{name}'") for k, name in enumerate(EXTERNAL_CATEGORIES)),
+]
+
+
+@pytest.mark.parametrize("build, field", [case[1:] for case in _NAN_FIELDS],
+                         ids=[case[0] for case in _NAN_FIELDS])
+def test_nan_field_is_refused_by_name(build, field):
+    with pytest.raises(DomainError, match=re.escape(field)):
+        build()
 
 
 # ---------------------------------------------------------------- route distance
@@ -251,8 +285,8 @@ def test_monotone_convergence_from_capacity_bound():
 def _capped_reference(weight, stops, cap_limit, v_eff, params, max_iterations=10_000):
     """The tour solver as it was before its closed-form start: plain
     iteration from the capacity ceiling under an iteration cap.  Returns
-    (tours, distance, binding), raises InfeasibleError where a slope of at
-    least 1 proves divergence, and returns None when the cap runs out."""
+    (tours, distance, hours, binding), raises InfeasibleError where a slope
+    of at least 1 proves divergence, and returns None when the cap runs out."""
     spread = route_distance(0, stops, params)
     radius = params.radius_km
     stop_shift = params.stop_time_h * stops
@@ -261,7 +295,8 @@ def _capped_reference(weight, stops, cap_limit, v_eff, params, max_iterations=10
     m = max(0, cap)
     for _ in range(max_iterations):
         d = 2.0 * radius * m + spread
-        shift = math.ceil((d / v_eff + stop_shift) / params.shift_duration_h)
+        hours = d / v_eff + stop_shift
+        shift = math.ceil(hours / params.shift_duration_h)
         lead = math.ceil(((d - radius) / v_eff + stop_lead) / params.lead_time_h)
         m_next = max(0, cap, shift, lead)
         if m_next <= m:
@@ -269,7 +304,7 @@ def _capped_reference(weight, stops, cap_limit, v_eff, params, max_iterations=10
                                            (BindingConstraint.SHIFT, shift),
                                            (BindingConstraint.LEAD_TIME, lead)) if c == m),
                            BindingConstraint.CAPACITY)
-            return m, d, binding
+            return m, d, hours, binding
         if shift > m and 2.0 * radius / (v_eff * params.shift_duration_h) >= 1.0:
             raise InfeasibleError("v", BindingConstraint.SHIFT)
         if lead > m and 2.0 * radius / (v_eff * params.lead_time_h) >= 1.0:
@@ -345,7 +380,8 @@ def test_solver_equals_capped_iteration_wherever_it_converged():
             continue
         converged += 1
         long_walks += want[0] - math.ceil(weight / vehicle.capacity_kg) > 100
-        assert (plan.tours, plan.distance_km, plan.binding_constraint) == want
+        # bit for bit, hours included: the first count returns them on its own path
+        assert (plan.tours, plan.distance_km, plan.time_h, plan.binding_constraint) == want
     # every kind of outcome is exercised, including walks the jump shortens
     assert converged >= 2000 and diverged >= 50 and capped >= 1 and long_walks >= 100
 

@@ -20,6 +20,7 @@ from citydist.model import (
     TemperatureClass,
     VehicleType,
     dominant_index,
+    effective_capacity,
     solve_tour_plan,
     travel_and_stop_time,
 )
@@ -145,19 +146,33 @@ def test_solved_plan_satisfies_all_constraints():
         assert s.slack <= 1e-9
 
 
-def test_kernel_column_inlines_the_dominant_unit_rule():
+def test_kernel_column_inlines_the_dominant_unit_rule(monkeypatch):
     # _ColumnKernel.column picks the dominant unit inline, for speed; it must
-    # be model.dominant_index on every column, ties and zero-stop units too
+    # be model.dominant_index on every column, ties and zero-stop units too.
+    # The payload limit it hands the solver is that unit's: with 200 footprint
+    # positions on 200 t, each unit weight gives its own limit.
+    scored = []
+
+    def recording(weight, stops, cap_limit, *rest, _solve=optimize._solve_fixed_point):
+        scored.append(cap_limit)
+        return _solve(weight, stops, cap_limit, *rest)
+
+    monkeypatch.setattr(optimize, "_solve_fixed_point", recording)
+    fleet = [vt(f"v{i}", 200_000, 5) for i in range(3)]
     rng = random.Random(3)
     for _ in range(300):
         n_units = rng.randint(1, 6)
         units = [DeliveryUnitType(f"u{j}", rng.choice((80.0, 450.0, 900.0)),
                                   rng.choice((0, 0.5, 3, 40))) for j in range(n_units)]
         rows = [[rng.choice((0.0, 0.0, 0.25, 1.0)) for _ in range(3)] for _ in range(n_units)]
-        kernel = _ColumnKernel([vt(f"v{i}", 17000, 5) for i in range(3)], units, PARAMS)
-        kernel.term = lambda i, weight, stops, dominant: dominant
+        kernel = _ColumnKernel(fleet, units, PARAMS)
         for i in range(3):
-            assert kernel.column(rows, i) == dominant_index(units, [r[i] for r in rows])
+            scored.clear()
+            kernel.column(rows, i)
+            dominant = dominant_index(units, [r[i] for r in rows])
+            # no unit with stops in the column: an empty column, never solved
+            assert scored == ([effective_capacity(fleet[i], units[dominant])]
+                              if dominant >= 0 else [])
 
 
 # ---------------------------------------------------------------- moves
@@ -301,6 +316,21 @@ def test_sa_seeded_walk_is_pinned():
                                          (0.9157327466564686, 0.08426725334353131, 0.0))
     assert hashlib.sha256(repr(result.trace).encode()).hexdigest() == \
         "2c1271d40c7f2a0ef38bb3333ff03a6c8290710d2df7c0c81535941d5ef0a482"
+
+
+def test_benchmark_anneal_is_pinned():
+    # The anneal the benchmark times: pi_small's city layer under the
+    # scenario's schedule.  Its evaluation count (the 3^6 = 729 vertex seeds
+    # plus, per restart, the start and 3,600 steps), result, objective and
+    # whole trace, as recorded before the step stopped copying its terms.
+    fleet, units, params = _pi_small_layer2()
+    config = load_scenario(str(BORDEAUX)).sa
+    result = simulated_annealing(fleet, units, params, config, keep_trace=True)
+    assert result.evaluations == 18734 == 3 ** 6 + 5 * (1 + 3600)
+    assert result.allocation.entries == ((1.0, 0.0, 0.0),) * 6
+    assert result.objective == 771.2385998200625
+    assert hashlib.sha256(repr(result.trace).encode()).hexdigest() == \
+        "e029d208f155555d50d8755bbc1d4d608a33a9af6ec42f3275e2c5b4c6ddc63e"
 
 
 def test_anneal_calls_the_solver_and_layer_bound_in_optimize(monkeypatch):
@@ -533,9 +563,9 @@ def test_grid_single_vehicle_scores_one_column(monkeypatch):
     fleet = [vt("only", 17000, 8)]
     units = [PALLET, DeliveryUnitType("parcel", 12.5, 40), DeliveryUnitType("cage", 180.0, 9)]
     calls = []
-    term = _ColumnKernel.term
-    monkeypatch.setattr(_ColumnKernel, "term",
-                        lambda self, *args: calls.append(args) or term(self, *args))
+    solve = optimize._solve_fixed_point
+    monkeypatch.setattr(optimize, "_solve_fixed_point",
+                        lambda *args: calls.append(args) or solve(*args))
     result = brute_force_grid(fleet, units, PARAMS, step=0.05)
     assert len(calls) == 1
     assert result.allocation.entries == ((1.0,),) * 3
