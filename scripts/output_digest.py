@@ -17,6 +17,10 @@ Run it on two checkouts and compare the lines.  Groups:
          seeds 0-39
   grid   repr() of brute_force_grid (step 0.05, as the benchmark, C5 and
          ``optimize --oracle`` run it) on c5_instance seeds 0-39
+  grid_tight  repr() of brute_force_grid (step 0.1) on c5_instance seeds
+         0-39 with lead_time_h 1, 2 and 3 h: at 1 and 2 h every column
+         that carries demand diverges, at 3 h most climb past their
+         capacity count, so the tables' columns come from the tour solver
   allsweeps  repr() of sweep_parameter (or of its DomainError) for each
          range of SWEEP_GRIDS on every layer of every scheme of both bundled
          scenarios, the grids that tests/test_sweep.py compares point by point
@@ -155,6 +159,14 @@ def grid_outputs():
         yield repr(brute_force_grid(fleet, units, C5_PARAMS, step=0.05))
 
 
+def grid_tight_outputs():
+    for lead_time_h in (1.0, 2.0, 3.0):
+        params = replace(C5_PARAMS, lead_time_h=lead_time_h)
+        for seed in range(40):
+            fleet, units = c5_instance(random.Random(seed))
+            yield repr(brute_force_grid(fleet, units, params, step=0.1))
+
+
 def interior_rows(rng: random.Random, n_units: int, n_vehicles: int):
     """One allocation's rows: random shares, about 30% of them zero."""
     rows = []
@@ -203,6 +215,7 @@ def main():
     os.chdir(ROOT)  # the cli group names the scenarios by their relative paths
     for group, outputs in (("cli", cli_outputs), ("sweeps", sweep_outputs),
                            ("c5", c5_outputs), ("grid", grid_outputs),
+                           ("grid_tight", grid_tight_outputs),
                            ("splice", splice_outputs), ("allsweeps", allsweep_outputs),
                            ("anneal", anneal_outputs)):
         digest = hashlib.sha256()

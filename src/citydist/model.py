@@ -66,6 +66,10 @@ _SPREAD_QUANTUM = 2.0 ** -30
 
 _REL_TOL = 1e-9
 
+# Field checks are chained comparisons against _INF, so NaN and both
+# infinities fail each in one expression, with no call per constructed value.
+_INF = math.inf
+
 
 @dataclass(frozen=True, slots=True)
 class VehicleType:
@@ -80,15 +84,17 @@ class VehicleType:
     max_units_footprint: int = 33
 
     def __post_init__(self):
-        # each test is written so that NaN fails it
-        if not self.capacity_kg > 0:
-            raise DomainError(f"vehicle '{self.id}': capacity_kg must be > 0")
-        if not self.speed_kmh > 0:
-            raise DomainError(f"vehicle '{self.id}': speed_kmh must be > 0")
-        if not (self.cost_per_km >= 0 and self.cost_per_hour >= 0):
-            raise DomainError(f"vehicle '{self.id}': unit costs must be >= 0")
-        if not self.max_units_footprint >= 1:
-            raise DomainError(f"vehicle '{self.id}': max_units_footprint must be >= 1")
+        if not 0 < self.capacity_kg < _INF:
+            raise DomainError(f"vehicle '{self.id}': capacity_kg must be > 0 and finite")
+        if not 0 < self.speed_kmh < _INF:
+            raise DomainError(f"vehicle '{self.id}': speed_kmh must be > 0 and finite")
+        if not 0 <= self.cost_per_km < _INF:
+            raise DomainError(f"vehicle '{self.id}': cost_per_km must be >= 0 and finite")
+        if not 0 <= self.cost_per_hour < _INF:
+            raise DomainError(f"vehicle '{self.id}': cost_per_hour must be >= 0 and finite")
+        if not 1 <= self.max_units_footprint < _INF:
+            raise DomainError(
+                f"vehicle '{self.id}': max_units_footprint must be >= 1 and finite")
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,10 +110,10 @@ class DeliveryUnitType:
     stops: float
 
     def __post_init__(self):
-        if not self.avg_weight_kg > 0:
-            raise DomainError(f"unit '{self.id}': avg_weight_kg must be > 0")
-        if not self.stops >= 0:
-            raise DomainError(f"unit '{self.id}': stops must be >= 0")
+        if not 0 < self.avg_weight_kg < _INF:
+            raise DomainError(f"unit '{self.id}': avg_weight_kg must be > 0 and finite")
+        if not 0 <= self.stops < _INF:
+            raise DomainError(f"unit '{self.id}': stops must be >= 0 and finite")
 
     @property
     def weight_kg(self) -> float:
@@ -184,10 +190,10 @@ class NetworkParams:
     def __post_init__(self):
         for name in ("radius_km", "area_km2", "stop_time_h", "daganzo_k",
                      "shift_duration_h", "lead_time_h"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"params.{name} must be > 0")
-        if not self.congestion_factor >= 1:
-            raise DomainError("params.congestion_factor must be >= 1")
+            if not 0 < getattr(self, name) < _INF:
+                raise DomainError(f"params.{name} must be > 0 and finite")
+        if not 1 <= self.congestion_factor < _INF:
+            raise DomainError("params.congestion_factor must be >= 1 and finite")
         if self.lead_time_h > 24:
             raise DomainError("params.lead_time_h must be <= 24")
 
@@ -204,8 +210,8 @@ class ExternalCostFactors:
 
     def __post_init__(self):
         for name in EXTERNAL_CATEGORIES:
-            if not getattr(self, name) >= 0:
-                raise DomainError(f"external factor '{name}' must be >= 0")
+            if not 0 <= getattr(self, name) < _INF:
+                raise DomainError(f"external factor '{name}' must be >= 0 and finite")
 
     @property
     def total(self) -> float:

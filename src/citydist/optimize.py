@@ -28,6 +28,7 @@ from .model import (
     KpiReport,
     NetworkParams,
     SaConfig,
+    _SPREAD_QUANTUM,
     _solve_fixed_point,
     effective_capacity,
     solve_tour_plan,
@@ -125,13 +126,15 @@ class _ColumnKernel:
     solver's plan for that demand, or a divergence penalty when the solver
     proves there is none; an allocation is feasible when every vehicle's plan
     converges, as in evaluate_scheme.  The annealer, vertex_optimum and the
-    grid oracle all score allocations through column(), so they minimise one
-    energy, the one _finish reports.  Built once per call, it refuses an empty
-    fleet or unit list and holds what does not depend on the allocation: each
-    unit's total weight (avg_weight_kg * stops), and one tuple per vehicle of
-    its capacity limit per dominant unit, congestion-adjusted speed, costs
-    per km and per hour, and id.  Allocations are plain row tuples here; only
-    results handed out to callers become validated AllocationMatrix objects.
+    grid oracle all score allocations through column() (the oracle's tables
+    through table(), its equal), so they minimise one energy, the one _finish
+    reports.  Built once per call (objective_value keeps the last one), it
+    refuses an empty fleet or unit list and holds what does not depend on
+    the allocation: each unit's total weight (avg_weight_kg * stops), and
+    one tuple per vehicle of its capacity limit per dominant unit,
+    congestion-adjusted speed, costs per km and per hour, and id.
+    Allocations are plain row tuples here; only results handed out to
+    callers become validated AllocationMatrix objects.
     """
 
     def __init__(self, fleet, units, params: NetworkParams):
@@ -176,6 +179,79 @@ class _ColumnKernel:
         except InfeasibleError:
             return _PENALTY_WEIGHT * (1.0 + w / 1000.0 + s), False
         return d * per_km + time_h * per_hour, True
+
+    def table(self, i: int, ticks: int):
+        """Vehicle i's column terms on every tick column, as two arrays of
+        shape (ticks+1,)*n_units: the energy, and the same with divergent
+        columns at inf.  Entry (c_0, ..., c_n-1) is column(rows, i) bit for
+        bit, where unit row j carries the fraction c_j/ticks.
+
+        One numpy pass takes what column does, in its order: the weight and
+        stop sums in unit order (a zero share adds an exact 0.0), the
+        dominant unit's capacity limit, the capacity count and both time
+        ceilings at that count.  Where both are met, the tour solver would
+        return after its first evaluation, and the energy is written here;
+        every other column (its plan climbs or diverges) is left to column.
+        Only the grid oracle calls this, so numpy is imported here.
+        """
+        import numpy as np
+
+        n_units = len(self.units)
+        shape = (ticks + 1,) * n_units
+        frac = np.arange(ticks + 1) / ticks
+        cap_limits, v_eff, per_km, per_hour, _ = self._vehicle[i]
+        params = self.params
+        weight, stops = np.zeros(shape), np.zeros(shape)
+        axes = [(-1,) + (1,) * (n_units - 1 - j) for j in self._unit_range]
+        for j in self._unit_range:
+            weight += (float(self._weight[j]) * frac).reshape(axes[j])
+            stops += (float(self._stops[j]) * frac).reshape(axes[j])
+        # The dominant unit is the first present one of the heaviest per
+        # stop (model.dominant_index): writing the limits from the least to
+        # the most dominant unit leaves that unit's wherever it is present.
+        m = np.full(shape, float(cap_limits[-1]))
+        present = frac > 0
+        avg = self._avg
+        for j in sorted((j for j in self._unit_range if self._stops[j] > 0),
+                        key=lambda j: (avg[j], -j)):
+            np.copyto(m, float(cap_limits[j]), where=present.reshape(axes[j]))
+        np.divide(weight, m, out=m)
+        np.ceil(m, out=m)  # the capacity count; weight is free from here
+        spread = np.multiply(stops, params.area_km2, out=weight)
+        np.sqrt(spread, out=spread)
+        spread *= params.daganzo_k
+        spread /= _SPREAD_QUANTUM
+        np.rint(spread, out=spread)  # half to even, as round()
+        spread *= _SPREAD_QUANTUM
+        d = np.multiply(m, 2.0 * params.radius_km)
+        d += spread  # spread is free from here
+        hours = np.divide(d, v_eff)
+        hours += np.multiply(stops, params.stop_time_h, out=spread)
+        ceiling = np.divide(hours, params.shift_duration_h, out=spread)
+        np.ceil(ceiling, out=ceiling)
+        met = ceiling <= m
+        # the lead-time ceiling: ((d - r)/v_eff + stop_time*(stops - 1)) / lead_time
+        stops -= 1.0
+        stops *= params.stop_time_h
+        np.subtract(d, params.radius_km, out=ceiling)
+        ceiling /= v_eff
+        ceiling += stops
+        ceiling /= params.lead_time_h
+        np.ceil(ceiling, out=ceiling)
+        met &= ceiling <= m
+        met &= m < math.inf  # an overflowing count is column's to refuse
+        energy = np.multiply(d, per_km, out=d)
+        energy += np.multiply(hours, per_hour, out=hours)
+        left = np.logical_not(met, out=met)
+        # column reads only entry i of each row, so tick c's row carries c/ticks
+        # in every entry
+        tick_rows = [(c / ticks,) * len(self.fleet) for c in range(ticks + 1)]
+        terms = [self.column(tuple(tick_rows[c] for c in idx), i)
+                 for idx in np.argwhere(left).tolist()]  # C order, as left[...] takes
+        energy[left] = [term for term, _ in terms]
+        feasible_energy = energy.copy()
+        feasible_energy[left] = [term if ok else math.inf for term, ok in terms]
+        return energy, feasible_energy
 
     def terms(self, rows) -> list:
         return [self.column(rows, i) for i in range(len(self.fleet))]
@@ -225,9 +301,23 @@ def constraint_violations(allocation: AllocationMatrix, fleet, units,
     return tuple(out)
 
 
+# ((fleet, units, params), kernel) of the last objective_value call.  A
+# kernel's terms depend only on values that compare equal, so sharing it
+# across callers changes no result.
+_objective_kernel = None
+
+
 def objective_value(allocation: AllocationMatrix, fleet, units, params: NetworkParams) -> float:
-    """Transport cost of an allocation; math.inf when a vehicle's plan diverges."""
-    return _ColumnKernel(fleet, units, params).energy(allocation.entries)[1]
+    """Transport cost of an allocation; math.inf when a vehicle's plan diverges.
+
+    Callers scoring many allocations of one instance share one kernel: it is
+    rebuilt only when the frozen (fleet, units, params) stop comparing equal
+    to the last call's (tuple comparison checks identity first)."""
+    global _objective_kernel
+    key = (tuple(fleet), tuple(units), params)
+    if _objective_kernel is None or _objective_kernel[0] != key:
+        _objective_kernel = key, _ColumnKernel(*key)
+    return _objective_kernel[1].energy(allocation.entries)[1]
 
 
 def _canonical_row(row: list[float]) -> tuple[float, ...]:
@@ -500,8 +590,10 @@ def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
     """Exact optimum over allocations on a simplex grid of the given step.
 
     Enumerates every combination of per-row grid points.  Each vehicle's
-    table of tick columns is scored by the annealer's _ColumnKernel.column,
-    so the grid minimises the same penalized energy that the result reports.
+    table of tick columns comes from _ColumnKernel.table, one numpy pass
+    that equals the annealer's _ColumnKernel.column bit for bit and leaves
+    it the columns whose plan climbs or diverges, so the grid minimises the
+    same penalized energy that the result reports.
     The search gathers each vehicle's table slice over the last one or two
     rows into two buffers reused by every prefix of the leading rows.
     Feasible points come first; among equal objectives the lexicographically
@@ -532,25 +624,8 @@ def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
         return _finish(kernel, ((1.0,),) * n_units, external_factors, None, joint)
 
     # Per-vehicle energy for every possible tick column, then the joint
-    # minimum is a sum of per-vehicle table lookups.  kernel.column reads
-    # only entry vehicle_idx of each row, so the row of tick c carries the
-    # fraction c/ticks in every entry; itertools.product yields C order.
-    tick_rows = [(c / ticks,) * n_vehicles for c in range(ticks + 1)]
-
-    def column_energy(vehicle_idx: int) -> tuple[np.ndarray, np.ndarray]:
-        shape = (ticks + 1,) * n_units
-        energy = np.empty(shape)
-        flat = energy.reshape(-1)
-        divergent = []
-        for k, col in enumerate(itertools.product(tick_rows, repeat=n_units)):
-            flat[k], ok = kernel.column(col, vehicle_idx)
-            if not ok:
-                divergent.append(k)
-        feas_obj = energy.copy()
-        feas_obj.reshape(-1)[divergent] = np.inf
-        return energy, feas_obj
-
-    tables = [column_energy(i) for i in range(n_vehicles)]
+    # minimum is a sum of per-vehicle table lookups.
+    tables = [kernel.table(i, ticks) for i in range(n_vehicles)]
     rows = _compositions(ticks, n_vehicles)
     # The last one or two unit rows are searched as one array per prefix of
     # the leading rows: each vehicle's tail slice of its table is gathered by

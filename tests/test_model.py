@@ -107,8 +107,8 @@ _NAN_FIELDS = [
                    "congestion_factor", "shift_duration_h", "lead_time_h")),
     ("VehicleType.capacity_kg", lambda: VehicleType("v", NAN, 20, 5, 30), "capacity_kg"),
     ("VehicleType.speed_kmh", lambda: VehicleType("v", 1000, NAN, 5, 30), "speed_kmh"),
-    ("VehicleType.cost_per_km", lambda: VehicleType("v", 1000, 20, NAN, 30), "unit costs"),
-    ("VehicleType.cost_per_hour", lambda: VehicleType("v", 1000, 20, 5, NAN), "unit costs"),
+    ("VehicleType.cost_per_km", lambda: VehicleType("v", 1000, 20, NAN, 30), "cost_per_km"),
+    ("VehicleType.cost_per_hour", lambda: VehicleType("v", 1000, 20, 5, NAN), "cost_per_hour"),
     ("VehicleType.max_units_footprint",
      lambda: VehicleType("v", 1000, 20, 5, 30, TemperatureClass.A, NAN), "max_units_footprint"),
     ("DeliveryUnitType.avg_weight_kg", lambda: DeliveryUnitType("u", NAN, 5), "avg_weight_kg"),
@@ -127,6 +127,41 @@ _NAN_FIELDS = [
 def test_nan_field_is_refused_by_name(build, field):
     with pytest.raises(DomainError, match=re.escape(field)):
         build()
+
+
+INF = math.inf
+# (case, constructor given one value, the field's name in the refusal) for
+# every numeric field of the four value types
+_FIELD_BUILDERS = [
+    *((f"NetworkParams.{name}",
+       lambda x, name=name: NetworkParams(**{"radius_km": 30, "area_km2": 186,
+                                             "stop_time_h": 0.25, name: x}),
+       f"params.{name}")
+      for name in ("radius_km", "area_km2", "stop_time_h", "daganzo_k",
+                   "congestion_factor", "shift_duration_h", "lead_time_h")),
+    ("VehicleType.capacity_kg", lambda x: VehicleType("v", x, 20, 5, 30), "capacity_kg"),
+    ("VehicleType.speed_kmh", lambda x: VehicleType("v", 1000, x, 5, 30), "speed_kmh"),
+    ("VehicleType.cost_per_km", lambda x: VehicleType("v", 1000, 20, x, 30), "cost_per_km"),
+    ("VehicleType.cost_per_hour", lambda x: VehicleType("v", 1000, 20, 5, x), "cost_per_hour"),
+    ("VehicleType.max_units_footprint",
+     lambda x: VehicleType("v", 1000, 20, 5, 30, TemperatureClass.A, x), "max_units_footprint"),
+    ("DeliveryUnitType.avg_weight_kg", lambda x: DeliveryUnitType("u", x, 5), "avg_weight_kg"),
+    ("DeliveryUnitType.stops", lambda x: DeliveryUnitType("u", 10, x), "stops"),
+    *((f"ExternalCostFactors.{name}",
+       lambda x, k=k: ExternalCostFactors(*(x if j == k else 1.0 for j in range(5))),
+       f"external factor '{name}'") for k, name in enumerate(EXTERNAL_CATEGORIES)),
+]
+
+
+@pytest.mark.parametrize("value", [INF, -INF], ids=["inf", "-inf"])
+@pytest.mark.parametrize("build, field", [case[1:] for case in _FIELD_BUILDERS],
+                         ids=[case[0] for case in _FIELD_BUILDERS])
+def test_infinite_field_is_refused_by_name(build, field, value):
+    # an infinite cost made simulated_annealing's temperatures infinite, so
+    # its cooling loop never ended; inf * 0 would put NaN in the grid tables
+    with pytest.raises(DomainError, match=re.escape(field) + ".* and finite"):
+        build(value)
+    build(1.0)  # the same builder takes a finite value
 
 
 # ---------------------------------------------------------------- route distance

@@ -115,6 +115,31 @@ def test_objective_separable_over_vehicles():
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+
+def test_objective_value_reuses_one_kernel_per_instance(monkeypatch):
+    # scoring many allocations of one instance builds one kernel: equal
+    # copies of (fleet, units, params) reuse it, a changed one rebuilds it
+    fleet = [vt("a", 17000, 5), vt("b", 4000, 8)]
+    units = [PALLET, DeliveryUnitType("parcel", 80.0, 25)]
+    tight = replace(PARAMS, lead_time_h=4.0)
+    corners = ((1.0, 0.0), (0.0, 1.0))
+    allocations = [*(AllocationMatrix(rows) for rows in itertools.product(corners, repeat=2)),
+                   AllocationMatrix.uniform(2, 2)]
+    fresh = {params: [_ColumnKernel(fleet, units, params).energy(a.entries)[1]
+                      for a in allocations] for params in (PARAMS, tight)}
+    built = []
+    init = _ColumnKernel.__init__
+    monkeypatch.setattr(_ColumnKernel, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    monkeypatch.setattr(optimize, "_objective_kernel", None)
+    for params, rebuilds in ((PARAMS, 1), (tight, 2), (PARAMS, 3)):
+        for allocation, expected in zip(allocations, fresh[params]):
+            copies = (list(fleet), tuple(units), replace(params))
+            assert objective_value(allocation, *copies) == expected
+            assert objective_value(allocation, fleet, units, params) == expected
+        assert len(built) == rebuilds
+
+
 # ---------------------------------------------------------------- constraints
 
 def test_zero_column_has_nonpositive_slacks():
@@ -594,6 +619,85 @@ def test_grid_refuses_oversized_instances():
     assert result.evaluations == 1
 
 
+
+def test_grid_table_is_kernel_column_bit_for_bit(monkeypatch):
+    # every entry of every vehicle's table equals column() on its tick
+    # column, bit for bit.  The instances mix int and float capacities,
+    # tied average weights and zero-stop units; at 1-2 h lead times on 5 or
+    # 20 km radii their columns meet both time ceilings at the capacity
+    # count (filled by the numpy pass), climb past it, or diverge (both
+    # left to column, recorded here).
+    column = _ColumnKernel.column
+    left = []
+    monkeypatch.setattr(_ColumnKernel, "column",
+                        lambda self, rows, i: left.append(column(self, rows, i)[1]) or
+                        column(self, rows, i))
+    rng = random.Random(21)
+    entries = 0
+    for n_units, steps in ((1, (0.05, 0.5)), (2, (0.05, 0.2)), (3, (0.1, 0.25)),
+                           (4, (0.25, 0.5))):
+        for step in steps:
+            for _ in range(4):
+                n_vehicles = rng.randint(2, 4)
+                fleet = [VehicleType(f"v{i}", rng.choice((4000, 9000.0, 17000)),
+                                     rng.choice((15, 20.0)), rng.choice((5, 6.5)), 30.0,
+                                     TemperatureClass.A, rng.choice((5, 33, 200)))
+                         for i in range(n_vehicles)]
+                units = [DeliveryUnitType(f"u{j}", rng.choice((80.0, 450, 900.0)),
+                                          rng.choice((0, 12, 40.5, 100)))
+                         for j in range(n_units)]
+                params = replace(PARAMS, radius_km=rng.choice((5, 20.0)),
+                                 lead_time_h=rng.choice((1.0, 1.5, 2)))
+                kernel = _ColumnKernel(fleet, units, params)
+                ticks = round(1 / step)
+                tick_rows = [(c / ticks,) * n_vehicles for c in range(ticks + 1)]
+                for i in range(n_vehicles):
+                    energy, feasible_energy = kernel.table(i, ticks)
+                    assert energy.shape == feasible_energy.shape == (ticks + 1,) * n_units
+                    for idx in itertools.product(range(ticks + 1), repeat=n_units):
+                        term, ok = column(kernel, tuple(tick_rows[c] for c in idx), i)
+                        assert float(energy[idx]).hex() == term.hex()
+                        assert float(feasible_energy[idx]) == (term if ok else math.inf)
+                    entries += energy.size
+    assert True in left and False in left  # some columns climb, some diverge
+    assert len(left) < entries  # and the others are numpy's
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_grid_table_refuses_an_overflowing_weight_as_column_does():
+    # 1e200 kg per stop at 1e200 stops overflows to an infinite weight:
+    # column's math.ceil refuses its count, and the table leaves an
+    # infinite count to column rather than score it
+    fleet = [vt("a", 17000, 5), vt("b", 4000, 8)]
+    kernel = _ColumnKernel(fleet, [DeliveryUnitType("u", 1e200, 1e200)], PARAMS)
+    with pytest.raises(OverflowError):
+        kernel.column(((1.0, 0.0),), 0)
+    with pytest.raises(OverflowError):
+        kernel.table(0, 2)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_grid_tables_solve_only_columns_that_climb(seed, monkeypatch):
+    # the numpy pass fills every tick column whose plan the capacity count
+    # settles; the tour solver sees only the others, which climb past that
+    # count or diverge.  On C5's family at step 0.05, 0 (seeds 0, 2, 3, 8) to
+    # 2,739 (seed 5) of the 3 x 21^3 columns are shift-bound.
+    fleet, units, params = _instance(f"c5_instance-{seed}", monkeypatch)
+    climbs = []
+
+    def recording(weight, stops, cap_limit, *rest, _solve=optimize._solve_fixed_point):
+        plan = _solve(weight, stops, cap_limit, *rest)  # a divergence raises
+        climbs.append(plan[0] - math.ceil(weight / cap_limit))
+        return plan
+
+    monkeypatch.setattr(optimize, "_solve_fixed_point", recording)
+    kernel = _ColumnKernel(fleet, units, params)
+    for i in range(len(fleet)):
+        kernel.table(i, 20)
+    assert all(climb > 0 for climb in climbs)
+    assert (len(climbs) == 0) is (seed in (0, 2, 3, 8))
+
+
 @pytest.mark.parametrize("lead_time_h, n_vehicles, n_units", [
     pytest.param(24.0, 2, 4, id="24.0"), pytest.param(4.0, 2, 4, id="4.0"),
     pytest.param(2.0, 2, 4, id="2.0"), pytest.param(24.0, 3, 3, id="3x3-24.0"),
@@ -637,7 +741,9 @@ def test_grid_refuses_step_outside_unit_interval(step):
 
 def test_grid_search_memory_stays_small(monkeypatch):
     # one step-0.05 call on a C5-range 3x3 instance: 231 compositions per
-    # row, six 21^3 tables and two 231^2 buffers.  A cached per-vehicle
+    # row, six 21^3 tables and two 231^2 buffers, ~1.4 MB traced.  The
+    # numpy pass that fills a table holds six 21^3 arrays at most, and they
+    # are freed before the search buffers are made.  A cached per-vehicle
     # gathered table would add ~9 MB per vehicle.
     fleet, units, params = _instance("c5_instance-7", monkeypatch)
     brute_force_grid(fleet, units, params, step=0.05)  # numpy's first-call set-up
