@@ -32,19 +32,30 @@ Run it on two checkouts and compare the lines.  Groups:
   anneal repr() of simulated_annealing(..., keep_trace=True) on both C6
          cases, bordeaux.scenario pi_small layer 2 and the single-supplier
          original layer 1, at seeds 1, 5, 11 and 42
+  scenario  stdout, stderr and exit code of in-process ``validate`` on
+         every single-leaf mutation of both bundled scenarios (each leaf
+         replaced by each value of MUTATIONS, or dropped), then the YAML that
+         emit_scenario writes for each; every document goes to one fixed
+         file name in a temporary directory, so no temporary path is hashed
 
-perfbench is only imported, never written to.  The whole run takes well
-under a minute on one core.
+perfbench is only imported, never written to.  The whole run takes under
+a minute on one core (about 45 s on a 2-core VM, under half of it the scenario
+group).
 """
 
+import copy
 import hashlib
 import io
+import math
 import os
 import pathlib
 import random
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+
+import yaml
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
@@ -66,7 +77,7 @@ from citydist.optimize import (  # noqa: E402
     simulated_annealing,
     vertex_optimum,
 )
-from citydist.scenario import load_scenario  # noqa: E402
+from citydist.scenario import emit_scenario, load_scenario  # noqa: E402
 from citydist.schemes import (  # noqa: E402
     FleetAssignment,
     LayerMode,
@@ -92,6 +103,10 @@ SWEEP_GRIDS = (
     ("congestion_factor", 1.0, 3.0, 0.1),
     ("shift_duration_h", 0.5, 24.0, 1.0),
 )
+DROP = "<drop the field>"
+# the values tests/test_cli.py's mutation test puts in place of a leaf
+MUTATIONS = (["x"], {"x": 1}, True, math.nan, math.inf, -math.inf, 10 ** 30, -1, 0, "x",
+             None, DROP)
 
 
 def cli_commands():
@@ -117,12 +132,16 @@ def cli_commands():
                         yield ["optimize", *s, *at, "--oracle", *f]
 
 
+def captured(argv) -> str:
+    """argv, then the exit code, stdout and stderr of run(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return f"{argv}\n{code}\n{out.getvalue()}\n{err.getvalue()}\n"
+
+
 def cli_outputs():
-    for argv in cli_commands():
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = run(argv)
-        yield f"{argv}\n{code}\n{out.getvalue()}\n{err.getvalue()}\n"
+    return map(captured, cli_commands())
 
 
 def sweep_outputs():
@@ -211,13 +230,52 @@ def anneal_outputs():
                                            scheme.external_factors, keep_trace=True))
 
 
+def leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from leaf_paths(child, (*path, key))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from leaf_paths(child, (*path, i))
+    else:
+        yield path
+
+
+def scenario_outputs():
+    dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+    with tempfile.TemporaryDirectory() as directory:
+        os.chdir(directory)
+        try:
+            for path in SCENARIOS:
+                doc = yaml.safe_load(path.read_text())
+                for leaf in leaf_paths(doc):
+                    for value in MUTATIONS:
+                        mutated = copy.deepcopy(doc)
+                        *parents, last = leaf
+                        node = mutated
+                        for key in parents:
+                            node = node[key]
+                        if value is DROP:
+                            del node[last]
+                        else:
+                            node[last] = value
+                        with open("mutated.scenario", "w", encoding="utf-8") as fh:
+                            yaml.dump(mutated, fh, Dumper=dumper)
+                        yield (f"{path.name} {leaf} {value!r}\n"
+                               + captured(["validate", "--scenario", "mutated.scenario"]))
+                emit_scenario(load_scenario(str(path)), "emitted.scenario")
+                yield pathlib.Path("emitted.scenario").read_text(encoding="utf-8")
+        finally:
+            os.chdir(ROOT)
+
+
 def main():
     os.chdir(ROOT)  # the cli group names the scenarios by their relative paths
     for group, outputs in (("cli", cli_outputs), ("sweeps", sweep_outputs),
                            ("c5", c5_outputs), ("grid", grid_outputs),
                            ("grid_tight", grid_tight_outputs),
                            ("splice", splice_outputs), ("allsweeps", allsweep_outputs),
-                           ("anneal", anneal_outputs)):
+                           ("anneal", anneal_outputs), ("scenario", scenario_outputs)):
         digest = hashlib.sha256()
         count = 0
         for text in outputs():

@@ -120,16 +120,12 @@ class DeliveryUnitType:
         return self.avg_weight_kg * self.stops
 
 
-def dominant_index(units, shares) -> int:
-    """Index of the heaviest-per-stop unit present (stops > 0 and a share
-    > 0), the first among ties; -1 when none is.  That unit's footprint
-    limits a vehicle's usable capacity."""
-    best = -1
-    for j, (unit, share) in enumerate(zip(units, shares)):
-        if share > 0 and unit.stops > 0 and (
-                best < 0 or unit.avg_weight_kg > units[best].avg_weight_kg):
-            best = j
-    return best
+def dominant_order(units) -> list[int]:
+    """Indices of the units with stops > 0, heaviest per stop first, the
+    first of equals first.  The first of them that a demand carries is its
+    dominant unit, whose footprint limits a vehicle's usable capacity."""
+    return sorted((j for j, unit in enumerate(units) if unit.stops > 0),
+                  key=lambda j: -units[j].avg_weight_kg)
 
 
 @dataclass(frozen=True)
@@ -141,8 +137,10 @@ class DemandProfile:
     total_stops: float = 0.0
 
     def __post_init__(self):
-        if not (self.total_weight_kg >= 0 and self.total_stops >= 0):
-            raise DomainError("demand totals must be >= 0")
+        if not 0 <= self.total_weight_kg < _INF:
+            raise DomainError("demand totals: total_weight_kg must be >= 0 and finite")
+        if not 0 <= self.total_stops < _INF:
+            raise DomainError("demand totals: total_stops must be >= 0 and finite")
         if self.units:
             w = math.fsum(u.weight_kg for u in self.units)
             s = math.fsum(u.stops for u in self.units)
@@ -161,13 +159,13 @@ class DemandProfile:
 
     def dominant_unit(self) -> DeliveryUnitType | None:
         """Heaviest-per-stop unit present; governs footprint-limited capacity."""
-        j = dominant_index(self.units, (1.0,) * len(self.units))
-        return self.units[j] if j >= 0 else None
+        order = dominant_order(self.units)
+        return self.units[order[0]] if order else None
 
     def scale(self, factor: float) -> "DemandProfile":
         """Scale stop counts (and hence weight) by a factor, keeping unit mix."""
-        if not factor >= 0:
-            raise DomainError("scale factor must be >= 0")
+        if not 0 <= factor < _INF:
+            raise DomainError("scale factor must be >= 0 and finite")
         units = tuple(replace(u, stops=u.stops * factor) for u in self.units)
         if units:
             return DemandProfile.from_units(units)
@@ -336,10 +334,12 @@ class SaConfig:
             raise DomainError("steps_per_temperature and restarts must be >= 1")
 
 
-def _spread(params: NetworkParams, stops: float) -> float:
-    """The dispersion term k*sqrt(A*N) of a route, snapped to _SPREAD_QUANTUM."""
-    return round(params.daganzo_k * math.sqrt(params.area_km2 * stops)
-                 / _SPREAD_QUANTUM) * _SPREAD_QUANTUM
+def _spread(params: NetworkParams, stops, sqrt=math.sqrt, rint=round):
+    """The dispersion term k*sqrt(A*N) of a route, snapped to _SPREAD_QUANTUM
+    (rounded half to even); the grid table passes numpy's sqrt and rint to
+    take it over an array of stop counts, in the same float operations."""
+    return rint(params.daganzo_k * sqrt(params.area_km2 * stops)
+                / _SPREAD_QUANTUM) * _SPREAD_QUANTUM
 
 
 def route_distance(tours: float, stops: float, params: NetworkParams) -> float:

@@ -28,8 +28,9 @@ from .model import (
     KpiReport,
     NetworkParams,
     SaConfig,
-    _SPREAD_QUANTUM,
     _solve_fixed_point,
+    _spread,
+    dominant_order,
     effective_capacity,
     solve_tour_plan,
 )
@@ -130,9 +131,10 @@ class _ColumnKernel:
     through table(), its equal), so they minimise one energy, the one _finish
     reports.  Built once per call (objective_value keeps the last one), it
     refuses an empty fleet or unit list and holds what does not depend on
-    the allocation: each unit's total weight (avg_weight_kg * stops), and
-    one tuple per vehicle of its capacity limit per dominant unit,
-    congestion-adjusted speed, costs per km and per hour, and id.
+    the allocation: each unit's total weight (avg_weight_kg * stops), the
+    units' dominant_order, and one tuple per vehicle of its capacity limit
+    per dominant unit, congestion-adjusted speed, costs per km and per
+    hour, and id.
     Allocations are plain row tuples here; only results handed out to
     callers become validated AllocationMatrix objects.
     """
@@ -146,7 +148,7 @@ class _ColumnKernel:
         self._unit_range = range(len(self.units))
         self._weight = [u.avg_weight_kg * u.stops for u in self.units]
         self._stops = [u.stops for u in self.units]
-        self._avg = [u.avg_weight_kg for u in self.units]
+        self._order = dominant_order(self.units)
         congestion = params.congestion_factor
         # capacity limits indexed by dominant unit; the trailing entry (index -1) is "no unit"
         self._vehicle = [([effective_capacity(v, u) for u in (*self.units, None)],
@@ -157,21 +159,21 @@ class _ColumnKernel:
         """Column term of vehicle i under the allocation rows: its plan's
         transport cost.  Divergent vehicles contribute a penalty that grows
         with the assigned demand, steering the search back toward servable
-        allocations.  The dominant unit is model.dominant_index, inlined:
-        this is the walk's hot path."""
-        weights, stops, avg = self._weight, self._stops, self._avg
+        allocations.  The dominant unit is the first of model.dominant_order
+        that the column carries."""
+        weights, stops = self._weight, self._stops
         w = s = 0.0
-        dominant = -1
         for j in self._unit_range:
             f = rows[j][i]
             if f <= 0:
                 continue
             w += weights[j] * f
             s += stops[j] * f
-            if stops[j] > 0 and (dominant < 0 or avg[j] > avg[dominant]):
-                dominant = j
         if w == 0 and s == 0:
             return _EMPTY_TERM
+        for dominant in self._order:  # the column carries a unit with stops, so one breaks
+            if rows[dominant][i] > 0:
+                break
         cap_limits, v_eff, per_km, per_hour, vehicle_id = self._vehicle[i]
         try:
             _, d, time_h, _ = _solve_fixed_point(w, s, cap_limits[dominant], v_eff,
@@ -206,23 +208,16 @@ class _ColumnKernel:
         for j in self._unit_range:
             weight += (float(self._weight[j]) * frac).reshape(axes[j])
             stops += (float(self._stops[j]) * frac).reshape(axes[j])
-        # The dominant unit is the first present one of the heaviest per
-        # stop (model.dominant_index): writing the limits from the least to
-        # the most dominant unit leaves that unit's wherever it is present.
+        # The dominant unit is the first of model.dominant_order present:
+        # writing the limits from the last of that order to the first leaves
+        # that unit's wherever it is present.
         m = np.full(shape, float(cap_limits[-1]))
         present = frac > 0
-        avg = self._avg
-        for j in sorted((j for j in self._unit_range if self._stops[j] > 0),
-                        key=lambda j: (avg[j], -j)):
+        for j in reversed(self._order):
             np.copyto(m, float(cap_limits[j]), where=present.reshape(axes[j]))
         np.divide(weight, m, out=m)
-        np.ceil(m, out=m)  # the capacity count; weight is free from here
-        spread = np.multiply(stops, params.area_km2, out=weight)
-        np.sqrt(spread, out=spread)
-        spread *= params.daganzo_k
-        spread /= _SPREAD_QUANTUM
-        np.rint(spread, out=spread)  # half to even, as round()
-        spread *= _SPREAD_QUANTUM
+        np.ceil(m, out=m)  # the capacity count
+        spread = _spread(params, stops, np.sqrt, np.rint)
         d = np.multiply(m, 2.0 * params.radius_km)
         d += spread  # spread is free from here
         hours = np.divide(d, v_eff)

@@ -15,11 +15,13 @@ load -> emit -> load is a fixpoint and identical runs are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from contextlib import contextmanager
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import yaml
 
 from .model import (
+    EXTERNAL_CATEGORIES,
     DeliveryUnitType,
     DemandProfile,
     DomainError,
@@ -29,8 +31,7 @@ from .model import (
     TemperatureClass,
     VehicleType,
 )
-from .schemes import (DEFAULT_HANDLING_COST_PER_DELIVERY, SchemeSpec, Supplier,
-                      build_original, build_pi, build_ucc)
+from .schemes import SchemeSpec, Supplier, build_original, build_pi, build_ucc
 
 
 class ScenarioError(Exception):
@@ -51,18 +52,22 @@ class ScenarioInvariantError(ScenarioError):
     pass
 
 
+def _keys(record) -> tuple[set[str], set[str]]:
+    """A model record's keys as (allowed, required): its fields, and those
+    with no default."""
+    return ({f.name for f in fields(record)},
+            {f.name for f in fields(record) if f.default is MISSING})
+
+
 _TOP_KEYS = {"name", "description", "network_defaults", "external_factors",
              "vehicles", "unit_classes", "suppliers", "schemes", "optimization", "sa"}
-_VEHICLE_KEYS = {"id", "capacity_kg", "speed_kmh", "cost_per_km", "cost_per_hour",
-                 "temperature_class", "max_units_footprint"}
-_VEHICLE_REQUIRED = {"id", "capacity_kg", "speed_kmh", "cost_per_km", "cost_per_hour"}
+_VEHICLE_KEYS, _VEHICLE_REQUIRED = _keys(VehicleType)
+_PARAM_KEYS, _PARAM_REQUIRED = _keys(NetworkParams)
+_SA_KEYS, _SA_REQUIRED = _keys(SaConfig)
 _UNIT_KEYS = {"id", "avg_weight_kg"}
 _SUPPLIER_KEYS = {"name", "temperature_classes", "pos_count", "fleet", "demand"}
 _FLEET_KEYS = {"vehicle", "share"}
 _DEMAND_KEYS = {"unit", "stops", "avg_weight_kg"}
-_PARAM_KEYS = {"radius_km", "area_km2", "stop_time_h", "daganzo_k",
-               "congestion_factor", "shift_duration_h", "lead_time_h"}
-_PARAM_REQUIRED = {"radius_km", "area_km2", "stop_time_h"}
 _SCHEME_KEYS_COMMON = {"name", "type"}
 _SCHEME_KEYS = {
     "original": _SCHEME_KEYS_COMMON | {"params"},
@@ -73,9 +78,9 @@ _SCHEME_KEYS = {
                                  "hub_count", "shuttle_tours_per_hub",
                                  "consolidate_inbound", "hub_weights"},
 }
-_EXTERNAL_KEYS = {"accident", "air_pollution", "climate_change", "noise", "congestion"}
-_SA_KEYS = {f.name for f in fields(SaConfig)}
 _OPT_KEYS = {"vehicles"}
+# A scenario's handling rate where its scheme gives none.
+DEFAULT_HANDLING_COST_PER_DELIVERY = 10.0
 # build_pi makes one demand weight, and one inbound assignment per supplier,
 # for every hub: far larger counts only exhaust memory.
 MAX_HUB_COUNT = 10_000
@@ -99,11 +104,11 @@ def _require_list(node, path: str) -> list:
     return _typed(node, list, "a list", path)
 
 
-def _check_keys(node: dict, allowed: set, required: set, path: str):
-    unknown = set(node) - allowed
+def _check_keys(node: dict, allowed, required, path: str):
+    unknown = node.keys() - allowed
     if unknown:
         raise ScenarioParseError(path, f"unknown field(s): {', '.join(sorted(unknown))}")
-    missing = required - set(node)
+    missing = [key for key in required if key not in node]
     if missing:
         raise ScenarioParseError(path, f"missing required field(s): {', '.join(sorted(missing))}")
 
@@ -138,6 +143,15 @@ def _temperature_class(v, path: str) -> TemperatureClass:
     if _name(v, path) not in TemperatureClass.__members__:
         raise ScenarioParseError(path, f"unknown temperature class '{v}'")
     return TemperatureClass(v)
+
+
+@contextmanager
+def _invariant(path: str):
+    """Report a model DomainError raised in the block at path."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ScenarioInvariantError(path, str(exc)) from exc
 
 
 def _number(node: dict, key: str, path: str, default=None):
@@ -191,12 +205,8 @@ class Scenario:
             "network_defaults": {k: self.network_defaults[k]
                                  for k in sorted(self.network_defaults)},
             "external_factors": self.external_factors.as_dict(),
-            "vehicles": [
-                {"id": v.id, "capacity_kg": v.capacity_kg, "speed_kmh": v.speed_kmh,
-                 "cost_per_km": v.cost_per_km, "cost_per_hour": v.cost_per_hour,
-                 "temperature_class": v.temperature_class.value,
-                 "max_units_footprint": v.max_units_footprint}
-                for v in self.vehicles.values()],
+            "vehicles": [{**asdict(v), "temperature_class": v.temperature_class.value}
+                         for v in self.vehicles.values()],
             "unit_classes": [{"id": k, "avg_weight_kg": w}
                              for k, w in self.unit_classes.items()],
             "suppliers": [
@@ -217,11 +227,9 @@ class Scenario:
 
 def _parse_external(node, path: str) -> ExternalCostFactors:
     node = _require_mapping(node, path)
-    _check_keys(node, _EXTERNAL_KEYS, _EXTERNAL_KEYS, path)
-    try:
-        return ExternalCostFactors(**{k: _number(node, k, path) for k in _EXTERNAL_KEYS})
-    except DomainError as exc:
-        raise ScenarioInvariantError(path, str(exc)) from exc
+    _check_keys(node, EXTERNAL_CATEGORIES, EXTERNAL_CATEGORIES, path)
+    with _invariant(path):
+        return ExternalCostFactors(**{k: _number(node, k, path) for k in EXTERNAL_CATEGORIES})
 
 
 def _parse_vehicles(node, path: str) -> dict[str, VehicleType]:
@@ -238,7 +246,7 @@ def _parse_vehicles(node, path: str) -> dict[str, VehicleType]:
                              f"{p}.max_units_footprint")
         tclass = _temperature_class(item.get("temperature_class", "A"),
                                     f"{p}.temperature_class")
-        try:
+        with _invariant(p):
             vehicles[vid] = VehicleType(
                 id=vid,
                 capacity_kg=_number(item, "capacity_kg", p),
@@ -248,8 +256,6 @@ def _parse_vehicles(node, path: str) -> dict[str, VehicleType]:
                 temperature_class=tclass,
                 max_units_footprint=footprint,
             )
-        except DomainError as exc:
-            raise ScenarioInvariantError(p, str(exc)) from exc
     if not vehicles:
         raise ScenarioParseError(path, "at least one vehicle is required")
     return vehicles
@@ -336,18 +342,14 @@ def _parse_suppliers(node, path: str, vehicles: dict[str, VehicleType],
             seen_units.add(uid)
             stops = _number(row, "stops", rp)
             avg_w = _number(row, "avg_weight_kg", rp, default=unit_classes[uid])
-            try:
+            with _invariant(rp):
                 units.append(DeliveryUnitType(id=f"{sname}:{uid}",
                                               avg_weight_kg=avg_w, stops=stops))
-            except DomainError as exc:
-                raise ScenarioInvariantError(rp, str(exc)) from exc
 
-        try:
+        with _invariant(p):
             supplier = Supplier(name=sname, demand=DemandProfile.from_units(units),
                                 fleet_shares=tuple(shares),
                                 temperature_classes=tclasses)
-        except DomainError as exc:
-            raise ScenarioInvariantError(p, str(exc)) from exc
         if not _covered(supplier.temperature_classes,
                         [v for v, _ in supplier.fleet_shares]):
             raise ScenarioInvariantError(
@@ -448,11 +450,8 @@ def _build_scheme(template: dict, scenario: Scenario) -> SchemeSpec:
     params block over the network defaults.  A block whose merged values are
     invalid raises ScenarioInvariantError; a layer's invariant, DomainError."""
     def params(block: str) -> NetworkParams:
-        try:
+        with _invariant(f"schemes[{template['name']}].{block}"):
             return NetworkParams(**{**scenario.network_defaults, **template[block]})
-        except DomainError as exc:
-            raise ScenarioInvariantError(f"schemes[{template['name']}].{block}",
-                                         str(exc)) from exc
 
     suppliers = [rec.supplier for rec in scenario.suppliers]
     name, kind, factors = template["name"], template["type"], scenario.external_factors
@@ -474,13 +473,11 @@ def _build_scheme(template: dict, scenario: Scenario) -> SchemeSpec:
 
 def _parse_sa(node, path: str) -> SaConfig:
     node = _require_mapping(node, path)
-    _check_keys(node, _SA_KEYS, set(), path)
+    _check_keys(node, _SA_KEYS, _SA_REQUIRED, path)
     kwargs = {key: (_finite if key == "cooling_rate" else _integer)(v, f"{path}.{key}")
               for key, v in node.items()}
-    try:
+    with _invariant(path):
         return SaConfig(**kwargs)
-    except DomainError as exc:
-        raise ScenarioInvariantError(path, str(exc)) from exc
 
 
 def parse_scenario(doc: dict, source_path: str | None = None) -> Scenario:
@@ -519,10 +516,8 @@ def parse_scenario(doc: dict, source_path: str | None = None) -> Scenario:
     )
     # build every scheme once, so layer-level invariants fail at load time
     for template in templates:
-        try:
+        with _invariant(f"schemes[{template['name']}]"):
             scenario.schemes[template["name"]] = _build_scheme(template, scenario)
-        except DomainError as exc:
-            raise ScenarioInvariantError(f"schemes[{template['name']}]", str(exc)) from exc
     return scenario
 
 

@@ -110,10 +110,6 @@ class Supplier:
                      for vehicle, share in self.fleet_shares)
 
 
-# A scenario's handling rate where its scheme gives none.
-DEFAULT_HANDLING_COST_PER_DELIVERY = 10.0
-
-
 def merge_demands(demands) -> DemandProfile:
     units: list[DeliveryUnitType] = []
     direct_w = 0.0

@@ -2,11 +2,12 @@ import copy
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 import pytest
 import yaml
@@ -243,6 +244,21 @@ def test_scheme_field_refusal_names_its_path(tmp_path, capsys, field, value, mes
     assert f"scenario error: {message}" in capsys.readouterr().err
 
 
+def test_external_factor_error_is_the_same_under_every_hash_seed(tmp_path):
+    # the loader used to take the categories from a set, so which of two bad
+    # factors it named first depended on PYTHONHASHSEED (noise at 0, 1, 2, 4
+    # and 5, accident at 3); it now reads model.EXTERNAL_CATEGORIES in order
+    doc = copy.deepcopy(_DOC)
+    doc["external_factors"].update(noise="x", accident="y")
+    path = _written(doc, tmp_path)
+    children = [subprocess.Popen(
+        [sys.executable, "-m", "citydist.cli", "validate", "--scenario", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONHASHSEED": str(seed)}) for seed in range(6)]
+    results = {(child.communicate()[1], child.returncode) for child in children}
+    assert results == {("scenario error: external_factors.accident: expected a number\n", 2)}
+
+
 def _validate_mutated(tmp_path, field, value) -> int:
     """Run `validate` on bordeaux.scenario with one dotted field replaced, or
     dropped when value is _DROP."""
@@ -302,7 +318,7 @@ def test_wrong_type_exits_2_with_path(tmp_path, capsys, field, good, bad, messag
 _DOC = yaml.safe_load(BORDEAUX.read_text())
 _SCHEMES = tuple(scheme["name"] for scheme in _DOC["schemes"])
 _DROP = "<drop the field>"
-# each leaf of bordeaux.scenario is replaced by one of these, or dropped
+# each leaf of a mutated document is replaced by one of these, or dropped
 _MUTATIONS = (["x"], {"x": 1}, True, math.nan, math.inf, -math.inf, 10 ** 30, -1, 0, "x",
               None, _DROP)
 
@@ -318,12 +334,24 @@ def _leaf_paths(node, path=()):
         yield path
 
 
-_LEAVES = tuple(_leaf_paths(_DOC))
+# bordeaux.scenario with the optional keys it omits, at values that keep it
+# valid: pi's hub weights and pinned shuttle tours (one 25 t shuttle tour per
+# hub carries it) and the network_defaults fields every layer sets itself
+_FULL_DOC = copy.deepcopy(_DOC)
+_FULL_DOC["schemes"][_SCHEMES.index("pi")].update(hub_weights=[0.5, 0.5],
+                                                  shuttle_tours_per_hub=1)
+_FULL_DOC["network_defaults"].update(radius_km=30, area_km2=186, stop_time_h=0.25)
+# the documents the mutation test mutates, and the scheme names of each
+_MUTATED_DOCS = (_FULL_DOC, yaml.safe_load(SINGLE_SUPPLIER.read_text()))
+_MUTATED_SCHEMES = tuple(tuple(scheme["name"] for scheme in doc["schemes"])
+                         for doc in _MUTATED_DOCS)
+_LEAVES = tuple((k, path) for k, doc in enumerate(_MUTATED_DOCS) for path in _leaf_paths(doc))
 
 
-def _mutated(path, value) -> dict:
-    """bordeaux.scenario with the node at path replaced by value, or dropped."""
-    doc = copy.deepcopy(_DOC)
+def _mutated(path, value, base=_DOC) -> dict:
+    """A copy of base, bordeaux.scenario by default, with the node at path
+    replaced by value, or dropped."""
+    doc = copy.deepcopy(base)
     *parents, last = path
     node = doc
     for key in parents:
@@ -387,19 +415,32 @@ def mutation_dir(tmp_path_factory):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(path=st.sampled_from(_LEAVES), value=st.sampled_from(_MUTATIONS),
-       scheme=st.sampled_from(_SCHEMES))
-def test_mutated_scenario_exits_cleanly(mutation_dir, path, value, scheme):
-    """A malformed scenario is refused with exit 2, or evaluates to finite
-    KPIs (or an infeasible verdict); nothing raises or prints NaN/Infinity."""
-    written = _written(_mutated(path, value), mutation_dir)
+# the optional keys (those bordeaux.scenario omits, and a demand row's
+# avg_weight_kg), which the 100 drawn examples miss
+@example(leaf=(0, ("schemes", 2, "hub_weights", 0)), value=math.nan, scheme=2)
+@example(leaf=(0, ("schemes", 2, "shuttle_tours_per_hub")), value=0, scheme=2)
+@example(leaf=(0, ("network_defaults", "radius_km")), value=_DROP, scheme=0)
+@example(leaf=(0, ("network_defaults", "stop_time_h")), value=-1, scheme=1)
+@example(leaf=(1, ("suppliers", 0, "demand", 0, "avg_weight_kg")), value=_DROP, scheme=0)
+@given(leaf=st.sampled_from(_LEAVES), value=st.sampled_from(_MUTATIONS),
+       scheme=st.integers(0, len(_SCHEMES) - 1))
+def test_mutated_scenario_exits_cleanly(mutation_dir, leaf, value, scheme):
+    """A malformed scenario is refused with exit 2, or evaluates and sweeps
+    to finite KPIs (or an infeasible verdict); nothing raises or prints
+    NaN/Infinity."""
+    k, path = leaf
+    written = _written(_mutated(path, value, _MUTATED_DOCS[k]), mutation_dir)
     code, out = _run_quietly("validate", written)
     assert code in (0, 2)
     assert "NaN" not in out and "Infinity" not in out
-    if code == 0:  # a document that fails to load fails evaluate the same way
-        code, out = _run_quietly("evaluate", written, "--scheme", scheme, "--format", "json")
-        assert code in (0, 2, 3)
-        assert "NaN" not in out and "Infinity" not in out
+    if code == 0:  # a document that fails to load fails these the same way
+        names = _MUTATED_SCHEMES[k]
+        at = ("--scheme", names[scheme % len(names)], "--format", "json")
+        for command, *options in (("evaluate",), ("sweep", "--layer", "1", "--param",
+                                                   "lead_time_h", "--range", "4:8:2")):
+            code, out = _run_quietly(command, written, *at, *options)
+            assert code in (0, 2, 3)
+            assert "NaN" not in out and "Infinity" not in out
 
 
 def test_infeasible_layer_reads_the_same_everywhere(tmp_path, capsys):

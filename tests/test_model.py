@@ -23,7 +23,7 @@ from citydist.model import (
     TemperatureClass,
     TourPlan,
     VehicleType,
-    dominant_index,
+    dominant_order,
     effective_capacity,
     fill_rate,
     route_distance,
@@ -75,6 +75,20 @@ def test_demand_dominant_unit_is_heaviest_present():
 def test_dominant_index_first_among_ties_and_skips_absent_units():
     units = (DeliveryUnitType("a", 450, 2), DeliveryUnitType("b", 900, 0),
              DeliveryUnitType("c", 450, 5), DeliveryUnitType("d", 900, 1))
+
+    def dominant_index(units, shares):
+        """The first unit of dominant_order carried at a share > 0, checked
+        against the heaviest-per-stop loop (stops > 0 and a share > 0, the
+        first among ties; -1 when none is)."""
+        best = -1
+        for j, (unit, share) in enumerate(zip(units, shares)):
+            if share > 0 and unit.stops > 0 and (
+                    best < 0 or unit.avg_weight_kg > units[best].avg_weight_kg):
+                best = j
+        assert next((j for j in dominant_order(units) if shares[j] > 0), -1) == best
+        return best
+
+    assert dominant_order(units) == [3, 0, 2]
     assert dominant_index(units, (1, 1, 1, 1)) == 3
     assert dominant_index(units, (1, 1, 1, 0)) == 0   # a and c tie: a comes first
     assert dominant_index(units, (0, 1, 0.5, 0)) == 2
@@ -151,6 +165,20 @@ _FIELD_BUILDERS = [
        lambda x, k=k: ExternalCostFactors(*(x if j == k else 1.0 for j in range(5))),
        f"external factor '{name}'") for k, name in enumerate(EXTERNAL_CATEGORIES)),
 ]
+
+
+@pytest.mark.parametrize("value", [INF, -INF, NAN], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("build, field", [
+    (lambda x: DemandProfile(total_weight_kg=x), "total_weight_kg"),
+    (lambda x: DemandProfile(total_stops=x), "total_stops"),
+    (lambda x: demand(1000, 4).scale(x), "scale factor"),
+], ids=["total_weight_kg", "total_stops", "scale"])
+def test_non_finite_demand_total_is_refused_by_name(build, field, value):
+    # an infinite total reached solve_tour_plan, whose math.ceil raised a raw
+    # OverflowError; a totals-only demand scaled by inf had the same fate
+    with pytest.raises(DomainError, match=re.escape(field) + ".* and finite"):
+        build(value)
+    build(1.0)
 
 
 @pytest.mark.parametrize("value", [INF, -INF], ids=["inf", "-inf"])

@@ -19,7 +19,6 @@ from citydist.model import (
     NetworkParams,
     TemperatureClass,
     VehicleType,
-    dominant_index,
     effective_capacity,
     solve_tour_plan,
     travel_and_stop_time,
@@ -172,8 +171,9 @@ def test_solved_plan_satisfies_all_constraints():
 
 
 def test_kernel_column_inlines_the_dominant_unit_rule(monkeypatch):
-    # _ColumnKernel.column picks the dominant unit inline, for speed; it must
-    # be model.dominant_index on every column, ties and zero-stop units too.
+    # _ColumnKernel.column takes the dominant unit from model.dominant_order;
+    # it must be the heaviest per stop on every column, ties and zero-stop
+    # units too, as this reference loop picks it.
     # The payload limit it hands the solver is that unit's: with 200 footprint
     # positions on 200 t, each unit weight gives its own limit.
     scored = []
@@ -194,7 +194,11 @@ def test_kernel_column_inlines_the_dominant_unit_rule(monkeypatch):
         for i in range(3):
             scored.clear()
             kernel.column(rows, i)
-            dominant = dominant_index(units, [r[i] for r in rows])
+            dominant = -1  # the first present unit of the heaviest per stop
+            for j, unit in enumerate(units):
+                if rows[j][i] > 0 and unit.stops > 0 and (
+                        dominant < 0 or unit.avg_weight_kg > units[dominant].avg_weight_kg):
+                    dominant = j
             # no unit with stops in the column: an empty column, never solved
             assert scored == ([effective_capacity(fleet[i], units[dominant])]
                               if dominant >= 0 else [])
