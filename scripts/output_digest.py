@@ -33,10 +33,13 @@ Run it on two checkouts and compare the lines.  Groups:
          cases, bordeaux.scenario pi_small layer 2 and the single-supplier
          original layer 1, at seeds 1, 5, 11 and 42
   scenario  stdout, stderr and exit code of in-process ``validate`` on
-         every single-leaf mutation of both bundled scenarios (each leaf
-         replaced by each value of MUTATIONS, or dropped), then the YAML that
-         emit_scenario writes for each; every document goes to one fixed
-         file name in a temporary directory, so no temporary path is hashed
+         every single-leaf mutation of both bundled scenarios outside
+         network_defaults (each leaf replaced by each value of MUTATIONS, or
+         dropped), then the YAML that emit_scenario writes for each; every
+         document goes to one fixed file name in a temporary directory, so no
+         temporary path is hashed
+  scenario_defaults  the same for the mutations of network_defaults leaves,
+         with no emitted YAML
 
 perfbench is only imported, never written to.  The whole run takes under
 a minute on one core (about 45 s on a 2-core VM, under half of it the scenario
@@ -241,7 +244,8 @@ def leaf_paths(node, path=()):
         yield path
 
 
-def scenario_outputs():
+def scenario_outputs(defaults=False):
+    """The scenario group, or with defaults the scenario_defaults group."""
     dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
     with tempfile.TemporaryDirectory() as directory:
         os.chdir(directory)
@@ -249,6 +253,8 @@ def scenario_outputs():
             for path in SCENARIOS:
                 doc = yaml.safe_load(path.read_text())
                 for leaf in leaf_paths(doc):
+                    if (leaf[0] == "network_defaults") != defaults:
+                        continue
                     for value in MUTATIONS:
                         mutated = copy.deepcopy(doc)
                         *parents, last = leaf
@@ -263,8 +269,9 @@ def scenario_outputs():
                             yaml.dump(mutated, fh, Dumper=dumper)
                         yield (f"{path.name} {leaf} {value!r}\n"
                                + captured(["validate", "--scenario", "mutated.scenario"]))
-                emit_scenario(load_scenario(str(path)), "emitted.scenario")
-                yield pathlib.Path("emitted.scenario").read_text(encoding="utf-8")
+                if not defaults:
+                    emit_scenario(load_scenario(str(path)), "emitted.scenario")
+                    yield pathlib.Path("emitted.scenario").read_text(encoding="utf-8")
         finally:
             os.chdir(ROOT)
 
@@ -275,7 +282,8 @@ def main():
                            ("c5", c5_outputs), ("grid", grid_outputs),
                            ("grid_tight", grid_tight_outputs),
                            ("splice", splice_outputs), ("allsweeps", allsweep_outputs),
-                           ("anneal", anneal_outputs), ("scenario", scenario_outputs)):
+                           ("anneal", anneal_outputs), ("scenario", scenario_outputs),
+                           ("scenario_defaults", lambda: scenario_outputs(defaults=True))):
         digest = hashlib.sha256()
         count = 0
         for text in outputs():

@@ -9,7 +9,7 @@ part, a time part and monetized external impacts per vehicle-kilometre.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from operator import attrgetter
 
@@ -55,9 +55,6 @@ class BindingConstraint(str, Enum):
 # The tour solver's usual answer, bound once: on Python 3.11 reading a member
 # through its enum class costs about ten times a global lookup.
 _CAPACITY = BindingConstraint.CAPACITY
-
-EXTERNAL_CATEGORIES = ("accident", "air_pollution", "climate_change", "noise", "congestion")
-_rates = attrgetter(*EXTERNAL_CATEGORIES)
 
 # Dispersion term quantum (km).  Snapping k*sqrt(A*N) to a dyadic grid keeps
 # 2*r*m + spread additions exact in IEEE754 for radii on a 0.25 km grid, so
@@ -223,6 +220,10 @@ class ExternalCostFactors:
         return [rate * distance_km for rate in _rates(self)]
 
 
+EXTERNAL_CATEGORIES = tuple(f.name for f in fields(ExternalCostFactors))
+_rates = attrgetter(*EXTERNAL_CATEGORIES)
+
+
 # European road-freight externality rates (INFRAS/IWW per v.km; congestion
 # rate from the TU Delft study), summing to 61.6 per v.km.
 DEFAULT_EXTERNAL_FACTORS = ExternalCostFactors(
@@ -330,6 +331,9 @@ class SaConfig:
     def __post_init__(self):
         if not (0 < self.cooling_rate < 1):
             raise DomainError("cooling_rate must be in (0, 1)")
+        for name in ("steps_per_temperature", "restarts"):
+            if not isinstance(getattr(self, name), int):
+                raise DomainError(f"{name} must be an integer")
         if self.steps_per_temperature < 1 or self.restarts < 1:
             raise DomainError("steps_per_temperature and restarts must be >= 1")
 

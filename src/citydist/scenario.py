@@ -2,7 +2,9 @@
 
 Loading validates every cross-reference and domain invariant up front, builds
 each scheme once (so a layer's invariants fail there too) and reports the
-offending path inside the document.  Error classes:
+offending path inside the document.  One reader reads each model record by
+its fields' types and leaves the rest to the record's defaults;
+network_defaults is checked as NetworkParams, used or not.  Error classes:
 
 * ScenarioParseError      -- syntax, wrong types, unknown or missing fields
 * ScenarioReferenceError  -- dangling or duplicate identifiers
@@ -21,7 +23,6 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import yaml
 
 from .model import (
-    EXTERNAL_CATEGORIES,
     DeliveryUnitType,
     DemandProfile,
     DomainError,
@@ -52,18 +53,8 @@ class ScenarioInvariantError(ScenarioError):
     pass
 
 
-def _keys(record) -> tuple[set[str], set[str]]:
-    """A model record's keys as (allowed, required): its fields, and those
-    with no default."""
-    return ({f.name for f in fields(record)},
-            {f.name for f in fields(record) if f.default is MISSING})
-
-
 _TOP_KEYS = {"name", "description", "network_defaults", "external_factors",
              "vehicles", "unit_classes", "suppliers", "schemes", "optimization", "sa"}
-_VEHICLE_KEYS, _VEHICLE_REQUIRED = _keys(VehicleType)
-_PARAM_KEYS, _PARAM_REQUIRED = _keys(NetworkParams)
-_SA_KEYS, _SA_REQUIRED = _keys(SaConfig)
 _UNIT_KEYS = {"id", "avg_weight_kg"}
 _SUPPLIER_KEYS = {"name", "temperature_classes", "pos_count", "fleet", "demand"}
 _FLEET_KEYS = {"vehicle", "share"}
@@ -145,6 +136,34 @@ def _temperature_class(v, path: str) -> TemperatureClass:
     return TemperatureClass(v)
 
 
+# A model field's reader by its annotated type (a string: postponed annotations).
+_READERS = {"float": _finite, "int": _integer, "str": _name,
+            "TemperatureClass": _temperature_class}
+# Per model record read here: its keys, those with no default, each field's reader.
+_RECORDS = {record: ({f.name for f in fields(record)},
+                     {f.name for f in fields(record) if f.default is MISSING},
+                     {f.name: _READERS[f.type] for f in fields(record)})
+            for record in (VehicleType, NetworkParams, ExternalCostFactors, SaConfig)}
+
+
+def _keyed(record, node, path: str) -> dict:
+    """node as a mapping with only record's fields, and each one that has no default."""
+    allowed, required, _ = _RECORDS[record]
+    node = _require_mapping(node, path)
+    _check_keys(node, allowed, required, path)
+    return node
+
+
+def _record(record, node, path: str):
+    """The record node describes: each given field read by its type, in
+    field order, every other left to the record's default."""
+    node = _keyed(record, node, path)
+    kwargs = {name: read(node[name], f"{path}.{name}")
+              for name, read in _RECORDS[record][2].items() if name in node}
+    with _invariant(path):
+        return record(**kwargs)
+
+
 @contextmanager
 def _invariant(path: str):
     """Report a model DomainError raised in the block at path."""
@@ -155,11 +174,9 @@ def _invariant(path: str):
 
 
 def _number(node: dict, key: str, path: str, default=None):
-    if key not in node:
-        if default is not None:
-            return default
-        raise ScenarioParseError(path, f"missing required field(s): {key}")
-    return _finite(node[key], f"{path}.{key}")
+    """node[key] as a finite number; default where node lacks the key
+    (_check_keys has refused a missing required one)."""
+    return _finite(node[key], f"{path}.{key}") if key in node else default
 
 
 @dataclass
@@ -225,37 +242,15 @@ class Scenario:
         }
 
 
-def _parse_external(node, path: str) -> ExternalCostFactors:
-    node = _require_mapping(node, path)
-    _check_keys(node, EXTERNAL_CATEGORIES, EXTERNAL_CATEGORIES, path)
-    with _invariant(path):
-        return ExternalCostFactors(**{k: _number(node, k, path) for k in EXTERNAL_CATEGORIES})
-
-
 def _parse_vehicles(node, path: str) -> dict[str, VehicleType]:
     vehicles: dict[str, VehicleType] = {}
     for i, item in enumerate(_require_list(node, path)):
         p = f"{path}[{i}]"
-        item = _require_mapping(item, p)
-        _check_keys(item, _VEHICLE_KEYS, _VEHICLE_REQUIRED, p)
-        vid = _name(item["id"], f"{p}.id")
+        vid = _name(_keyed(VehicleType, item, p)["id"], f"{p}.id")
         p = f"{path}[{vid}]"
         if vid in vehicles:
             raise ScenarioReferenceError(p, f"duplicate vehicle id '{vid}'")
-        footprint = _integer(item.get("max_units_footprint", 33),
-                             f"{p}.max_units_footprint")
-        tclass = _temperature_class(item.get("temperature_class", "A"),
-                                    f"{p}.temperature_class")
-        with _invariant(p):
-            vehicles[vid] = VehicleType(
-                id=vid,
-                capacity_kg=_number(item, "capacity_kg", p),
-                speed_kmh=_number(item, "speed_kmh", p),
-                cost_per_km=_number(item, "cost_per_km", p),
-                cost_per_hour=_number(item, "cost_per_hour", p),
-                temperature_class=tclass,
-                max_units_footprint=footprint,
-            )
+        vehicles[vid] = _record(VehicleType, item, p)
     if not vehicles:
         raise ScenarioParseError(path, "at least one vehicle is required")
     return vehicles
@@ -365,12 +360,13 @@ def _parse_suppliers(node, path: str, vehicles: dict[str, VehicleType],
 
 
 def _parse_params_block(node, path: str, defaults: dict | None = None) -> dict:
-    """A params block; a layer's block must give every required field that
+    """A params block as written, each value read by its NetworkParams field's
+    type; a layer's block must give every required field that
     network_defaults (passed as defaults) does not."""
+    allowed, required, readers = _RECORDS[NetworkParams]
     node = _require_mapping(node, path)
-    _check_keys(node, _PARAM_KEYS,
-                set() if defaults is None else _PARAM_REQUIRED - set(defaults), path)
-    return {k: _number(node, k, path) for k in node}
+    _check_keys(node, allowed, set() if defaults is None else required - defaults.keys(), path)
+    return {k: readers[k](v, f"{path}.{k}") for k, v in node.items()}
 
 
 def _parse_schemes(node, path: str, vehicles: dict[str, VehicleType],
@@ -471,21 +467,14 @@ def _build_scheme(template: dict, scenario: Scenario) -> SchemeSpec:
                     hub_weights=tuple(hub_weights) if hub_weights else None, **common)
 
 
-def _parse_sa(node, path: str) -> SaConfig:
-    node = _require_mapping(node, path)
-    _check_keys(node, _SA_KEYS, _SA_REQUIRED, path)
-    kwargs = {key: (_finite if key == "cooling_rate" else _integer)(v, f"{path}.{key}")
-              for key, v in node.items()}
-    with _invariant(path):
-        return SaConfig(**kwargs)
-
-
 def parse_scenario(doc: dict, source_path: str | None = None) -> Scenario:
     doc = _require_mapping(doc, "scenario")
     _check_keys(doc, _TOP_KEYS, {"name", "external_factors", "vehicles",
                                  "unit_classes", "suppliers", "schemes"}, "scenario")
     defaults_node = doc.get("network_defaults", {})
     defaults = _parse_params_block(defaults_node, "network_defaults") if defaults_node else {}
+    with _invariant("network_defaults"):  # 1.0 stands in for each required field it lacks
+        NetworkParams(**{**dict.fromkeys(_RECORDS[NetworkParams][1], 1.0), **defaults})
     vehicles = _parse_vehicles(doc["vehicles"], "vehicles")
     unit_classes = _parse_unit_classes(doc["unit_classes"], "unit_classes")
     suppliers = _parse_suppliers(doc["suppliers"], "suppliers", vehicles, unit_classes)
@@ -504,13 +493,14 @@ def parse_scenario(doc: dict, source_path: str | None = None) -> Scenario:
         name=_typed(doc["name"], str, "a string", "name"),
         description=_typed(doc.get("description", ""), str, "a string", "description"),
         network_defaults=defaults,
-        external_factors=_parse_external(doc["external_factors"], "external_factors"),
+        external_factors=_record(ExternalCostFactors, doc["external_factors"],
+                                 "external_factors"),
         vehicles=vehicles,
         unit_classes=unit_classes,
         suppliers=suppliers,
         scheme_templates=templates,
         optimization_vehicles=opt_vehicles,
-        sa=_parse_sa(doc.get("sa", {}), "sa"),
+        sa=_record(SaConfig, doc.get("sa", {}), "sa"),
         schemes={},
         source_path=source_path,
     )

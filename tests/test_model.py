@@ -20,6 +20,7 @@ from citydist.model import (
     ExternalCostFactors,
     InfeasibleError,
     NetworkParams,
+    SaConfig,
     TemperatureClass,
     TourPlan,
     VehicleType,
@@ -190,6 +191,22 @@ def test_infinite_field_is_refused_by_name(build, field, value):
     with pytest.raises(DomainError, match=re.escape(field) + ".* and finite"):
         build(value)
     build(1.0)  # the same builder takes a finite value
+
+
+@pytest.mark.parametrize("field, value", [
+    ("steps_per_temperature", NAN), ("steps_per_temperature", INF),
+    ("steps_per_temperature", 2.5), ("steps_per_temperature", 20.0),
+    ("restarts", NAN), ("restarts", INF), ("restarts", 2.5), ("restarts", "5"),
+], ids=["steps_nan", "steps_inf", "steps_2.5", "steps_20.0",
+        "restarts_nan", "restarts_inf", "restarts_2.5", "restarts_str"])
+def test_sa_config_refuses_a_non_integer_count_by_name(field, value):
+    # each of these constructed, and simulated_annealing's range() then
+    # raised a raw TypeError (or a NaN count compared false with 1)
+    with pytest.raises(DomainError, match=f"^{field} must be an integer$"):
+        SaConfig(**{field: value})
+    with pytest.raises(DomainError, match="^steps_per_temperature and restarts must be >= 1$"):
+        SaConfig(**{field: 0})
+    assert getattr(SaConfig(**{field: 3}), field) == 3
 
 
 # ---------------------------------------------------------------- route distance

@@ -1,13 +1,19 @@
 import copy
 import math
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 
 import pytest
 import yaml
 
 from citydist.cli import run
-from citydist.model import DemandProfile
+from citydist.model import (
+    DemandProfile,
+    ExternalCostFactors,
+    NetworkParams,
+    SaConfig,
+    VehicleType,
+)
 import citydist.scenario as scenario_module
 from citydist.scenario import (
     Scenario,
@@ -211,6 +217,59 @@ def test_max_units_footprint_must_be_integer(value):
     with pytest.raises(ScenarioParseError) as e:
         parse_scenario(doc)
     assert str(e.value) == "vehicles[truck].max_units_footprint: expected an integer"
+
+
+def test_every_field_type_of_a_loaded_record_has_a_reader():
+    # the loader reads each field of these records by its annotated type; a
+    # field of a new type must fail here, not raise a KeyError at load
+    records = (VehicleType, NetworkParams, ExternalCostFactors, SaConfig)
+    assert set(scenario_module._RECORDS) == set(records)
+    for record in records:
+        for f in fields(record):
+            assert f.type in scenario_module._READERS, f"{record.__name__}.{f.name}: {f.type}"
+
+
+def test_vehicle_without_optional_fields_takes_the_record_defaults():
+    doc = _variant(**{"vehicles.0.max_units_footprint": ...,
+                      "vehicles.0.temperature_class": ...})
+    given = doc["vehicles"][0]
+    required = {f.name: given[f.name] for f in fields(VehicleType) if f.default is MISSING}
+    assert required.keys() == given.keys()
+    assert parse_scenario(doc).vehicles["truck"] == VehicleType(**required)
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"vehicles.0.max_units_footprint": 2.5, "vehicles.0.capacity_kg": "x"},
+     "vehicles[truck].capacity_kg: expected a number"),
+    ({"vehicles.0.temperature_class": "Q", "vehicles.0.cost_per_hour": None},
+     "vehicles[truck].cost_per_hour: expected a number"),
+    ({"sa": {"restarts": 1.5, "cooling_rate": "x", "seed": None}},
+     "sa.seed: expected an integer"),
+], ids=["vehicle_footprint_and_capacity", "vehicle_class_and_cost", "sa_in_reverse_order"])
+def test_first_bad_field_in_field_order_is_named(edits, message):
+    with pytest.raises(ScenarioParseError) as e:
+        parse_scenario(_variant(**edits))
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("field, value, used", [
+    ("radius_km", -5, False), ("area_km2", 0, False), ("stop_time_h", -0.25, False),
+    ("daganzo_k", 0, True), ("lead_time_h", 30, True),
+], ids=["radius_unused", "area_unused", "stop_time_unused", "daganzo_used", "lead_time_used"])
+def test_network_default_is_checked_where_it_is_written(tmp_path, capsys, field, value, used):
+    # the layer's own params set radius, area and stop time, so a bad default
+    # for them was never checked, and validate exited 0
+    doc = _variant(**{f"network_defaults.{field}": value})
+    assert (field in doc["schemes"][0]["params"]) is not used
+    rule = "must be <= 24" if field == "lead_time_h" else "must be > 0 and finite"
+    message = f"network_defaults: params.{field} {rule}"
+    with pytest.raises(ScenarioInvariantError) as e:
+        parse_scenario(doc)
+    assert str(e.value) == message
+    path = tmp_path / "defaults.scenario"
+    path.write_text(yaml.safe_dump(doc))
+    assert run(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
 
 
 def test_missing_cost_per_hour_error_names_vehicle():
