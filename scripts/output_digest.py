@@ -21,6 +21,9 @@ Run it on two checkouts and compare the lines.  Groups:
          0-39 with lead_time_h 1, 2 and 3 h: at 1 and 2 h every column
          that carries demand diverges, at 3 h most climb past their
          capacity count, so the tables' columns come from the tour solver
+  grid4  repr() of brute_force_grid (step 0.2) on 4-unit x 3-vehicle
+         instances, c5_instance seeds 0-19 with a fourth unit drawn from the
+         same ranges: the grid's prefixes span two leading unit rows
   allsweeps  repr() of sweep_parameter (or of its DomainError) for each
          range of SWEEP_GRIDS on every layer of every scheme of both bundled
          scenarios, the grids that tests/test_sweep.py compares point by point
@@ -66,6 +69,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from citydist.cli import run  # noqa: E402
 from citydist.model import (  # noqa: E402
     DEFAULT_EXTERNAL_FACTORS,
+    DeliveryUnitType,
     DemandProfile,
     DomainError,
     InfeasibleError,
@@ -189,6 +193,15 @@ def grid_tight_outputs():
             yield repr(brute_force_grid(fleet, units, params, step=0.1))
 
 
+def grid4_outputs():
+    for seed in range(20):
+        rng = random.Random(seed)
+        fleet, units = c5_instance(rng)
+        units.append(DeliveryUnitType("u3", float(rng.randrange(80, 901, 10)),
+                                      rng.randint(8, 100)))
+        yield repr(brute_force_grid(fleet, units, C5_PARAMS, step=0.2))
+
+
 def interior_rows(rng: random.Random, n_units: int, n_vehicles: int):
     """One allocation's rows: random shares, about 30% of them zero."""
     rows = []
@@ -280,7 +293,7 @@ def main():
     os.chdir(ROOT)  # the cli group names the scenarios by their relative paths
     for group, outputs in (("cli", cli_outputs), ("sweeps", sweep_outputs),
                            ("c5", c5_outputs), ("grid", grid_outputs),
-                           ("grid_tight", grid_tight_outputs),
+                           ("grid_tight", grid_tight_outputs), ("grid4", grid4_outputs),
                            ("splice", splice_outputs), ("allsweeps", allsweep_outputs),
                            ("anneal", anneal_outputs), ("scenario", scenario_outputs),
                            ("scenario_defaults", lambda: scenario_outputs(defaults=True))):

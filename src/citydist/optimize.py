@@ -535,11 +535,19 @@ _GRID_BUDGET = 2 * 10 ** 7
 _VERTEX_BUDGET = 4096
 
 
+def _vertex_choices(n_vehicles: int, n_units: int):
+    """The vehicle of each unit row of the vertex allocations, in
+    itertools.product order: all n_vehicles^n_units of them up to
+    _VERTEX_BUDGET, else the n_vehicles single-column corners."""
+    vehicles = range(n_vehicles)
+    if n_vehicles ** n_units <= _VERTEX_BUDGET:
+        return itertools.product(vehicles, repeat=n_units)
+    return [(i,) * n_units for i in vehicles]
+
+
 def _vertices(kernel: _ColumnKernel):
     """(penalized energy, feasible, rows) of the vertex allocations, which send
-    each unit row whole to one vehicle, in itertools.product order: all
-    n_vehicles^n_units of them up to _VERTEX_BUDGET, else the n_vehicles
-    single-column corners.
+    each unit row whole to one vehicle, in _vertex_choices order.
 
     A column term depends only on which rows its vehicle carries, so each is
     solved once per (vehicle, subset of rows); summed by _total in vehicle
@@ -547,12 +555,8 @@ def _vertices(kernel: _ColumnKernel):
     """
     vehicles = range(len(kernel.fleet))
     corners = [tuple(float(k == i) for k in vehicles) for i in vehicles]
-    n_units = len(kernel.units)
-    choices = (itertools.product(vehicles, repeat=n_units)
-               if len(corners) ** n_units <= _VERTEX_BUDGET
-               else [(i,) * n_units for i in vehicles])
     columns = {}
-    for choice in choices:
+    for choice in _vertex_choices(len(corners), len(kernel.units)):
         rows = tuple(corners[i] for i in choice)
         terms = []
         for i in vehicles:
@@ -580,6 +584,73 @@ def vertex_optimum(fleet, units, params: NetworkParams,
     return _finish(kernel, rows, external_factors, None, len(scored))
 
 
+# Scales of the incumbent's tail-row prices tried by the grid's prefix bound,
+# and the bound's slack relative to the magnitudes it sums.
+_PRICE_SCALES = (0.25, 0.5, 1.0, 1.5, 2.0)
+_BOUND_SLACK = 1e-9
+
+
+def _open_prefixes(tables, energy, cols, ticks: int, n_lead: int):
+    """The prefixes of the first n_lead unit rows (composition indices, in
+    lexicographic order) that may hold a grid point no costlier than the
+    incumbent, the best vertex of tables summed in vehicle order.
+
+    The bound relaxes each tail row's "shares sum to ticks" with a price
+    lambda_k: every point of a prefix costs at least
+    sum_i B_i + ticks * sum_k lambda_k, where B_i is the least of vehicle i's
+    table minus sum_k lambda_k * t_k over every tick column of the tail
+    rows at its prefix column.  That holds for any prices; they are the
+    incumbent's per-tick price of each tail row at its carrier (the
+    carrier's energy with the row less its energy without it, over ticks),
+    each scaled by every _PRICE_SCALES, and the largest bound is kept.  A prefix is skipped only
+    when its bound exceeds the incumbent by more than _BOUND_SLACK of the
+    magnitudes summed, so it has no point at or below the grid's minimum and
+    cannot hold the first one.  With no leading row, an infeasible
+    incumbent or a slack that is not finite, every prefix is open.
+    """
+    import numpy as np
+
+    n_vehicles, n_units = len(tables), tables[0].ndim
+    every = itertools.product(range(cols.shape[1]), repeat=n_lead)
+    if not n_lead:
+        return every
+    incumbent, carriers = math.inf, None
+    for choice in _vertex_choices(n_vehicles, n_units):
+        total = 0.0
+        for i in range(n_vehicles):
+            total += tables[i][tuple(ticks * (c == i) for c in choice)]
+        if total < incumbent:
+            incumbent, carriers = total, choice
+    if carriers is None:
+        return every
+    tail = range(n_lead, n_units)
+    prices = []
+    for j in tail:
+        column = [ticks * (c == carriers[j]) for c in carriers]
+        full = energy[carriers[j]][tuple(column)]
+        column[j] = 0
+        prices.append(float(full - energy[carriers[j]][tuple(column)]) / ticks)
+    slack = _BOUND_SLACK * (abs(incumbent) + (n_vehicles + 1) * ticks
+                            * max(_PRICE_SCALES) * sum(map(abs, prices)))
+    if not math.isfinite(slack):
+        return every
+    t = np.arange(ticks + 1.0)
+    axes = [(-1,) + (1,) * (n_units - 1 - j) for j in tail]
+    bound = None
+    for scales in itertools.product(_PRICE_SCALES, repeat=len(prices)):
+        lam = [s * p for s, p in zip(scales, prices)]
+        priced = sum((l * t).reshape(a) for l, a in zip(lam, axes))
+        lower = ticks * sum(lam)
+        for i in range(n_vehicles):
+            least = np.min(tables[i] - priced, axis=tuple(tail))
+            for axis in range(n_lead):
+                least = np.take(least, cols[i], axis=axis)
+            lower = lower + least
+        bound = lower if bound is None else np.maximum(bound, lower, out=bound)
+    # a NaN bound compares False, so its prefix stays open
+    return map(tuple, np.argwhere(~(bound > incumbent + slack)).tolist())
+
+
 def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
                      external_factors: ExternalCostFactors | None = None) -> OptimizationResult:
     """Exact optimum over allocations on a simplex grid of the given step.
@@ -590,7 +661,11 @@ def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
     it the columns whose plan climbs or diverges, so the grid minimises the
     same penalized energy that the result reports.
     The search gathers each vehicle's table slice over the last one or two
-    rows into two buffers reused by every prefix of the leading rows.
+    rows into two buffers reused by every prefix of the leading rows, and
+    visits only the prefixes _open_prefixes leaves open: a skipped prefix's
+    Lagrangian lower bound exceeds the best vertex by more than float
+    rounding, so it holds no point as cheap as the grid's minimum, and the
+    result is the full scan's.  evaluations counts the whole grid.
     Feasible points come first; among equal objectives the lexicographically
     smallest matrix (rows compared in order) wins.  Refuses a step outside
     (0, 1] or whose inverse is not an integer, and instances whose joint
@@ -621,6 +696,7 @@ def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
     # Per-vehicle energy for every possible tick column, then the joint
     # minimum is a sum of per-vehicle table lookups.
     tables = [kernel.table(i, ticks) for i in range(n_vehicles)]
+    energy = [t[0] for t in tables]
     rows = _compositions(ticks, n_vehicles)
     # The last one or two unit rows are searched as one array per prefix of
     # the leading rows: each vehicle's tail slice of its table is gathered by
@@ -634,10 +710,10 @@ def brute_force_grid(fleet, units, params: NetworkParams, step: float = 0.05,
     part = np.empty_like(total)
 
     def search(feasible_only: bool) -> tuple[int, ...] | None:
-        tbl = [t[1] if feasible_only else t[0] for t in tables]
+        tbl = [t[1] for t in tables] if feasible_only else energy
         best_val = np.inf
         best_idx = None
-        for lead in itertools.product(range(n_rows), repeat=n_units - n_tail):
+        for lead in _open_prefixes(tbl, energy, cols, ticks, n_units - n_tail):
             for i in range(n_vehicles):
                 gathered = tbl[i][tuple(rows[c][i] for c in lead)]
                 for axis in range(n_tail - 1):

@@ -266,9 +266,8 @@ def _parse_unit_classes(node, path: str) -> dict[str, float]:
         if uid in classes:
             raise ScenarioReferenceError(f"{path}[{uid}]", f"duplicate unit class '{uid}'")
         w = _number(item, "avg_weight_kg", p)
-        if w <= 0:
-            raise ScenarioInvariantError(f"{p}.avg_weight_kg", "must be > 0")
-        classes[uid] = w
+        with _invariant(p):  # the model's rule on a unit of this class
+            classes[uid] = DeliveryUnitType(uid, w, 0.0).avg_weight_kg
     if not classes:
         raise ScenarioParseError(path, "at least one unit class is required")
     return classes
@@ -471,8 +470,8 @@ def parse_scenario(doc: dict, source_path: str | None = None) -> Scenario:
     doc = _require_mapping(doc, "scenario")
     _check_keys(doc, _TOP_KEYS, {"name", "external_factors", "vehicles",
                                  "unit_classes", "suppliers", "schemes"}, "scenario")
-    defaults_node = doc.get("network_defaults", {})
-    defaults = _parse_params_block(defaults_node, "network_defaults") if defaults_node else {}
+    defaults = (_parse_params_block(doc["network_defaults"], "network_defaults")
+                if "network_defaults" in doc else {})
     with _invariant("network_defaults"):  # 1.0 stands in for each required field it lacks
         NetworkParams(**{**dict.fromkeys(_RECORDS[NetworkParams][1], 1.0), **defaults})
     vehicles = _parse_vehicles(doc["vehicles"], "vehicles")
@@ -483,8 +482,8 @@ def parse_scenario(doc: dict, source_path: str | None = None) -> Scenario:
     opt_node = doc.get("optimization", {"vehicles": []})
     opt_node = _require_mapping(opt_node, "optimization")
     _check_keys(opt_node, _OPT_KEYS, set(), "optimization")
-    opt_vehicles = [str(v) for v in _require_list(opt_node.get("vehicles", []),
-                                                  "optimization.vehicles")]
+    opt_vehicles = [_name(v, f"optimization.vehicles[{i}]") for i, v in enumerate(
+        _require_list(opt_node.get("vehicles", []), "optimization.vehicles"))]
     for v in opt_vehicles:
         if v not in vehicles:
             raise ScenarioReferenceError("optimization.vehicles", f"unknown vehicle '{v}'")

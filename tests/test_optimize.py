@@ -735,6 +735,70 @@ def test_grid_four_units_equals_plain_enumeration(lead_time_h, n_vehicles, n_uni
     assert result.objective == kernel.energy(best[1])[1]
 
 
+def _full_scan_rows(fleet, units, params, step):
+    """The grid optimum by a plain scan of every point of kernel.table, summed
+    in vehicle order: feasible points first, then the least energy, and the
+    first in C order (lexicographic in the rows) among equals."""
+    import numpy as np
+
+    kernel = _ColumnKernel(fleet, units, params)
+    ticks = round(1 / step)
+    rows = _compositions(ticks, len(fleet))
+    cols = np.asarray(rows).T
+    tables = [kernel.table(i, ticks) for i in range(len(fleet))]
+    for feasible_only in (True, False):
+        total = None
+        for i, pair in enumerate(tables):
+            gathered = pair[1] if feasible_only else pair[0]
+            for axis in range(len(units)):
+                gathered = np.take(gathered, cols[i], axis=axis)
+            total = gathered if total is None else total + gathered
+        k = int(np.argmin(total))
+        if total.flat[k] < math.inf:
+            break
+    return tuple(tuple(t / ticks for t in rows[c])
+                 for c in np.unravel_index(k, total.shape))
+
+
+_UNITS3 = [DeliveryUnitType("u1", 450.0, 30), DeliveryUnitType("u2", 80.0, 22),
+           DeliveryUnitType("u3", 900.0, 8)]
+
+
+@pytest.mark.parametrize("case, step, open_prefixes", [
+    # a float-rounded bound passes the incumbent at this instance's optimum,
+    # so without the slack every prefix would be skipped
+    ("c5_instance-51", 0.1, [1]),
+    # the three all-on-one-vehicle vertices tie; their prefixes stay open
+    ("identical", 0.1, [3]),
+    # no feasible point: the first search has no incumbent and scans every
+    # prefix, the second is bounded by the least-energy vertex
+    ("infeasible", 0.1, [66, 30]),
+    # two leading rows: 21^2 prefixes, each bounded over the last two rows
+    ("four-units", 0.2, [1]),
+])
+def test_grid_prefix_bound_keeps_the_full_scan_result(case, step, open_prefixes,
+                                                      monkeypatch):
+    params = PARAMS
+    if case.startswith("c5_instance-"):
+        fleet, units, params = _instance(case, monkeypatch)
+    elif case == "identical":
+        fleet, units = [vt(f"v{i}", 9000, 6) for i in range(3)], _UNITS3
+    elif case == "infeasible":
+        fleet = [vt("a", 17000, 8), vt("b", 4000, 5, speed=15), vt("c", 9000, 6)]
+        units, params = _UNITS3, replace(PARAMS, lead_time_h=2.0)
+    else:
+        fleet, units, params = _instance("c5_instance-3", monkeypatch)
+        units = [*units, DeliveryUnitType("u4", 80.0, 25)]
+    opened = []
+    bounded = optimize._open_prefixes
+    monkeypatch.setattr(optimize, "_open_prefixes",
+                        lambda *args: opened.append(list(bounded(*args))) or opened[-1])
+    result = brute_force_grid(fleet, units, params, step=step)
+    assert result.allocation.entries == _full_scan_rows(fleet, units, params, step)
+    assert [len(o) for o in opened] == open_prefixes
+    assert result.evaluations == math.comb(round(1 / step) + 2, 2) ** len(units)
+
+
 @pytest.mark.parametrize("step", [0.0, -0.05, -1.0, math.nan])
 def test_grid_refuses_step_outside_unit_interval(step):
     fleet = [vt("a", 17000, 8), vt("b", 4000, 5)]

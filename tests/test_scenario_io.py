@@ -272,6 +272,48 @@ def test_network_default_is_checked_where_it_is_written(tmp_path, capsys, field,
     assert capsys.readouterr().err == f"scenario error: {message}\n"
 
 
+@pytest.mark.parametrize("value", [[], 0, False, "", None, 1, ["x"]])
+def test_network_defaults_that_is_not_a_mapping_exits_2(tmp_path, capsys, value):
+    # an empty or false value is refused as any other non-mapping, not read
+    # as an absent block
+    doc = _variant(network_defaults=value)
+    message = f"network_defaults: expected a mapping, got {type(value).__name__}"
+    with pytest.raises(ScenarioParseError) as e:
+        parse_scenario(doc)
+    assert str(e.value) == message
+    path = tmp_path / "defaults.scenario"
+    path.write_text(yaml.safe_dump(doc))
+    assert run(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
+
+
+def test_absent_network_defaults_is_an_empty_block():
+    doc = _variant(**{"network_defaults": ...})
+    doc["schemes"][0]["params"].update(daganzo_k=0.57, shift_duration_h=8.0)
+    assert parse_scenario(doc).network_defaults == {}
+
+
+@pytest.mark.parametrize("entry", [["x"], {"x": 1}, True, 0, None, ""])
+def test_optimization_vehicle_is_read_as_a_name_at_its_index(entry):
+    doc = _variant(optimization={"vehicles": ["truck", entry]})
+    with pytest.raises(ScenarioParseError) as e:
+        parse_scenario(doc)
+    assert str(e.value) == "optimization.vehicles[1]: expected a non-empty string"
+    doc = _variant(optimization={"vehicles": ["truck", "bus"]})
+    with pytest.raises(ScenarioReferenceError, match="unknown vehicle 'bus'"):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("weight", [0, -1, -0.5])
+def test_unit_class_weight_is_checked_by_the_model_rule(weight):
+    # the same rule and message as a demand row's DeliveryUnitType
+    doc = _variant(**{"unit_classes.0.avg_weight_kg": weight})
+    with pytest.raises(ScenarioInvariantError) as e:
+        parse_scenario(doc)
+    assert str(e.value) == ("unit_classes[0]: unit 'pallet': "
+                            "avg_weight_kg must be > 0 and finite")
+
+
 def test_missing_cost_per_hour_error_names_vehicle():
     doc = _variant(**{"vehicles.0.cost_per_hour": ...})
     with pytest.raises(ScenarioParseError) as e:
