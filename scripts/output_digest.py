@@ -34,7 +34,10 @@ Run it on two checkouts and compare the lines.  Groups:
          InfeasibleError) on a one-layer scheme of the instance
   anneal repr() of simulated_annealing(..., keep_trace=True) on both C6
          cases, bordeaux.scenario pi_small layer 2 and the single-supplier
-         original layer 1, at seeds 1, 5, 11 and 42
+         original layer 1, at seeds 1, 5, 11 and 42; on c5_instance seeds
+         0-4 (anneal seed = instance seed); and on a 22-vehicle instance
+         (seeds 1 and 5), where a move's second vehicle is drawn as
+         random.sample draws from a set of picks, not a list pool
   scenario  stdout, stderr and exit code of in-process ``validate`` on
          every single-leaf mutation of both bundled scenarios outside
          network_defaults (each leaf replaced by each value of MUTATIONS, or
@@ -73,6 +76,8 @@ from citydist.model import (  # noqa: E402
     DemandProfile,
     DomainError,
     InfeasibleError,
+    TemperatureClass,
+    VehicleType,
 )
 from citydist.optimize import (  # noqa: E402
     AllocationMatrix,
@@ -244,6 +249,27 @@ def anneal_outputs():
             yield repr(simulated_annealing(fleet, units, layer.params,
                                            replace(scenario.sa, seed=seed),
                                            scheme.external_factors, keep_trace=True))
+    for seed in range(5):
+        fleet, units = c5_instance(random.Random(seed))
+        yield repr(simulated_annealing(fleet, units, C5_PARAMS, SaConfig(seed=seed),
+                                       keep_trace=True))
+    fleet, units = wide_instance()
+    for seed in (1, 5):
+        yield repr(simulated_annealing(fleet, units, C5_PARAMS, SaConfig(seed=seed),
+                                       keep_trace=True))
+
+
+def wide_instance():
+    """22 vehicles and three unit types, drawn from C5's value ranges (speeds
+    10-30 km/h)."""
+    rng = random.Random(22)
+    fleet = [VehicleType(f"v{i}", float(rng.randrange(4000, 25001, 500)),
+                         float(rng.choice((10, 20, 30))), float(rng.randint(3, 9)), 30.0,
+                         TemperatureClass.A, 200)
+             for i in range(22)]
+    units = [DeliveryUnitType(f"u{j}", float(rng.randrange(80, 901, 10)), rng.randint(8, 100))
+             for j in range(3)]
+    return fleet, units
 
 
 def leaf_paths(node, path=()):

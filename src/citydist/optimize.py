@@ -315,12 +315,16 @@ def objective_value(allocation: AllocationMatrix, fleet, units, params: NetworkP
     return _objective_kernel[1].energy(allocation.entries)[1]
 
 
-def _canonical_row(row: list[float]) -> tuple[float, ...]:
+def _canonical_row(row) -> tuple[float, ...]:
     """Snap noise-level entries to exact 0/1 and repair the row sum to 1.
 
     Keeps the walk on canonical representatives: without the snap, rows
     summing to 1 - 1e-15 carry microscopically less demand and win energy
     comparisons against the exact corner allocations they approximate.
+    It is not idempotent: a row it returned can come back one ulp off
+    (about 0.7% of the rows a walk reaches), so a move that moves nothing
+    still canonicalises its row; the walk's no-op slot caches that result
+    rather than skipping the move.
     """
     row = [0.0 if x < 1e-12 else (1.0 if x > 1.0 - 1e-12 else x) for x in row]
     residual = 1.0 - math.fsum(row)
@@ -330,49 +334,69 @@ def _canonical_row(row: list[float]) -> tuple[float, ...]:
     return tuple(row)
 
 
-def _below(getrandbits, n: int) -> int:
-    """A uniform int in [0, n), n >= 1, drawn as rng.randrange(n) draws it."""
-    # CPython 3.11's Random.randrange(n): rejection on getrandbits(n.bit_length())
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
+def _draws(rng: random.Random, n_rows: int, n_vehicles: int):
+    """A move drawer bound to rng, for n_rows unit rows and n_vehicles >= 2
+    vehicles: each call returns (row j, vehicle a, vehicle b, delta), a
+    fraction delta in (0, 0.2] of row j to move from a to b.
+
+    The draws repeat, bit for bit, those of rng.randrange(n_rows),
+    rng.sample(range(n_vehicles), 2) and rng.uniform(0.0, 0.2), in that
+    order, taken straight from rng.getrandbits and rng.random; a seed fixes
+    the sequence of moves.  CPython 3.11's randrange(n) rejects
+    getrandbits(n.bit_length()) draws of n and above, and sample() picks
+    from a list pool up to 21 items (the second pick's slot a holds the
+    last vehicle) and from a set of picks above (redrawn until it differs
+    from a).  The bit lengths and that branch are worked out once, here.
+    """
+    getrandbits, random_ = rng.getrandbits, rng.random
+    k_rows, k_vehicles = n_rows.bit_length(), n_vehicles.bit_length()
+    pool = n_vehicles <= 21
+    last = n_vehicles - 1
+    k_last = last.bit_length()
+
+    def draw():
+        j = getrandbits(k_rows)
+        while j >= n_rows:
+            j = getrandbits(k_rows)
+        a = getrandbits(k_vehicles)
+        while a >= n_vehicles:
+            a = getrandbits(k_vehicles)
+        if pool:
+            b = getrandbits(k_last)
+            while b >= last:
+                b = getrandbits(k_last)
+            if b == a:
+                b = last
+        else:
+            b = getrandbits(k_vehicles)
+            while b >= n_vehicles or b == a:
+                b = getrandbits(k_vehicles)
+        return j, a, b, 0.2 * random_() or 0.2
+
+    return draw
+
+
+def _moved(row, a: int, b: int, delta: float) -> tuple[float, ...]:
+    """The canonical row after moving delta of row from vehicle a to b,
+    clipped to what a holds and b can take."""
+    row = list(row)
+    moved = min(delta, row[a], 1.0 - row[b])
+    row[a] -= moved
+    row[b] += moved
+    return _canonical_row(row)
 
 
 def _transfer(rows, rng: random.Random, n_vehicles: int) -> tuple[int, tuple[float, ...]]:
     """Draw one move on the allocation rows: (row index j, new row j).
 
     A random fraction (up to 0.2) of one unit row moves from vehicle a to
-    vehicle b.  The draws repeat, bit for bit, those of rng.randrange(len(rows)),
-    rng.sample(range(n_vehicles), 2) and rng.uniform(0.0, 0.2), in that order,
-    taken straight from rng.getrandbits and rng.random; a seed fixes the
-    sequence of moves.
+    vehicle b, drawn by _draws and applied by _moved.  A move that moves
+    nothing (row[a] is 0 or row[b] is 1) still returns the canonicalised
+    row, which _canonical_row may change by an ulp; the walk keeps that
+    result in its no-op slot.
     """
-    getrandbits = rng.getrandbits
-    n_rows = len(rows)
-    k = n_rows.bit_length()  # j and a: _below's draws, written out for the walk's step
-    j = getrandbits(k)
-    while j >= n_rows:
-        j = getrandbits(k)
-    k = n_vehicles.bit_length()
-    a = getrandbits(k)
-    while a >= n_vehicles:
-        a = getrandbits(k)
-    if n_vehicles <= 21:  # sample() picks from a list pool up to 21 items
-        b = _below(getrandbits, n_vehicles - 1)
-        if b == a:
-            b = n_vehicles - 1
-    else:  # and from a set of picks above
-        b = _below(getrandbits, n_vehicles)
-        while b == a:
-            b = _below(getrandbits, n_vehicles)
-    delta = 0.2 * rng.random() or 0.2  # (0, 0.2]
-    row = list(rows[j])
-    moved = min(delta, row[a], 1.0 - row[b])
-    row[a] -= moved
-    row[b] += moved
-    return j, _canonical_row(row)
+    j, a, b, delta = _draws(rng, len(rows), n_vehicles)()
+    return j, _moved(rows[j], a, b, delta)
 
 
 def neighbor_move(allocation: AllocationMatrix, rng: random.Random) -> AllocationMatrix:
@@ -445,17 +469,23 @@ def simulated_annealing(fleet, units, params: NetworkParams,
     depend only on (inputs, seed).  evaluations counts the vertex seeds
     plus, per restart, the starting point and every step.
 
-    A move changes one row in two columns (a third at most, through the row
-    repair).  A step writes the new row into the current rows in place,
-    re-evaluates only the columns whose entries changed, takes the other
-    column terms from the current ones and sums the energy in vehicle order,
-    so every energy equals a full evaluation bit for bit; a rejected move
-    puts the old row back, and only a new best record copies the rows.  A
-    move whose canonical row equals the current one (the clipped fraction
-    was 0) only counts as an evaluation and extends the trace: its energy
+    Each restart draws its moves from one _draws drawer bound to its rng
+    and applies them with _moved.  A move changes one row in two columns (a
+    third at most, through the row repair).  A step writes the new row into
+    the current rows in place, re-evaluates only the columns whose entries
+    changed, takes the other column terms from the current ones and sums
+    the energy in vehicle order, so every energy equals a full evaluation
+    bit for bit; a rejected move puts the old row back, and only a new best
+    record copies the rows.  A move whose canonical row equals the current
+    one only counts as an evaluation and extends the trace: its energy
     would equal the current one, which it accepts without an acceptance
-    draw and which no best record is above.  Every restart starts from the
-    same row-uniform allocation, so it is scored once, after the vertices.
+    draw and which no best record is above.  A move moves nothing exactly
+    when its row holds 0 at a or 1 at b; its row is then taken from the unit
+    row's no-op slot, (row, _canonical_row(row)), refilled only when the
+    current row is another object.  The slot caches rather than skips:
+    _canonical_row is not idempotent, so a few such moves still change the
+    row by an ulp and are scored as any other.  Every restart starts from
+    the same row-uniform allocation, so it is scored once, after the vertices.
     """
     kernel = _ColumnKernel(fleet, units, params)
     n_vehicles, n_units = len(kernel.fleet), len(kernel.units)
@@ -486,14 +516,24 @@ def simulated_annealing(fleet, units, params: NetworkParams,
     t_min = 1e-4 * t0
     for restart in range(config.restarts):
         rng = random.Random(config.seed + restart)
-        random_ = rng.random
+        draw, random_ = _draws(rng, n_units, n_vehicles), rng.random
         current, terms, e_cur = list(start), start_terms, e_start
+        # the no-op slot of each unit row: (row, _canonical_row(row)) for the
+        # last row a move that moves nothing was drawn on
+        still = [(None, None)] * n_units
         t = t0
         while t >= t_min:
             evaluations += len(steps)
             for _ in steps:
-                j, row = _transfer(current, rng, n_vehicles)
+                j, a, b, delta = draw()
                 old = current[j]
+                if old[a] == 0.0 or old[b] == 1.0:  # the move moves nothing
+                    seen, row = still[j]
+                    if seen is not old:
+                        row = _canonical_row(old)
+                        still[j] = old, row
+                else:
+                    row = _moved(old, a, b, delta)
                 if row != old:
                     current[j] = row
                     new_terms = [column(current, i) if row[i] != old[i] else terms[i]
@@ -550,21 +590,29 @@ def _vertices(kernel: _ColumnKernel):
     each unit row whole to one vehicle, in _vertex_choices order.
 
     A column term depends only on which rows its vehicle carries, so each is
-    solved once per (vehicle, subset of rows); summed by _total in vehicle
-    order, every energy equals kernel.energy(rows) bit for bit.
+    solved once per (mask of the rows the vehicle carries, vehicle); a
+    vertex's masks are built in one pass over its choice, and its terms are
+    summed as _total sums them, in vehicle order, so every energy equals
+    kernel.energy(rows) bit for bit.
     """
-    vehicles = range(len(kernel.fleet))
+    n_vehicles = len(kernel.fleet)
+    vehicles = range(n_vehicles)
     corners = [tuple(float(k == i) for k in vehicles) for i in vehicles]
-    columns = {}
-    for choice in _vertex_choices(len(corners), len(kernel.units)):
+    columns = [{} for _ in vehicles]  # per vehicle: mask -> column term
+    column = kernel.column
+    for choice in _vertex_choices(n_vehicles, len(kernel.units)):
         rows = tuple(corners[i] for i in choice)
-        terms = []
+        masks = [0] * n_vehicles
+        for j, i in enumerate(choice):
+            masks[i] |= 1 << j
+        energy = 0.0
+        feasible = True
         for i in vehicles:
-            key = (i, tuple(c == i for c in choice))
-            if key not in columns:
-                columns[key] = kernel.column(rows, i)
-            terms.append(columns[key])
-        energy, _, feasible = _total(terms)
+            term = columns[i].get(masks[i])
+            if term is None:
+                term = columns[i][masks[i]] = column(rows, i)
+            energy += term[0]
+            feasible = feasible and term[1]
         yield energy, feasible, rows
 
 

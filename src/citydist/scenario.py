@@ -484,9 +484,10 @@ def parse_scenario(doc: dict, source_path: str | None = None) -> Scenario:
     _check_keys(opt_node, _OPT_KEYS, set(), "optimization")
     opt_vehicles = [_name(v, f"optimization.vehicles[{i}]") for i, v in enumerate(
         _require_list(opt_node.get("vehicles", []), "optimization.vehicles"))]
-    for v in opt_vehicles:
+    for i, v in enumerate(opt_vehicles):
         if v not in vehicles:
-            raise ScenarioReferenceError("optimization.vehicles", f"unknown vehicle '{v}'")
+            raise ScenarioReferenceError(f"optimization.vehicles[{i}]",
+                                         f"unknown vehicle '{v}'")
 
     scenario = Scenario(
         name=_typed(doc["name"], str, "a string", "name"),

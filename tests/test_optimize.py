@@ -495,6 +495,32 @@ def test_over_budget_instance_seeds_only_the_corners(monkeypatch):
         vertex_optimum([], units, PARAMS)
 
 
+# (n_vehicles, n_units): every vertex for 2-4 vehicles x 1-6 units (4^6 is
+# the budget itself), then three instances above it that seed only corners
+@pytest.mark.parametrize("n_vehicles, n_units", [
+    *itertools.product((2, 3, 4), range(1, 7)), (2, 13), (3, 8), (4, 7)])
+def test_vertices_equal_kernel_energy_over_vertex_choices(n_vehicles, n_units):
+    rng = random.Random(10 * n_vehicles + n_units)
+    fleet = [vt(f"v{i}", float(rng.randrange(4000, 17001, 500)), float(rng.randint(5, 8)),
+                speed=rng.choice((5, 10, 20, 30)))
+             for i in range(n_vehicles)]
+    units = [DeliveryUnitType(f"u{j}", float(rng.randrange(80, 901, 10)), rng.randint(8, 100))
+             for j in range(n_units)]
+    # a 4 h lead time: the slower vehicles' columns diverge, so most
+    # instances mix feasible and infeasible vertices
+    params = replace(PARAMS, lead_time_h=4.0)
+    kernel = _ColumnKernel(fleet, units, params)
+    corners = [tuple(float(k == i) for k in range(n_vehicles)) for i in range(n_vehicles)]
+    expected = []
+    for choice in optimize._vertex_choices(n_vehicles, n_units):
+        rows = tuple(corners[i] for i in choice)
+        energy, _, feasible = kernel.energy(rows)
+        expected.append((energy, feasible, rows))
+    assert len(expected) == (n_vehicles ** n_units if n_vehicles ** n_units
+                             <= optimize._VERTEX_BUDGET else n_vehicles)
+    assert repr(list(_vertices(kernel))) == repr(expected)
+
+
 def test_reallocated_scheme_carries_the_capacity_unit():
     # 62 pallet stops split 50/50 between a van and a 17 t truck on
     # pi_small's city layer: the truck's 31 pallets exceed its 30-pallet
@@ -577,6 +603,95 @@ def test_sa_argmin_invariant_under_cost_scaling():
     tripled = brute_force_grid(scaled, units, PARAMS, step=0.2)
     assert base.allocation == tripled.allocation
     assert tripled.objective == pytest.approx(3 * base.objective, rel=1e-9)
+
+
+def _reference_anneal(fleet, units, params, config):
+    """simulated_annealing as a plain loop, kept as the reference the walk
+    must equal: every vertex seed and every step is scored by a full
+    kernel.energy, and every step draws its move with _transfer.  A move
+    that leaves the rows as they are is scored and accepted like any other
+    (its energy is the current one, so no acceptance draw is taken).
+    Returns (rows, objective, feasible, evaluations, trace)."""
+    kernel = _ColumnKernel(fleet, units, params)
+    n_vehicles, n_units = len(fleet), len(units)
+    corners = [tuple(float(k == i) for k in range(n_vehicles)) for i in range(n_vehicles)]
+    start = AllocationMatrix.uniform(n_units, n_vehicles).entries
+    seeds = [tuple(corners[i] for i in choice)
+             for choice in optimize._vertex_choices(n_vehicles, n_units)]
+    any_e = best_e = math.inf
+    any_rows = best_rows = None
+    for rows in (*seeds, start):
+        e, _, feasible = kernel.energy(rows)
+        if any_rows is None or e < any_e:
+            any_e, any_rows = e, rows
+        if feasible and (best_rows is None or e < best_e):
+            best_e, best_rows = e, rows
+    evaluations = len(seeds) + config.restarts
+    e_start = kernel.energy(start)[0]
+    t0 = max(0.1 * abs(e_start), 1e-6)
+    trace = []
+    for restart in range(config.restarts):
+        rng = random.Random(config.seed + restart)
+        current, e_cur, t = start, e_start, t0
+        while t >= 1e-4 * t0:
+            for _ in range(config.steps_per_temperature):
+                evaluations += 1
+                j, row = _transfer(current, rng, n_vehicles)
+                candidate = current[:j] + (row,) + current[j + 1:]
+                e_new, _, feasible = kernel.energy(candidate)
+                if e_new < any_e:
+                    any_e, any_rows = e_new, candidate
+                if feasible and (best_rows is None or e_new < best_e):
+                    best_e, best_rows = e_new, candidate
+                if e_new <= e_cur or rng.random() < math.exp(-(e_new - e_cur) / t):
+                    current, e_cur = candidate, e_new
+                trace.append(any_e if best_rows is None else best_e)
+            t *= config.cooling_rate
+    rows = any_rows if best_rows is None else best_rows
+    _, objective, feasible = kernel.energy(rows)
+    return rows, objective, feasible, evaluations, tuple(trace)
+
+
+def _many_vehicles(n_vehicles):
+    """n_vehicles vehicles and two unit types; 21 and 22 vehicles straddle
+    the size at which random.sample switches from a list pool to a set."""
+    rng = random.Random(n_vehicles)
+    fleet = [vt(f"v{i}", float(rng.randrange(4000, 25001, 500)), float(rng.randint(3, 9)),
+                speed=rng.choice((10, 20, 30)))
+             for i in range(n_vehicles)]
+    units = [DeliveryUnitType("u0", 450.0, 40), DeliveryUnitType("u1", 80.0, 25)]
+    return fleet, units, PARAMS, SaConfig(seed=7, restarts=2, cooling_rate=0.8)
+
+
+@pytest.mark.parametrize("label", ["pi_small", "c5_instance-0", "c5_instance-3",
+                                   "c5_instance-11", "2", "21", "22", "30",
+                                   "interior-0", "interior-22"])
+def test_sa_equals_the_reference_walk(label, monkeypatch):
+    if label == "pi_small":
+        fleet, units, params = _pi_small_layer2()
+        config = load_scenario(str(BORDEAUX)).sa
+    elif label.startswith("c5_instance-"):
+        fleet, units, params = _instance(label, monkeypatch)
+        config = SaConfig(seed=int(label.rsplit("-", 1)[1]))
+    elif label.startswith("interior-"):
+        # The interior-optimum instance of test_sa_seeded_walk_is_pinned.
+        # Its walks draw moves that move nothing on rows whose canonical
+        # row differs by an ulp; had they been skipped, seed 22 would end
+        # one ulp off in its second row and seed 0 with another trace.
+        fleet = [vt("a", 25000, 7), vt("b", 4000, 5), vt("c", 9000, 9)]
+        units = [DeliveryUnitType("u1", 450.0, 43), DeliveryUnitType("u2", 20.0, 5)]
+        params = PARAMS
+        config = SaConfig(seed=int(label.rsplit("-", 1)[1]), restarts=2,
+                          steps_per_temperature=50)
+    else:
+        fleet, units, params, config = _many_vehicles(int(label))
+    result = simulated_annealing(fleet, units, params, config, keep_trace=True)
+    rows, objective, feasible, evaluations, trace = _reference_anneal(
+        fleet, units, params, config)
+    assert result.allocation.entries == rows
+    assert (result.objective, result.feasible, result.evaluations) == \
+        (objective, feasible, evaluations)
+    assert repr(result.trace) == repr(trace)
 
 
 # ---------------------------------------------------------------- grid oracle

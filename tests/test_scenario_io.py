@@ -304,6 +304,20 @@ def test_optimization_vehicle_is_read_as_a_name_at_its_index(entry):
         parse_scenario(doc)
 
 
+def test_unknown_optimization_vehicle_is_named_at_its_index(tmp_path, capsys):
+    # as a malformed entry, and as every other reference error names its entry
+    doc = _variant(optimization={"vehicles": ["truck", "truck", "bus"]})
+    message = "optimization.vehicles[2]: unknown vehicle 'bus'"
+    with pytest.raises(ScenarioReferenceError) as e:
+        parse_scenario(doc)
+    assert str(e.value) == message
+    assert e.value.path == "optimization.vehicles[2]"
+    path = tmp_path / "optimization.scenario"
+    path.write_text(yaml.safe_dump(doc))
+    assert run(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
+
+
 @pytest.mark.parametrize("weight", [0, -1, -0.5])
 def test_unit_class_weight_is_checked_by_the_model_rule(weight):
     # the same rule and message as a demand row's DeliveryUnitType
