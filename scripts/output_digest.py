@@ -11,6 +11,12 @@ Run it on two checkouts and compare the lines.  Groups:
          ``validate``, ``evaluate`` of each scheme, ``compare`` of all
          schemes, ``sweep`` of lead_time_h and speed_kmh on every layer,
          and ``optimize --seed 11`` and ``--oracle`` on every analytical layer
+  cli_main  argv, exit code, stdout and stderr of ``python -m citydist.cli``
+         subprocesses, the process entry point: the five cold_cli commands of
+         perfbench.workloads (validate once, the others in each format),
+         C9's ``optimize --seed 11 --format json``, an unknown scheme (exit
+         2) and bordeaux.scenario with original's lead time at 1.5 h (exit
+         3), written to a fixed file name in a temporary directory
   sweeps repr() of the five sweeps of perfbench.workloads.SWEEPS
   c5     repr() of simulated_annealing (seeds 1 and 5), vertex_optimum and
          brute_force_grid (step 0.1) on perfbench.workloads.c5_instance
@@ -59,6 +65,7 @@ import math
 import os
 import pathlib
 import random
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -98,7 +105,13 @@ from citydist.schemes import (  # noqa: E402
     evaluate_scheme,
 )
 from citydist.sweep import SweepSpec, sweep_parameter  # noqa: E402
-from perfbench.workloads import C5_PARAMS, c5_instance, sweep_specs  # noqa: E402
+from perfbench.workloads import (  # noqa: E402
+    C5_PARAMS,
+    c5_instance,
+    child_env,
+    cli_commands as cold_cli_commands,
+    sweep_specs,
+)
 
 SCENARIOS = (ROOT / "scenarios" / "bordeaux.scenario",
              ROOT / "scenarios" / "bordeaux_single_supplier.scenario")
@@ -154,6 +167,35 @@ def captured(argv) -> str:
 
 def cli_outputs():
     return map(captured, cli_commands())
+
+
+def entry_point(argv, cwd=ROOT) -> str:
+    """argv, then the exit code, stdout and stderr of ``python -m citydist.cli
+    argv`` run in cwd."""
+    proc = subprocess.run([sys.executable, "-m", "citydist.cli", *argv], cwd=cwd,
+                          env=child_env(), capture_output=True, text=True)
+    return f"{argv}\n{proc.returncode}\n{proc.stdout}\n{proc.stderr}\n"
+
+
+def cli_main_outputs():
+    for argv in cold_cli_commands().values():
+        if "--format" in argv:  # each format in turn, not the benchmark's one
+            at = argv.index("--format")
+            del argv[at:at + 2]
+        formats = [[]] if argv[0] == "validate" else [["--format", fmt] for fmt in FORMATS]
+        for fmt in formats:
+            yield entry_point([*argv, *fmt])
+    single = ["--scenario", str(SCENARIOS[1].relative_to(ROOT))]
+    yield entry_point(["optimize", *single, "--scheme", "original", "--layer", "1",
+                       "--seed", "11", "--format", "json"])
+    yield entry_point(["evaluate", *single, "--scheme", "nope"])
+    doc = yaml.safe_load(SCENARIOS[0].read_text())
+    next(d for d in doc["schemes"] if d["name"] == "original")["params"]["lead_time_h"] = 1.5
+    with tempfile.TemporaryDirectory() as directory:
+        with open(os.path.join(directory, "mutated.scenario"), "w", encoding="utf-8") as fh:
+            yaml.safe_dump(doc, fh)
+        yield entry_point(["evaluate", "--scenario", "mutated.scenario", "--scheme", "original"],
+                          cwd=directory)
 
 
 def sweep_outputs():
@@ -317,7 +359,8 @@ def scenario_outputs(defaults=False):
 
 def main():
     os.chdir(ROOT)  # the cli group names the scenarios by their relative paths
-    for group, outputs in (("cli", cli_outputs), ("sweeps", sweep_outputs),
+    for group, outputs in (("cli", cli_outputs), ("cli_main", cli_main_outputs),
+                           ("sweeps", sweep_outputs),
                            ("c5", c5_outputs), ("grid", grid_outputs),
                            ("grid_tight", grid_tight_outputs), ("grid4", grid4_outputs),
                            ("splice", splice_outputs), ("allsweeps", allsweep_outputs),

@@ -8,6 +8,7 @@ invariant failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from importlib import import_module
@@ -176,7 +177,28 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """The process entry point: run the command, flush its output and end
+    the process with os._exit, skipping interpreter teardown (module
+    clearing, the final garbage collection), which a one-shot process does
+    not need.  run() is the in-process API and returns normally.
+
+    This holds because nothing in citydist registers an atexit handler or
+    leaves a file open when run() returns: emit_report closes --output in
+    its ``with``, and the only buffers left are stdout's and stderr's,
+    flushed here.  An exception escaping run(), and argparse's SystemExit
+    (--help, a bad subcommand), end the process as usual.  A closed stdout
+    (BrokenPipeError from the command or the flush) exits 1 with no
+    traceback: stdout is pointed at os.devnull, as the Python docs advise.
+    """
+    try:
+        code = run()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process started without it
+                stream.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -346,13 +346,6 @@ def _spread(params: NetworkParams, stops, sqrt=math.sqrt, rint=round):
                 / _SPREAD_QUANTUM) * _SPREAD_QUANTUM
 
 
-def route_distance(tours: float, stops: float, params: NetworkParams) -> float:
-    """Estimated daily route length: 2*r*m line haul plus k*sqrt(A*N) dispersion."""
-    if tours < 0 or stops < 0:
-        raise DomainError("route_distance: tours and stops must be >= 0")
-    return 2.0 * params.radius_km * tours + _spread(params, stops)
-
-
 def effective_capacity(vehicle: VehicleType, unit: DeliveryUnitType | None) -> float:
     """Payload per tour, the one payload-limit rule: the weight limit, capped by the
     footprint positions filled with the unit (a demand's dominant unit) unless it is None."""

@@ -8,9 +8,7 @@ run-dependent content, so identical invocations are byte-identical.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -181,11 +179,14 @@ def to_jsonable(obj):
 
 
 def render(obj, fmt: str = "table") -> str:
+    # json and csv load only for the format that uses them
     if fmt == "json":
+        import json
         return json.dumps(to_jsonable(obj), indent=2, sort_keys=True,
                           allow_nan=False) + "\n"
     header, rows = _rows_for(obj)
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)

@@ -19,7 +19,7 @@ from citydist.model import (
     NetworkParams,
     TemperatureClass,
     VehicleType,
-    route_distance,
+    _spread,
     solve_tour_plan,
 )
 from citydist.optimize import (
@@ -69,7 +69,7 @@ def test_c1_fixed_point_matches_exhaustive_oracle():
         v_eff = vehicle.speed_kmh / params.congestion_factor
         oracle = None
         for m in range(0, 501):
-            d = route_distance(m, stops, params)
+            d = 2.0 * params.radius_km * m + _spread(params, stops)
             cap_c = math.ceil(weight / capacity)
             shift_c = math.ceil((d / v_eff + params.stop_time_h * stops)
                                 / params.shift_duration_h)
@@ -109,13 +109,18 @@ def test_c2_model_identities_exact():
         base = math.fsum(DEFAULT_EXTERNAL_FACTORS.amounts(137.25))
         scaled = math.fsum(DEFAULT_EXTERNAL_FACTORS.amounts(alpha * 137.25))
         assert scaled == pytest.approx(alpha * base, rel=1e-9)
-    # route length affine in the tour count with an exactly 2r increment
+    # route length affine in the tour count with an exactly 2r increment: the
+    # solver's plans at m and m + 1 capacity-bound tours (1,000 kg per tour;
+    # at 200 km/h and 0.01 h a stop, neither time ceiling binds)
+    vehicle = VehicleType("v", 25000, 200, 8.0, 30.0)
     for r in (5.0, 10.0, 20.0, 30.0):
         for ns in (0, 4, 6, 42, 84, 200):
-            params = NetworkParams(radius_km=r, area_km2=186, stop_time_h=0.25)
-            for m in range(0, 30):
-                inc = route_distance(m + 1, ns, params) - route_distance(m, ns, params)
-                assert inc == 2.0 * r
+            params = NetworkParams(radius_km=r, area_km2=186, stop_time_h=0.01)
+            d = [solve_tour_plan(vehicle, DemandProfile(total_weight_kg=1000.0 * m,
+                                                        total_stops=ns),
+                                 params, cap_limit=1000.0).distance_km
+                 for m in range(1, 32)]
+            assert all(b - a == 2.0 * r for a, b in zip(d, d[1:]))
     _ok("C2", "cost identity, additivity and 2r increments exact; "
               "external linearity within 1e-9")
 

@@ -212,6 +212,132 @@ def test_cold_path_commands_do_not_import_numpy():
     assert result["numpy_after_oracle"] is True
 
 
+_FORMAT_MODULES_CHILD = """
+import io, sys
+from contextlib import redirect_stdout
+from citydist.cli import run
+
+with redirect_stdout(io.StringIO()):
+    code = run(sys.argv[1:])
+print(code, *(m for m in ("json", "csv") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("argv, printed", [
+    (["evaluate", "--scheme", "original"], "0"),
+    (["compare", "--schemes", "original,original", "--format", "csv"], "0 csv"),
+    (["evaluate", "--scheme", "original", "--format", "json"], "0 json"),
+], ids=["evaluate_table", "compare_csv", "evaluate_json"])
+def test_report_formats_load_only_their_own_module(argv, printed):
+    # render imports json only for --format json and csv only for --format
+    # csv; a fresh interpreter whose child script imports neither
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORMAT_MODULES_CHILD, *argv, "--scenario", str(SINGLE_SUPPLIER)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == printed + "\n"
+
+
+# ------------------------------------------------------------ process entry point
+
+def _in_process(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of run(argv) in this interpreter."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# the environment of the entry-point children, without PYTHONUNBUFFERED: their
+# stdout is block-buffered, as a pipe's is by default, so output that main()
+# failed to flush would be lost
+_BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _entry_point(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``python -m citydist.cli argv``."""
+    proc = subprocess.run([sys.executable, "-m", "citydist.cli", *argv],
+                          capture_output=True, text=True, env=_BUFFERED)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_ATEXIT_CHILD = """
+import atexit
+atexit.register(print, "atexit handler ran")
+from citydist.cli import main
+main()
+"""
+
+
+def test_main_ends_the_process_without_teardown():
+    # main() flushes the command's output and calls os._exit: an atexit
+    # handler, which interpreter teardown would run, does not run
+    argv = ["validate", "--scenario", str(BORDEAUX)]
+    proc = subprocess.run([sys.executable, "-c", _ATEXIT_CHILD, *argv],
+                          capture_output=True, text=True, env=_BUFFERED)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(argv)
+
+
+@pytest.mark.parametrize("code", [0, 2, 3])
+def test_entry_point_matches_in_process_run(tmp_path, code):
+    path = str(BORDEAUX)
+    if code == 3:  # a 30 km radius at 20 km/h cannot meet a 1.5 h lead time
+        path = _written(_mutated(("schemes", _SCHEMES.index("original"), "params",
+                                  "lead_time_h"), 1.5), tmp_path)
+    argv = ["evaluate", "--scenario", path, "--scheme", "nope" if code == 2 else "original"]
+    result = _entry_point(argv)
+    assert result[0] == code
+    assert result == _in_process(argv)
+
+
+def test_long_output_reaches_the_reader_complete():
+    # 20,001 sweep rows, far more than a pipe buffer holds, all flushed
+    # before the process ends
+    argv = ["sweep", "--scenario", str(SINGLE_SUPPLIER), "--scheme", "original",
+            "--layer", "1", "--param", "speed_kmh", "--range", "10:30:0.001",
+            "--format", "csv"]
+    result = _entry_point(argv)
+    assert result[1].count("\n") == 20_002
+    assert result == _in_process(argv)
+
+
+def test_output_file_holds_what_stdout_would(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["compare", "--scenario", str(BORDEAUX), "--schemes", "original,ucc,pi",
+            "--format", "json"]
+    code, stdout, _ = _entry_point(argv)
+    assert (code, stdout) == (0, _in_process(argv)[1])
+    assert _entry_point([*argv, "--output", str(out)]) == (0, "", "")
+    assert out.read_text(encoding="utf-8") == stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--scenario", str(BORDEAUX)],
+    ["sweep", "--scenario", str(BORDEAUX), "--scheme", "pi", "--layer", "2",
+     "--param", "lead_time_h", "--range", "0.25:24:0.05"],
+], ids=["validate", "sweep"])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # a pipe whose reader is gone, as for `citydist ... | head -0`; validate's
+    # one line fails in main()'s flush, the sweep's table in run()'s write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "citydist.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=_BUFFERED)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_process_started_without_stdout_exits_0():
+    # with file descriptor 1 closed, sys.stdout is None: nothing to flush
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "citydist.cli",
+         "validate", "--scenario", str(BORDEAUX)], stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_non_numeric_hub_weights_exit_2(tmp_path, capsys):
     doc = yaml.safe_load(BORDEAUX.read_text())
     pi = next(s for s in doc["schemes"] if s["name"] == "pi")

@@ -27,7 +27,6 @@ from citydist.model import (
     dominant_order,
     effective_capacity,
     fill_rate,
-    route_distance,
     solve_tour_plan,
     travel_and_stop_time,
 )
@@ -211,36 +210,42 @@ def test_sa_config_refuses_a_non_integer_count_by_name(field, value):
 
 # ---------------------------------------------------------------- route distance
 
-def test_route_distance_empty_case(base_params):
-    assert route_distance(0, 0, base_params) == 0.0
+def _route_km(m, stops, params):
+    """2*r*m line haul plus the quantised k*sqrt(A*N) spread, the route length
+    the tour solver sums at m tours."""
+    return 2.0 * params.radius_km * m + model._spread(params, stops)
 
 
-def test_route_distance_hand_values():
+def _capacity_bound_plan(tours, stops, params, speed_kmh=30):
+    """The plan of a demand whose capacity ceiling is `tours` (1,000 kg per tour)."""
+    vehicle = VehicleType("v", 25000, speed_kmh, 8.0, 30.0)
+    plan = solve_tour_plan(vehicle, demand(1000.0 * tours, stops), params, cap_limit=1000.0)
+    assert (plan.tours, plan.binding_constraint) == (tours, BindingConstraint.CAPACITY)
+    return plan
+
+
+def test_tour_plan_distance_hand_values():
     params = NetworkParams(radius_km=30, area_km2=186, stop_time_h=0.25)
     # 2*30*1 + 0.57*sqrt(186*4)
     expected = 60 + 0.57 * math.sqrt(744)
-    assert route_distance(1, 4, params) == pytest.approx(expected, rel=1e-9)
-    assert route_distance(1, 4, params) == pytest.approx(75.55, abs=0.005)
-    assert route_distance(2, 4, params) == pytest.approx(expected + 60, rel=1e-9)
+    one, two = (_capacity_bound_plan(m, 4, params).distance_km for m in (1, 2))
+    assert one == pytest.approx(expected, rel=1e-9)
+    assert one == pytest.approx(75.55, abs=0.005)
+    assert two == pytest.approx(expected + 60, rel=1e-9)
 
 
-def test_route_distance_rejects_negative(base_params):
-    with pytest.raises(DomainError):
-        route_distance(-1, 4, base_params)
-    with pytest.raises(DomainError):
-        route_distance(1, -4, base_params)
-
-
-@given(m=st.integers(min_value=0, max_value=200),
+@given(m=st.integers(min_value=1, max_value=200),
        ns=st.integers(min_value=0, max_value=300),
        r4=st.integers(min_value=1, max_value=160),
        area=st.sampled_from([93.0, 186.0, 400.0]))
-def test_route_distance_affine_increment_exact(m, ns, r4, area):
-    # radii on a 0.25 km grid: the tour increment is exactly the round trip
-    params = NetworkParams(radius_km=r4 * 0.25, area_km2=area, stop_time_h=0.25)
-    d0 = route_distance(m, ns, params)
-    d1 = route_distance(m + 1, ns, params)
+def test_tour_plan_distance_affine_increment_exact(m, ns, r4, area):
+    # radii on a 0.25 km grid: the tour increment is exactly the round trip;
+    # at 200 km/h and 0.01 h a stop, both time ceilings stay below capacity's
+    params = NetworkParams(radius_km=r4 * 0.25, area_km2=area, stop_time_h=0.01)
+    d0 = _capacity_bound_plan(m, ns, params, speed_kmh=200).distance_km
+    d1 = _capacity_bound_plan(m + 1, ns, params, speed_kmh=200).distance_km
     assert d1 - d0 == 2.0 * params.radius_km
+    assert d0 == _route_km(m, ns, params)
 
 
 # ---------------------------------------------------------------- tour fixed point
@@ -294,7 +299,7 @@ def _ceiling_oracle(vehicle, weight, stops, params, cap_limit, m_max=500):
     v_eff = vehicle.speed_kmh / params.congestion_factor
     for m in range(0, m_max + 1):
         if _tour_map(m, weight, stops, cap_limit, v_eff, params) == m:
-            return m, route_distance(m, stops, params)
+            return m, _route_km(m, stops, params)
     return None
 
 
@@ -327,7 +332,7 @@ def test_fixed_point_property_and_minimality(cap, weight, stops):
     plan = solve_tour_plan(vehicle, demand(weight, stops), params)
     v_eff = vehicle.speed_kmh
     # re-substitution: the returned m reproduces itself through the ceilings
-    d = route_distance(plan.tours, stops, params)
+    d = _route_km(plan.tours, stops, params)
     cap_c = math.ceil(weight / cap)
     shift_c = math.ceil((d / v_eff + 0.25 * stops) / 8)
     lead_c = math.ceil(((d - 15) / v_eff + 0.25 * (stops - 1)) / 24)
@@ -335,7 +340,7 @@ def test_fixed_point_property_and_minimality(cap, weight, stops):
     # minimality: no smaller m is a fixed point (scan capped at 50)
     if plan.tours <= 50:
         for m in range(plan.tours):
-            d_m = route_distance(m, stops, params)
+            d_m = _route_km(m, stops, params)
             shift_m = math.ceil((d_m / v_eff + 0.25 * stops) / 8)
             lead_m = math.ceil(((d_m - 15) / v_eff + 0.25 * (stops - 1)) / 24)
             assert max(0, cap_c, shift_m, lead_m) != m
@@ -349,7 +354,7 @@ def test_monotone_convergence_from_capacity_bound():
     m = math.ceil(weight / 2000)
     seen = [m]
     for _ in range(100):
-        d = route_distance(m, stops, params)
+        d = _route_km(m, stops, params)
         shift = math.ceil((d / 20 + 0.5 * stops) / 8)
         lead = math.ceil(((d - 25) / 20 + 0.5 * 39) / 24)
         m_next = max(0, math.ceil(weight / 2000), shift, lead)
@@ -367,7 +372,7 @@ def _capped_reference(weight, stops, cap_limit, v_eff, params, max_iterations=10
     iteration from the capacity ceiling under an iteration cap.  Returns
     (tours, distance, hours, binding), raises InfeasibleError where a slope
     of at least 1 proves divergence, and returns None when the cap runs out."""
-    spread = route_distance(0, stops, params)
+    spread = _route_km(0, stops, params)
     radius = params.radius_km
     stop_shift = params.stop_time_h * stops
     stop_lead = params.stop_time_h * (stops - 1)
@@ -395,7 +400,7 @@ def _capped_reference(weight, stops, cap_limit, v_eff, params, max_iterations=10
 
 def _tour_map(m, weight, stops, cap_limit, v_eff, params):
     """m -> max(0, capacity, shift, lead-time ceilings), evaluated directly."""
-    d = route_distance(m, stops, params)
+    d = _route_km(m, stops, params)
     return max(0, math.ceil(weight / cap_limit),
                math.ceil((d / v_eff + params.stop_time_h * stops) / params.shift_duration_h),
                math.ceil(((d - params.radius_km) / v_eff + params.stop_time_h * (stops - 1))
