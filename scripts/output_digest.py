@@ -52,6 +52,11 @@ Run it on two checkouts and compare the lines.  Groups:
          temporary path is hashed
   scenario_defaults  the same for the mutations of network_defaults leaves,
          with no emitted YAML
+  tables the bytes of each grid table, energy then feasible energy, that
+         _ColumnKernel(fleet, units, params).table(i, 10) returns on
+         c5_instance seeds 0-39, with C5_PARAMS at lead_time_h 1, 2, 3 and
+         24 h, for each vehicle i in turn: the grid groups hash only each
+         grid's argmin, so a drift in one table entry would go unseen there
 
 perfbench is only imported, never written to.  The whole run takes under
 a minute on one core (about 45 s on a 2-core VM, under half of it the scenario
@@ -95,6 +100,7 @@ from citydist.optimize import (  # noqa: E402
     reallocated_scheme,
     simulated_annealing,
     vertex_optimum,
+    _ColumnKernel,
 )
 from citydist.scenario import emit_scenario, load_scenario  # noqa: E402
 from citydist.schemes import (  # noqa: E402
@@ -249,6 +255,16 @@ def grid4_outputs():
         yield repr(brute_force_grid(fleet, units, C5_PARAMS, step=0.2))
 
 
+def table_outputs():
+    for seed in range(40):
+        fleet, units = c5_instance(random.Random(seed))
+        for lead_time_h in (1.0, 2.0, 3.0, 24.0):
+            kernel = _ColumnKernel(fleet, units, replace(C5_PARAMS, lead_time_h=lead_time_h))
+            for i in range(len(fleet)):
+                for table in kernel.table(i, 10):  # energy, then feasible energy
+                    yield table.tobytes()
+
+
 def interior_rows(rng: random.Random, n_units: int, n_vehicles: int):
     """One allocation's rows: random shares, about 30% of them zero."""
     rows = []
@@ -365,11 +381,12 @@ def main():
                            ("grid_tight", grid_tight_outputs), ("grid4", grid4_outputs),
                            ("splice", splice_outputs), ("allsweeps", allsweep_outputs),
                            ("anneal", anneal_outputs), ("scenario", scenario_outputs),
-                           ("scenario_defaults", lambda: scenario_outputs(defaults=True))):
+                           ("scenario_defaults", lambda: scenario_outputs(defaults=True)),
+                           ("tables", table_outputs)):
         digest = hashlib.sha256()
         count = 0
-        for text in outputs():
-            digest.update(text.encode())
+        for out in outputs():
+            digest.update(out if isinstance(out, bytes) else out.encode())
             count += 1
         print(f"{group:7s}{count:5d}  {digest.hexdigest()}")
 

@@ -354,6 +354,20 @@ def effective_capacity(vehicle: VehicleType, unit: DeliveryUnitType | None) -> f
     return min(vehicle.capacity_kg, vehicle.max_units_footprint * unit.avg_weight_kg)
 
 
+def _tour_times(m, spread: float, stops, v_eff: float, params: NetworkParams,
+                ceil=math.ceil):
+    """The time rules at tour count m: the route length d = 2*r*m + spread,
+    the hours d/v_eff + stop_time*stops, the lead-time hours to the last
+    customer (d - r)/v_eff + stop_time*(stops - 1), and the shift and
+    lead-time ceilings, each hours over its budget rounded up.  The grid
+    table passes arrays and numpy's ceil, as it does to _spread."""
+    d = 2.0 * params.radius_km * m + spread
+    hours = d / v_eff + params.stop_time_h * stops
+    lead = (d - params.radius_km) / v_eff + params.stop_time_h * (stops - 1)
+    return (d, hours, lead, ceil(hours / params.shift_duration_h),
+            ceil(lead / params.lead_time_h))
+
+
 def _closed_form_floor(two_r: float, v_eff: float, budget: float, intercept: float) -> int:
     """A tour count just below the least m >= ceil(b*m + intercept/budget),
     b = 2r/(v_eff*budget): that m is intercept/(budget*(1 - b)) rounded up,
@@ -370,16 +384,9 @@ def _solve_fixed_point(weight: float, stops: float, cap_limit: float, v_eff: flo
     """Least fixed point of m -> max(0, capacity, shift, lead-time ceilings),
     as (tours, route length, hours, binding constraint).
 
-    The ceilings are
-      capacity  ceil(weight / cap_limit)
-      shift     ceil((d/v_eff + stop_time*stops) / shift_duration)
-      lead      ceil(((d - r)/v_eff + stop_time*(stops - 1)) / lead_time)
-    on the route length d = 2*r*m + spread.  Only d varies with m, so the
-    capacity ceiling and the stop-time terms are computed once.  The hours
-    returned are the shift ceiling's numerator at the fixed point; with
-    v_eff = speed_kmh / congestion_factor they equal
-    travel_and_stop_time(d, stops, ...) bit for bit.  This is the annealer's
-    innermost call: keep it free of per-iteration allocations.
+    The capacity ceiling is ceil(weight / cap_limit), the rest _tour_times'
+    at each count tried.  This is the annealer's innermost call: keep its
+    usual path to one _tour_times call, and read budgets only to climb.
 
     The map is monotone, so iterating it from the capacity ceiling, or from
     any count below the least fixed point, climbs to that point.  The first
@@ -388,30 +395,22 @@ def _solve_fixed_point(weight: float, stops: float, cap_limit: float, v_eff: flo
     capacity, after that one evaluation.  A time ceiling is affine in m with
     slope b = 2r/(v_eff*budget): at b >= 1 it can never be caught once
     ahead, which proves divergence; below 1 its own least fixed point has a
-    closed form.  So when the first count falls short, the walk jumps once
-    to just below the largest of those closed forms and climbs the last few
-    steps.  Within ~1e-7 of slope 1 (10^7 tours and more) rounding blurs
-    where the ceilings are first met: the count returned then meets every
-    ceiling but may not be the least that does.
+    closed form, whose intercept is its hours at m = 0.  So when the first
+    count falls short, the walk jumps once to just below the largest of
+    those closed forms and climbs the last few steps.  Within ~1e-7 of
+    slope 1 (10^7 tours and more) rounding blurs where the ceilings are
+    first met: the count returned then meets every ceiling but may not be
+    the least that does.
     """
     spread = _spread(params, stops)
-    radius = params.radius_km
-    two_r = 2.0 * radius
-    shift_h = params.shift_duration_h
-    lead_h = params.lead_time_h
-    stop_shift = params.stop_time_h * stops
-    stop_lead = params.stop_time_h * (stops - 1)
-    ceil = math.ceil
-    m = cap = ceil(weight / cap_limit)  # weight >= 0, so the first count is >= 0
+    m = math.ceil(weight / cap_limit)  # weight >= 0, so the first count is >= 0
+    d, hours, _, shift, lead = _tour_times(m, spread, stops, v_eff, params)
+    if shift <= m >= lead:
+        return m, d, hours, _CAPACITY
+    two_r = 2.0 * params.radius_km
+    shift_h, lead_h = params.shift_duration_h, params.lead_time_h
+    start = None
     while True:
-        d = two_r * m + spread
-        hours = d / v_eff + stop_shift
-        shift = ceil(hours / shift_h)
-        lead = ceil(((d - radius) / v_eff + stop_lead) / lead_h)
-        if shift <= m >= lead:  # the first of the ceilings equal to m binds
-            return m, d, hours, (
-                _CAPACITY if m == cap else BindingConstraint.SHIFT if shift == m
-                else BindingConstraint.LEAD_TIME if lead == m else _CAPACITY)
         # Per-tour line haul measured against each time budget; a ceiling whose
         # requirement grows at least as fast as m can never be caught once ahead.
         if shift > m and two_r / (v_eff * shift_h) >= 1.0:
@@ -420,16 +419,19 @@ def _solve_fixed_point(weight: float, stops: float, cap_limit: float, v_eff: flo
         if lead > m and two_r / (v_eff * lead_h) >= 1.0:
             raise InfeasibleError(vehicle_id, BindingConstraint.LEAD_TIME,
                                   f"round trip exceeds the lead-time budget at any tour count (m >= {m})")
-        if m == cap:  # every later count is above the first
-            m = start = max(
-                shift, lead,
-                _closed_form_floor(two_r, v_eff, shift_h, spread / v_eff + stop_shift),
-                _closed_form_floor(two_r, v_eff, lead_h, (spread - radius) / v_eff + stop_lead))
+        if start is None:  # every later count is above the first
+            _, hours_0, lead_0, _, _ = _tour_times(0, spread, stops, v_eff, params)
+            m = start = max(shift, lead, _closed_form_floor(two_r, v_eff, shift_h, hours_0),
+                            _closed_form_floor(two_r, v_eff, lead_h, lead_0))
         else:
             # Rounding can hold a slope within ~1e-11 of 1 one tour above m
             # for millions of steps: past 64 tours beyond the jump, the
             # stride doubles instead.
             m = max(shift, lead, 2 * m - start - 64)
+        d, hours, _, shift, lead = _tour_times(m, spread, stops, v_eff, params)
+        if shift <= m >= lead:  # the first of the time ceilings equal to m binds
+            return m, d, hours, (BindingConstraint.SHIFT if shift == m
+                                 else BindingConstraint.LEAD_TIME if lead == m else _CAPACITY)
 
 
 def solve_tour_plan(vehicle: VehicleType, demand: DemandProfile, params: NetworkParams,
@@ -449,13 +451,6 @@ def solve_tour_plan(vehicle: VehicleType, demand: DemandProfile, params: Network
     v_eff = vehicle.speed_kmh / params.congestion_factor
     return TourPlan(vehicle, *_solve_fixed_point(demand.total_weight_kg, demand.total_stops,
                                                  cap_limit, v_eff, params, vehicle.id))
-
-
-def travel_and_stop_time(distance_km: float, stops: float, vehicle: VehicleType,
-                         params: NetworkParams) -> float:
-    """Hours on the road plus hours stopped, for one vehicle type's daily plan."""
-    v_eff = vehicle.speed_kmh / params.congestion_factor
-    return distance_km / v_eff + params.stop_time_h * stops
 
 
 def fill_rate(loaded_weight_kg: float, vehicle: VehicleType, cap: float, tours: int) -> float:

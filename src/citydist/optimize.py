@@ -30,6 +30,7 @@ from .model import (
     SaConfig,
     _solve_fixed_point,
     _spread,
+    _tour_times,
     dominant_order,
     effective_capacity,
     solve_tour_plan,
@@ -190,10 +191,11 @@ class _ColumnKernel:
 
         One numpy pass takes what column does, in its order: the weight and
         stop sums in unit order (a zero share adds an exact 0.0), the
-        dominant unit's capacity limit, the capacity count and both time
-        ceilings at that count.  Where both are met, the tour solver would
-        return after its first evaluation, and the energy is written here;
-        every other column (its plan climbs or diverges) is left to column.
+        dominant unit's capacity limit, the capacity count, and the route
+        length, hours and time ceilings of model._tour_times at that count.
+        Where both time ceilings are met, the tour solver would return after
+        its first evaluation, and the energy is written here; every other
+        column (its plan climbs or diverges) is left to column.
         Only the grid oracle calls this, so numpy is imported here.
         """
         import numpy as np
@@ -217,23 +219,9 @@ class _ColumnKernel:
             np.copyto(m, float(cap_limits[j]), where=present.reshape(axes[j]))
         np.divide(weight, m, out=m)
         np.ceil(m, out=m)  # the capacity count
-        spread = _spread(params, stops, np.sqrt, np.rint)
-        d = np.multiply(m, 2.0 * params.radius_km)
-        d += spread  # spread is free from here
-        hours = np.divide(d, v_eff)
-        hours += np.multiply(stops, params.stop_time_h, out=spread)
-        ceiling = np.divide(hours, params.shift_duration_h, out=spread)
-        np.ceil(ceiling, out=ceiling)
-        met = ceiling <= m
-        # the lead-time ceiling: ((d - r)/v_eff + stop_time*(stops - 1)) / lead_time
-        stops -= 1.0
-        stops *= params.stop_time_h
-        np.subtract(d, params.radius_km, out=ceiling)
-        ceiling /= v_eff
-        ceiling += stops
-        ceiling /= params.lead_time_h
-        np.ceil(ceiling, out=ceiling)
-        met &= ceiling <= m
+        d, hours, _, shift, lead = _tour_times(m, _spread(params, stops, np.sqrt, np.rint),
+                                               stops, v_eff, params, np.ceil)
+        met = (shift <= m) & (lead <= m)
         met &= m < math.inf  # an overflowing count is column's to refuse
         energy = np.multiply(d, per_km, out=d)
         energy += np.multiply(hours, per_hour, out=hours)
@@ -386,27 +374,14 @@ def _moved(row, a: int, b: int, delta: float) -> tuple[float, ...]:
     return _canonical_row(row)
 
 
-def _transfer(rows, rng: random.Random, n_vehicles: int) -> tuple[int, tuple[float, ...]]:
-    """Draw one move on the allocation rows: (row index j, new row j).
-
-    A random fraction (up to 0.2) of one unit row moves from vehicle a to
-    vehicle b, drawn by _draws and applied by _moved.  A move that moves
-    nothing (row[a] is 0 or row[b] is 1) still returns the canonicalised
-    row, which _canonical_row may change by an ulp; the walk keeps that
-    result in its no-op slot.
-    """
-    j, a, b, delta = _draws(rng, len(rows), n_vehicles)()
-    return j, _moved(rows[j], a, b, delta)
-
-
 def neighbor_move(allocation: AllocationMatrix, rng: random.Random) -> AllocationMatrix:
     """Transfer a random fraction (up to 0.2) of one unit row between two vehicles."""
     n_vehicles = allocation.n_vehicles
     if n_vehicles < 2:
         return allocation
-    j, row = _transfer(allocation.entries, rng, n_vehicles)
     entries = list(allocation.entries)
-    entries[j] = row
+    j, a, b, delta = _draws(rng, len(entries), n_vehicles)()
+    entries[j] = _moved(entries[j], a, b, delta)
     return AllocationMatrix(tuple(entries))
 
 

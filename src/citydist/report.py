@@ -20,6 +20,9 @@ if TYPE_CHECKING:
     from .optimize import AllocationMatrix, ConstraintSlack
 
 INFEASIBLE_MARKER = "INFEASIBLE"
+INVALID_MARKER = "INVALID"
+# The error of a sweep row whose value the swept record refuses starts with this.
+INVALID_VALUE = "invalid value: "
 
 
 # The optimizer's and the sweep's results live here, next to their rendering,
@@ -44,6 +47,10 @@ class SweepRow:
     @property
     def feasible(self) -> bool:
         return self.report is not None
+
+    @property
+    def invalid(self) -> bool:  # the swept params or vehicles refused the value
+        return self.report is None and (self.error or "").startswith(INVALID_VALUE)
 
     def tours_tuple(self) -> tuple[tuple[str, int], ...] | None:
         if self.report is None:
@@ -93,9 +100,9 @@ def kpi_to_dict(report: KpiReport) -> dict:
     return out
 
 
-def _kpi_row(report: KpiReport | None) -> list:
+def _kpi_row(report: KpiReport | None, marker: str = INFEASIBLE_MARKER) -> list:
     if report is None:
-        return [INFEASIBLE_MARKER] * len(_KPI_COLUMNS)
+        return [marker] * len(_KPI_COLUMNS)
     return [getattr(report, attr) for _, attr in _KPI_COLUMNS]
 
 
@@ -119,7 +126,9 @@ def _rows_for(obj) -> tuple[list[str], list[list]]:
         return header, rows
     if isinstance(obj, SweepReport):
         header = [obj.parameter] + kpi_headers + ["status"]
-        return header, [[r.value] + _kpi_row(r.report) + ["ok" if r.feasible else INFEASIBLE_MARKER]
+        return header, [[r.value] + _kpi_row(r.report, INVALID_MARKER if r.invalid else
+                                             INFEASIBLE_MARKER)
+                        + ["invalid" if r.invalid else "ok" if r.feasible else INFEASIBLE_MARKER]
                         for r in obj.rows]
     if isinstance(obj, OptimizationResult):
         header = ["field", "value"]

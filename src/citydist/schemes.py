@@ -26,11 +26,11 @@ from .model import (
     TemperatureClass,
     TotalsRow,
     VehicleType,
+    _tour_times,
     effective_capacity,
     fill_rate,
     merge_tallies,
     solve_tour_plan,
-    travel_and_stop_time,
 )
 
 
@@ -139,7 +139,8 @@ def layer_plans(layer: LayerSpec, params: NetworkParams, vehicles,
 
     Analytical layers take them from the tour solver, whose InfeasibleError
     is raised again naming the layer; fixed-shuttle layers run their pinned
-    round trips, or weight over capacity (at least one).
+    round trips, or weight over capacity (at least one), and take their
+    distance and hours from the solver's time rules, model._tour_times.
     """
     plans = []
     if layer.mode is LayerMode.ANALYTICAL:
@@ -159,9 +160,10 @@ def layer_plans(layer: LayerSpec, params: NetworkParams, vehicles,
             tours = max(1, math.ceil(weight / cap_limit))
         else:
             tours = 0
-        dist = tours * 2.0 * params.radius_km
-        # one stop at the destination node per round trip
-        plans.append((tours, dist, travel_and_stop_time(dist, tours, vehicle, params)))
+        # round trips with no spread, and one stop at the destination node per trip
+        dist, hours, _, _, _ = _tour_times(tours, 0.0, tours,
+                                           vehicle.speed_kmh / params.congestion_factor, params)
+        plans.append((tours, dist, hours))
     return plans
 
 

@@ -11,9 +11,9 @@ totals rows and their merged tour dicts.  While a point's plans equal the
 previous feasible point's, as on the plateaus of a lead-time or shift sweep,
 that point's report is reused; otherwise schemes.layer_totals turns the
 constants and plans into the swept layer's row, and one KpiReport.from_rows
-sums it with the other layers' rows.  Infeasible points are marked rather
-than aborting, and the report records where the tour counts first move away
-from their slack-side values.
+sums it with the other layers' rows.  Infeasible points and invalid values
+are marked rather than aborting, and the report records where the tour
+counts first move away from their slack-side values.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from operator import attrgetter
 
 from .model import (DomainError, InfeasibleError, KpiReport, NetworkParams, VehicleType,
                     merge_tallies)
-from .report import SweepReport, SweepRow
+from .report import INVALID_VALUE, SweepReport, SweepRow
 from .schemes import (
     FleetAssignment,
     SchemeSpec,
@@ -149,7 +149,8 @@ def _rows(layers, factors):
 
 def sweep_parameter(spec: SweepSpec) -> SweepReport:
     """Evaluate the scheme across the grid; infeasible points become markers.
-    Each row equals ``evaluate_scheme(apply_parameter(...))`` at its value.
+    Each row of a valid value equals ``evaluate_scheme(apply_parameter(...))``
+    at that value.
 
     A point's report depends on the swept value only through the swept
     layer's plans: the demands, capacity limits, unit costs, factors and the
@@ -158,7 +159,9 @@ def sweep_parameter(spec: SweepSpec) -> SweepReport:
     solver runs at every point; a point whose plans equal the last feasible
     point's shares its report, so rows on one plateau hold the same object.
     A row's error is the first among the earlier layers, the swept layer and
-    the later layers, in that order.
+    the later layers, in that order, unless the swept params or vehicles
+    refuse the value: then the row is invalid, its error the refusal after
+    INVALID_VALUE, and the infeasible bounds and the threshold skip it.
     """
     values = _grid(spec.start, spec.stop, spec.step)  # start is always kept
     scheme, swept = spec.scheme, spec.layer_index
@@ -177,7 +180,11 @@ def sweep_parameter(spec: SweepSpec) -> SweepReport:
     last_plans = last_report = None  # of the last feasible point
     rows = []
     for v in values:
-        params, fleet = _swept(base.params, vehicles, spec.parameter, v)
+        try:
+            params, fleet = _swept(base.params, vehicles, spec.parameter, v)
+        except DomainError as exc:  # before any layer's error: no layer runs at v
+            rows.append(SweepRow(v, None, error=f"{INVALID_VALUE}{exc}"))
+            continue
         out = head
         if not isinstance(head, Exception):
             try:
@@ -198,10 +205,11 @@ def sweep_parameter(spec: SweepSpec) -> SweepReport:
                     rows.append(SweepRow(v, last_report))
                     continue
         rows.append(SweepRow(v, None, error=str(out)))
-    feasible = [i for i, r in enumerate(rows) if r.feasible]
-    first, last = (feasible[0], feasible[-1]) if feasible else (len(rows), -1)
-    below = rows[first - 1].value if first > 0 else None
-    above = rows[last + 1].value if last < len(rows) - 1 else None
+    valid = [r for r in rows if not r.invalid]
+    feasible = [i for i, r in enumerate(valid) if r.feasible]
+    first, last = (feasible[0], feasible[-1]) if feasible else (len(valid), -1)
+    below = valid[first - 1].value if first > 0 else None
+    above = valid[last + 1].value if last < len(valid) - 1 else None
     return SweepReport(parameter=spec.parameter, rows=tuple(rows),
                        detected_threshold=detect_threshold(rows),
                        infeasible_below=below, infeasible_above=above)

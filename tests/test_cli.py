@@ -85,6 +85,33 @@ def test_sweep_rows_and_markers(tmp_path):
     assert sum("INFEASIBLE" in line for line in lines) == 2
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_sweep_past_a_field_limit_marks_those_values_invalid(capsys, fmt):
+    # lead times above 24 h are refused by the params record: those two
+    # points read invalid, and the valid ones above are still swept
+    argv = ["sweep", "--scenario", str(BORDEAUX), "--scheme", "original", "--layer", "2",
+            "--param", "lead_time_h", "--range", "10:30:5", "--format", fmt]
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if fmt == "json":
+        doc = json.loads(out)
+        assert [(r["value"], r["kpis"] is None, r["error"]) for r in doc["rows"]] == [
+            (10.0, False, None), (15.0, False, None), (20.0, False, None),
+            (25.0, True, "invalid value: params.lead_time_h must be <= 24"),
+            (30.0, True, "invalid value: params.lead_time_h must be <= 24")]
+        assert (doc["infeasible_below"], doc["infeasible_above"]) == (None, None)
+        return
+    split = (lambda line: line.split(",")) if fmt == "csv" else str.split
+    lines = [split(line) for line in out.splitlines()]
+    body = lines[1:] if fmt == "csv" else lines[2:]
+    assert lines[0][-1] == "status"
+    assert [(row[0], row[-1]) for row in body] == [
+        ("10.00", "ok"), ("15.00", "ok"), ("20.00", "ok"),
+        ("25.00", "invalid"), ("30.00", "invalid")]
+    assert all(row[1:-1] == ["INVALID"] * (len(row) - 2) for row in body[3:])
+
+
 def test_sweep_bad_range_exits_2(capsys):
     # non-finite values, or ~7.75e9 points, would grow the sweep grid until
     # memory runs out

@@ -2,10 +2,11 @@ import math
 import random
 import re
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from citydist import model
@@ -28,7 +29,6 @@ from citydist.model import (
     effective_capacity,
     fill_rate,
     solve_tour_plan,
-    travel_and_stop_time,
 )
 from citydist.schemes import FleetAssignment, LayerMode, LayerSpec, evaluate_layer
 
@@ -209,6 +209,12 @@ def test_sa_config_refuses_a_non_integer_count_by_name(field, value):
 
 
 # ---------------------------------------------------------------- route distance
+
+def _travel_and_stop_h(distance_km, stops, vehicle, params):
+    """Hours on the road at the congested speed plus hours stopped, written
+    out by hand as the reference for the solver's and the shuttles' hours."""
+    return distance_km / (vehicle.speed_kmh / params.congestion_factor) + params.stop_time_h * stops
+
 
 def _route_km(m, stops, params):
     """2*r*m line haul plus the quantised k*sqrt(A*N) spread, the route length
@@ -522,9 +528,71 @@ def test_slope_within_ulps_of_one_ends_at_a_feasible_count(instance, monkeypatch
         return math.ceil(x)
 
     monkeypatch.setattr(model, "math", SimpleNamespace(**{**vars(math), "ceil": counted_ceil}))
+    # the time ceilings are taken by _tour_times, whose ceil is bound at definition
+    monkeypatch.setattr(model, "_tour_times", partial(model._tour_times, ceil=counted_ceil))
     m = solve_tour_plan(vehicle, dem, params).tours
     monkeypatch.undo()
     assert _tour_map(m, weight, stops, capacity, speed, params) <= m
+
+
+# Each parameter the solver reads, with the direction (+1 up, -1 down) that
+# makes a plan harder to serve: longer, slower or heavier work, or a tighter
+# time budget.  Stop time is left out: below one stop the lead-time hours'
+# stop_time*(stops - 1) falls as stop time grows, so a longer stop can turn
+# a divergent plan feasible (0 stops, 187,248.5 kg on 18,359 kg, 27.6 km/h,
+# r = 22.73 km, congestion 2.318, lead time 3.56 h: divergent at 0.514 h a
+# stop, 11 tours at 1.399 h).
+_HARDER = {"lead_time_h": -1, "shift_duration_h": -1, "radius_km": 1,
+           "congestion_factor": 1, "weight": 1, "stops": 1}
+
+
+@st.composite
+def _realistic_solves(draw):
+    """(weight, stops, cap_limit, speed, params) of one vehicle's daily plan,
+    in the ranges of the bundled scenarios and C5, stretched.  Light loads
+    and short budgets are drawn as often as the rest, so that each time
+    ceiling binds in many plans."""
+    params = NetworkParams(
+        radius_km=draw(st.floats(0.5, 60.0)), area_km2=draw(st.floats(5.0, 400.0)),
+        stop_time_h=draw(st.floats(0.01, 0.75)), daganzo_k=draw(st.floats(0.3, 1.0)),
+        congestion_factor=draw(st.floats(1.0, 2.5)),
+        shift_duration_h=draw(st.one_of(st.floats(2.0, 4.0), st.floats(2.0, 16.0))),
+        lead_time_h=draw(st.one_of(st.floats(1.0, 3.0), st.floats(1.0, 24.0))))
+    stops = draw(st.one_of(st.integers(0, 300).map(float), st.floats(1.0, 300.0)))
+    weight = draw(st.one_of(st.floats(0.0, 5000.0), st.floats(0.0, 200000.0)))
+    return weight, stops, draw(st.floats(500.0, 30000.0)), draw(st.floats(10.0, 60.0)), params
+
+
+def _tours_or_inf(weight, stops, cap_limit, speed, params):
+    """The solver's tour count, math.inf when it proves divergence.  Slopes
+    within 1e-4 of 1, where rounding may leave a count above the least, are
+    assumed away."""
+    v_eff = speed / params.congestion_factor
+    for budget in (params.shift_duration_h, params.lead_time_h):
+        assume(abs(2.0 * params.radius_km / (v_eff * budget) - 1.0) >= 1e-4)
+    try:
+        return model._solve_fixed_point(weight, stops, cap_limit, v_eff, params, "v")[0]
+    except InfeasibleError:
+        return math.inf
+
+
+@settings(max_examples=400, deadline=None)
+@given(solve=_realistic_solves(), parameter=st.sampled_from(sorted(_HARDER)),
+       factor=st.floats(1.0, 3.0))
+def test_tour_count_never_falls_as_a_plan_gets_harder(solve, parameter, factor):
+    # a count never rises as a time budget grows, never falls as the work
+    # grows, and a divergent plan made harder stays divergent (inf <= inf)
+    weight, stops, cap_limit, speed, params = solve
+    scale = factor ** _HARDER[parameter]
+    if parameter == "weight":
+        harder = (weight * scale, stops, cap_limit, speed, params)
+    elif parameter == "stops":
+        harder = (weight, stops * scale, cap_limit, speed, params)
+    else:
+        value = getattr(params, parameter) * scale
+        assume(parameter != "lead_time_h" or value <= 24.0)
+        harder = (weight, stops, cap_limit, speed, replace(params, **{parameter: value}))
+    assert _tours_or_inf(*solve) <= _tours_or_inf(*harder)
 
 
 # ---------------------------------------------------------------- costs
@@ -552,8 +620,8 @@ def test_time_cost_hand_value():
                            shift_duration_h=8, lead_time_h=24)
     d = 80 + 0.57 * math.sqrt(744)
     expected = (d / 30 + 0.5 * 4) * 30
-    assert travel_and_stop_time(d, 4, vehicle, params) * 30 == pytest.approx(expected, rel=1e-9)
-    assert travel_and_stop_time(0.0, 0, vehicle, params) == 0.0
+    assert _travel_and_stop_h(d, 4, vehicle, params) * 30 == pytest.approx(expected, rel=1e-9)
+    assert _travel_and_stop_h(0.0, 0, vehicle, params) == 0.0
     layer = LayerSpec("city", LayerMode.ANALYTICAL, params,
                       (FleetAssignment(vehicle, demand(50000, 4)),))
     assert evaluate_layer(layer).time_cost == pytest.approx(expected, rel=1e-9)
@@ -564,8 +632,14 @@ def test_congestion_factor_scales_travel_time_only():
     slack = NetworkParams(radius_km=30, area_km2=186, stop_time_h=0.25)
     congested = NetworkParams(radius_km=30, area_km2=186, stop_time_h=0.25,
                               congestion_factor=2.0)
-    assert travel_and_stop_time(60.0, 0, vehicle, slack) * 10 == pytest.approx(20.0)
-    assert travel_and_stop_time(60.0, 0, vehicle, congested) * 10 == pytest.approx(40.0)
+    assert _travel_and_stop_h(60.0, 0, vehicle, slack) * 10 == pytest.approx(20.0)
+    assert _travel_and_stop_h(60.0, 0, vehicle, congested) * 10 == pytest.approx(40.0)
+    # the model's time rules: one 60 km round trip with 4 stops of 0.25 h
+    for params, travel_h in ((slack, 2.0), (congested, 4.0)):
+        v_eff = vehicle.speed_kmh / params.congestion_factor
+        d, hours, _, _, _ = model._tour_times(1, 0.0, 4, v_eff, params)
+        assert (d, hours) == (60.0, travel_h + 1.0)
+        assert hours == _travel_and_stop_h(d, 4, vehicle, params)
 
 
 @pytest.mark.parametrize("weight, stops, changes, binding", [
@@ -581,10 +655,10 @@ def test_total_time_is_unpriced(truck_25t, base_params, weight, stops, changes, 
     load = demand(weight, stops)
     plan = solve_tour_plan(truck_25t, load, params)
     assert plan.binding_constraint is binding
-    assert plan.time_h == travel_and_stop_time(plan.distance_km, stops, truck_25t, params)
+    assert plan.time_h == _travel_and_stop_h(plan.distance_km, stops, truck_25t, params)
     layer = LayerSpec("city", LayerMode.ANALYTICAL, params, (FleetAssignment(truck_25t, load),))
     report = evaluate_layer(layer)
-    assert report.total_time_h == travel_and_stop_time(
+    assert report.total_time_h == _travel_and_stop_h(
         report.total_distance_km, stops, truck_25t, params)
     assert report.time_cost == report.total_time_h * truck_25t.cost_per_hour
 
@@ -699,7 +773,7 @@ def test_capacity_bound_regime_speed_invariance():
         plan = solve_tour_plan(vehicle, d42, params)
         assert plan.binding_constraint is BindingConstraint.CAPACITY
         distances.add(plan.distance_km)
-        cost = travel_and_stop_time(plan.distance_km, 42, vehicle, params) * 30.0
+        cost = _travel_and_stop_h(plan.distance_km, 42, vehicle, params) * 30.0
         if previous_cost is not None:
             assert cost < previous_cost
         previous_cost = cost

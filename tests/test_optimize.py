@@ -21,7 +21,6 @@ from citydist.model import (
     VehicleType,
     effective_capacity,
     solve_tour_plan,
-    travel_and_stop_time,
 )
 from citydist import optimize
 from citydist.optimize import (
@@ -40,7 +39,8 @@ from citydist.optimize import (
     _canonical_row,
     _ColumnKernel,
     _compositions,
-    _transfer,
+    _draws,
+    _moved,
     _vertices,
 )
 from citydist.report import to_jsonable
@@ -59,6 +59,12 @@ PALLET = DeliveryUnitType("pallet", 450.0, 100)
 
 def vt(id_, cap, cd, speed=20):
     return VehicleType(id_, cap, speed, cd, 30.0, TemperatureClass.A, 200)
+
+
+def _travel_and_stop_h(distance_km, stops, vehicle, params):
+    """Hours on the road at the congested speed plus hours stopped, written
+    out by hand as the reference for the solver's and the shuttles' hours."""
+    return distance_km / (vehicle.speed_kmh / params.congestion_factor) + params.stop_time_h * stops
 
 
 # ---------------------------------------------------------------- allocation
@@ -97,7 +103,7 @@ def test_objective_single_vehicle_matches_core_model():
     allocation = AllocationMatrix(((1.0,),))
     demand = DemandProfile.from_units([PALLET])
     plan = solve_tour_plan(vehicle, demand, PARAMS)
-    expected = plan.distance_km * 8 + travel_and_stop_time(
+    expected = plan.distance_km * 8 + _travel_and_stop_h(
         plan.distance_km, demand.total_stops, vehicle, PARAMS) * vehicle.cost_per_hour
     assert objective_value(allocation, [vehicle], [PALLET], PARAMS) == \
         pytest.approx(expected, rel=1e-12)
@@ -240,8 +246,9 @@ def test_transfer_that_moves_nothing_still_canonicalizes():
     # comes back one ulp off in its middle entry
     row = (0.23883131223243495, 0.761168687767565, 0.0)
     # row 0, from vehicle 2 (which carries none of it) to vehicle 1
-    j, new = _transfer((row,), _ScriptedRng((0, 2, 1), 0.5), 3)
-    assert (j, new) == (0, (0.23883131223243495, 0.7611686877675651, 0.0))
+    j, a, b, delta = _draws(_ScriptedRng((0, 2, 1), 0.5), 1, 3)()
+    assert (j, a, b) == (0, 2, 1)
+    assert _moved(row, a, b, delta) == (0.23883131223243495, 0.7611686877675651, 0.0)
 
 
 def _parent_transfer(rows, rng, vehicles):
@@ -264,8 +271,10 @@ def test_transfer_draws_equal_randrange_sample_uniform(n_vehicles):
         n_rows = 1 + seed % 6
         rows = AllocationMatrix.uniform(n_rows, n_vehicles).entries
         ours, reference = random.Random(seed), random.Random(seed)
+        draw = _draws(ours, n_rows, n_vehicles)
         for _ in range(50):
-            move = _transfer(rows, ours, n_vehicles)
+            j, a, b, delta = draw()
+            move = j, _moved(rows[j], a, b, delta)
             assert move == _parent_transfer(rows, reference, range(n_vehicles))
             j, row = move
             rows = rows[:j] + (row,) + rows[j + 1:]
@@ -608,9 +617,10 @@ def test_sa_argmin_invariant_under_cost_scaling():
 def _reference_anneal(fleet, units, params, config):
     """simulated_annealing as a plain loop, kept as the reference the walk
     must equal: every vertex seed and every step is scored by a full
-    kernel.energy, and every step draws its move with _transfer.  A move
-    that leaves the rows as they are is scored and accepted like any other
-    (its energy is the current one, so no acceptance draw is taken).
+    kernel.energy, and every step draws its move with a fresh _draws drawer
+    and applies it with _moved.  A move that leaves the rows as they are is
+    scored and accepted like any other (its energy is the current one, so
+    no acceptance draw is taken).
     Returns (rows, objective, feasible, evaluations, trace)."""
     kernel = _ColumnKernel(fleet, units, params)
     n_vehicles, n_units = len(fleet), len(units)
@@ -636,8 +646,8 @@ def _reference_anneal(fleet, units, params, config):
         while t >= 1e-4 * t0:
             for _ in range(config.steps_per_temperature):
                 evaluations += 1
-                j, row = _transfer(current, rng, n_vehicles)
-                candidate = current[:j] + (row,) + current[j + 1:]
+                j, a, b, delta = _draws(rng, n_units, n_vehicles)()
+                candidate = current[:j] + (_moved(current[j], a, b, delta),) + current[j + 1:]
                 e_new, _, feasible = kernel.energy(candidate)
                 if e_new < any_e:
                     any_e, any_rows = e_new, candidate

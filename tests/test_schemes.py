@@ -20,7 +20,6 @@ from citydist.model import (
     effective_capacity,
     fill_rate,
     solve_tour_plan,
-    travel_and_stop_time,
 )
 from citydist.schemes import (
     FleetAssignment,
@@ -31,9 +30,11 @@ from citydist.schemes import (
     build_original,
     build_pi,
     build_ucc,
+    capacity_limits,
     compare_schemes,
     evaluate_layer,
     evaluate_scheme,
+    layer_plans,
     merge_demands,
 )
 
@@ -99,6 +100,27 @@ def test_fixed_shuttle_derives_tours_from_weight():
                       (FleetAssignment(SHUTTLE, DemandProfile(total_weight_kg=30000,
                                                               total_stops=10)),))
     assert evaluate_layer(layer).tours_by_vehicle == {"shuttle_25t": 2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(pinned=st.one_of(st.none(), st.integers(1, 40)),
+       weight=st.floats(0.0, 300000.0), stops=st.floats(0.0, 300.0),
+       radius=st.floats(0.5, 400.0), speed=st.floats(10.0, 90.0),
+       congestion=st.floats(1.01, 3.0), stop_time=st.floats(0.01, 2.0))
+def test_shuttle_hours_are_round_trips_at_the_congested_speed_and_one_stop_each(
+        pinned, weight, stops, radius, speed, congestion, stop_time):
+    # pinned or derived, a shuttle plan's hours are d/v_eff + stop_time*tours
+    # at its count, bit for bit, with no spread and no time budget
+    vehicle = VehicleType("shuttle", 25000, speed, 8.5, 30.0, TemperatureClass.T, 56)
+    params = NetworkParams(radius_km=radius, area_km2=186, stop_time_h=stop_time,
+                           congestion_factor=congestion)
+    layer = LayerSpec("shuttle", LayerMode.FIXED_SHUTTLE, params, (FleetAssignment(
+        vehicle, DemandProfile(total_weight_kg=weight, total_stops=stops), pinned),))
+    [(tours, dist, hours)] = layer_plans(layer, params, [vehicle], capacity_limits(layer))
+    derived = max(1, math.ceil(weight / vehicle.capacity_kg)) if weight > 0 else 0
+    assert tours == (derived if pinned is None else pinned)
+    assert dist == 2.0 * radius * tours
+    assert hours == _travel_and_stop_h(dist, tours, vehicle, params)
 
 
 def test_subregion_multiplication_is_exact():
@@ -316,6 +338,12 @@ def _fieldwise_aggregate(reports):
         tours_by_vehicle=tours, tours_fractional_by_vehicle=frac)
 
 
+def _travel_and_stop_h(distance_km, stops, vehicle, params):
+    """Hours on the road at the congested speed plus hours stopped, written
+    out by hand as the reference for the solver's and the shuttles' hours."""
+    return distance_km / (vehicle.speed_kmh / params.congestion_factor) + params.stop_time_h * stops
+
+
 def _assignment_report(a, layer, factors):
     """Reference for one assignment of a layer, as its own report."""
     dominant = a.demand.dominant_unit()
@@ -324,12 +352,12 @@ def _assignment_report(a, layer, factors):
     if layer.mode is LayerMode.ANALYTICAL:
         plan = solve_tour_plan(a.vehicle, a.demand, layer.params, cap)
         tours, dist = plan.tours, plan.distance_km
-        time_h = travel_and_stop_time(dist, a.demand.total_stops, a.vehicle, layer.params)
+        time_h = _travel_and_stop_h(dist, a.demand.total_stops, a.vehicle, layer.params)
     else:
         tours = a.shuttle_tours if a.shuttle_tours is not None else (
             max(1, math.ceil(weight / cap)) if weight > 0 else 0)
         dist = tours * 2.0 * layer.params.radius_km
-        time_h = travel_and_stop_time(dist, tours, a.vehicle, layer.params)
+        time_h = _travel_and_stop_h(dist, tours, a.vehicle, layer.params)
     return KpiReport(
         dist, time_h, dist * a.vehicle.cost_per_km, time_h * a.vehicle.cost_per_hour, 0.0,
         dict(zip(EXTERNAL_CATEGORIES, factors.amounts(dist))) if factors

@@ -167,20 +167,27 @@ def test_all_infeasible_sweep_sets_boundary():
 # ------------------------------------------------- reuse of unchanged layers
 
 def _per_point_sweep(spec):
-    """Reference sweep: the whole scheme rebuilt and evaluated at every point."""
-    rows = []
+    """Reference sweep: the whole scheme rebuilt and evaluated at every point.
+    A value apply_parameter refuses is an invalid row, which the infeasible
+    bounds skip."""
+    rows, valid = [], []
     for v in _grid(spec.start, spec.stop, spec.step):
-        scheme = apply_parameter(spec.scheme, spec.layer_index, spec.parameter, v)
+        try:
+            scheme = apply_parameter(spec.scheme, spec.layer_index, spec.parameter, v)
+        except DomainError as exc:
+            rows.append(SweepRow(v, None, error=f"invalid value: {exc}"))
+            continue
         try:
             rows.append(SweepRow(v, evaluate_scheme(scheme)))
         except (InfeasibleError, DomainError) as exc:
             rows.append(SweepRow(v, None, error=str(exc)))
-    feasible = [i for i, r in enumerate(rows) if r.feasible]
+        valid.append(rows[-1])
+    feasible = [i for i, r in enumerate(valid) if r.feasible]
     below = above = None
-    if not rows[0].feasible:
-        below = rows[feasible[0] - 1].value if feasible else rows[-1].value
-    if not rows[-1].feasible:
-        above = rows[feasible[-1] + 1].value if feasible else rows[0].value
+    if valid and not valid[0].feasible:
+        below = valid[feasible[0] - 1].value if feasible else valid[-1].value
+    if valid and not valid[-1].feasible:
+        above = valid[feasible[-1] + 1].value if feasible else valid[0].value
     return SweepReport(spec.parameter, tuple(rows), detect_threshold(rows), below, above)
 
 
@@ -282,14 +289,43 @@ def test_unchanged_layer_diverging_after_swept_layer():
     assert report.infeasible_below == 2.0
 
 
-def test_invalid_swept_value_raises_before_any_layer_error():
+def test_invalid_swept_value_is_a_row_before_any_layer_error():
     shuttle, far, city = _layers()
     scheme = SchemeSpec("far_first", (shuttle, far, city), DEFAULT_EXTERNAL_FACTORS)
     with pytest.raises(DomainError) as expected:
         apply_parameter(scheme, 2, "lead_time_h", 30.0)
-    with pytest.raises(DomainError) as got:
-        sweep_parameter(SweepSpec("lead_time_h", 10.0, 30.0, 10.0, scheme, 2))
-    assert str(got.value) == str(expected.value) == "params.lead_time_h must be <= 24"
+    assert str(expected.value) == "params.lead_time_h must be <= 24"
+    report = _assert_matches_per_point(SweepSpec("lead_time_h", 10.0, 30.0, 10.0, scheme, 2))
+    # 'far' diverges at every point, but at 30 h no layer runs
+    assert [(r.value, r.invalid) for r in report.rows] == [
+        (10.0, False), (20.0, False), (30.0, True)]
+    assert all("layer 'far'" in r.error for r in report.rows[:2])
+    assert report.rows[2] == SweepRow(30.0, None, "invalid value: " + str(expected.value))
+    # the infeasible bound skips the invalid row: nothing valid is feasible
+    assert (report.infeasible_below, report.infeasible_above) == (20.0, 10.0)
+
+
+@pytest.mark.parametrize("parameter, start, stop, step, invalid", [
+    ("lead_time_h", 10.0, 30.0, 5.0, (25.0, 30.0)),
+    ("lead_time_h", 25.0, 30.0, 5.0, (25.0, 30.0)),
+    ("speed_kmh", 0.0, 20.0, 10.0, (0.0,)),
+    ("congestion_factor", 0.5, 2.0, 0.5, (0.5,)),
+    ("radius_km", 0.0, 10.0, 5.0, (0.0,)),
+], ids=["lead-above-24", "all-invalid", "zero-speed", "congestion-below-1", "zero-radius"])
+def test_invalid_values_are_rows_and_the_sweep_goes_on(parameter, start, stop, step, invalid):
+    scheme = BORDEAUX_SCENARIO.scheme("original")
+    report = _assert_matches_per_point(SweepSpec(parameter, start, stop, step, scheme, 1))
+    assert tuple(r.value for r in report.rows if r.invalid) == invalid
+    assert all(r.error.startswith("invalid value: ") for r in report.rows if r.invalid)
+    valid = [r for r in report.rows if not r.invalid]
+    assert all(r.feasible for r in valid)
+    assert (report.infeasible_below, report.infeasible_above) == (None, None)
+    # the valid rows are the sweep of the valid range alone
+    if valid:
+        alone = sweep_parameter(SweepSpec(parameter, valid[0].value, valid[-1].value, step,
+                                          scheme, 1))
+        assert alone.rows == tuple(valid)
+        assert alone.detected_threshold == report.detected_threshold
 
 
 def test_unchanged_layers_are_evaluated_once_per_sweep(monkeypatch):
