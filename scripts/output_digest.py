@@ -42,8 +42,8 @@ Run it on two checkouts and compare the lines.  Groups:
          cases, bordeaux.scenario pi_small layer 2 and the single-supplier
          original layer 1, at seeds 1, 5, 11 and 42; on c5_instance seeds
          0-4 (anneal seed = instance seed); and on a 22-vehicle instance
-         (seeds 1 and 5), where a move's second vehicle is drawn as
-         random.sample draws from a set of picks, not a list pool
+         (seeds 1 and 5), above the 21 vehicles up to which a move's draws
+         equal random.sample's
   scenario  stdout, stderr and exit code of in-process ``validate`` on
          every single-leaf mutation of both bundled scenarios outside
          network_defaults (each leaf replaced by each value of MUTATIONS, or
@@ -52,6 +52,13 @@ Run it on two checkouts and compare the lines.  Groups:
          temporary path is hashed
   scenario_defaults  the same for the mutations of network_defaults leaves,
          with no emitted YAML
+  hubs   stdout, stderr and exit code of in-process ``evaluate`` of pi,
+         ``compare`` of all schemes and ``sweep`` of lead_time_h and
+         speed_kmh on every city layer of pi, in the table, JSON and CSV
+         formats, on bordeaux.scenario with pi's hub_count and hub_weights
+         set to each of HUB_SPLITS: unequal weights give one city layer per
+         hub; each document goes to one fixed file name in a temporary
+         directory
   tables the bytes of each grid table, energy then feasible energy, that
          _ColumnKernel(fleet, units, params).table(i, 10) returns on
          c5_instance seeds 0-39, with C5_PARAMS at lead_time_h 1, 2, 3 and
@@ -134,6 +141,8 @@ SWEEP_GRIDS = (
     ("congestion_factor", 1.0, 3.0, 0.1),
     ("shift_duration_h", 0.5, 24.0, 1.0),
 )
+# (hub_count, hub_weights) of pi in the hubs group
+HUB_SPLITS = ((2, [0.3, 0.7]), (3, [0.25, 0.25, 0.5]))
 DROP = "<drop the field>"
 # the values tests/test_cli.py's mutation test puts in place of a leaf
 MUTATIONS = (["x"], {"x": 1}, True, math.nan, math.inf, -math.inf, 10 ** 30, -1, 0, "x",
@@ -202,6 +211,31 @@ def cli_main_outputs():
             yaml.safe_dump(doc, fh)
         yield entry_point(["evaluate", "--scenario", "mutated.scenario", "--scheme", "original"],
                           cwd=directory)
+
+
+def hub_outputs():
+    doc = yaml.safe_load(SCENARIOS[0].read_text())
+    names = ",".join(scheme["name"] for scheme in doc["schemes"])
+    pi = next(scheme for scheme in doc["schemes"] if scheme["name"] == "pi")
+    s = ["--scenario", "hubs.scenario"]
+    with tempfile.TemporaryDirectory() as directory:
+        os.chdir(directory)
+        try:
+            for hub_count, hub_weights in HUB_SPLITS:
+                pi.update(hub_count=hub_count, hub_weights=hub_weights)
+                with open("hubs.scenario", "w", encoding="utf-8") as fh:
+                    yaml.safe_dump(doc, fh)
+                for fmt in FORMATS:
+                    f = ["--format", fmt]
+                    yield captured(["evaluate", *s, "--scheme", "pi", *f])
+                    yield captured(["compare", *s, "--schemes", names, *f])
+                    for number in range(2, 2 + hub_count):  # layer 1 is the shuttle
+                        at = ["--scheme", "pi", "--layer", str(number)]
+                        for param, range_ in SWEEP_RANGES:
+                            yield captured(["sweep", *s, *at, "--param", param,
+                                            "--range", range_, *f])
+        finally:
+            os.chdir(ROOT)
 
 
 def sweep_outputs():
@@ -382,7 +416,7 @@ def main():
                            ("splice", splice_outputs), ("allsweeps", allsweep_outputs),
                            ("anneal", anneal_outputs), ("scenario", scenario_outputs),
                            ("scenario_defaults", lambda: scenario_outputs(defaults=True)),
-                           ("tables", table_outputs)):
+                           ("tables", table_outputs), ("hubs", hub_outputs)):
         digest = hashlib.sha256()
         count = 0
         for out in outputs():

@@ -158,7 +158,11 @@ def run(argv=None) -> int:
             report = _optimize(args, scenario)
         else:  # sweep; argparse admits no other command
             report = _sweep(args, scenario)
-        text = emit_report(report, fmt=args.format, path=args.output)
+        try:
+            text = emit_report(report, fmt=args.format, path=args.output)
+        except OSError as exc:  # emit_report's only I/O is the --output file
+            raise DomainError(f"cannot write --output {args.output!r}: "
+                              f"{exc.strerror or exc}") from exc
         if args.output is None:
             sys.stdout.write(text)
         return EXIT_OK

@@ -310,9 +310,7 @@ def _canonical_row(row) -> tuple[float, ...]:
     summing to 1 - 1e-15 carry microscopically less demand and win energy
     comparisons against the exact corner allocations they approximate.
     It is not idempotent: a row it returned can come back one ulp off
-    (about 0.7% of the rows a walk reaches), so a move that moves nothing
-    still canonicalises its row; the walk's no-op slot caches that result
-    rather than skipping the move.
+    (about 0.7% of the rows a walk reaches).
     """
     row = [0.0 if x < 1e-12 else (1.0 if x > 1.0 - 1e-12 else x) for x in row]
     residual = 1.0 - math.fsum(row)
@@ -327,18 +325,17 @@ def _draws(rng: random.Random, n_rows: int, n_vehicles: int):
     vehicles: each call returns (row j, vehicle a, vehicle b, delta), a
     fraction delta in (0, 0.2] of row j to move from a to b.
 
-    The draws repeat, bit for bit, those of rng.randrange(n_rows),
-    rng.sample(range(n_vehicles), 2) and rng.uniform(0.0, 0.2), in that
-    order, taken straight from rng.getrandbits and rng.random; a seed fixes
-    the sequence of moves.  CPython 3.11's randrange(n) rejects
-    getrandbits(n.bit_length()) draws of n and above, and sample() picks
-    from a list pool up to 21 items (the second pick's slot a holds the
-    last vehicle) and from a set of picks above (redrawn until it differs
-    from a).  The bit lengths and that branch are worked out once, here.
+    The draws are taken straight from rng.getrandbits and rng.random; a seed
+    fixes the sequence of moves.  Up to 21 vehicles they repeat, bit for
+    bit, those of rng.randrange(n_rows), rng.sample(range(n_vehicles), 2)
+    and rng.uniform(0.0, 0.2), in that order: CPython 3.11's randrange(n)
+    rejects getrandbits(n.bit_length()) draws of n and above, and sample()
+    picks from a list pool, whose second pick is drawn below n_vehicles - 1
+    with the first pick's slot holding the last vehicle.  b is drawn that
+    way for every fleet size.  The bit lengths are worked out once, here.
     """
     getrandbits, random_ = rng.getrandbits, rng.random
     k_rows, k_vehicles = n_rows.bit_length(), n_vehicles.bit_length()
-    pool = n_vehicles <= 21
     last = n_vehicles - 1
     k_last = last.bit_length()
 
@@ -349,16 +346,11 @@ def _draws(rng: random.Random, n_rows: int, n_vehicles: int):
         a = getrandbits(k_vehicles)
         while a >= n_vehicles:
             a = getrandbits(k_vehicles)
-        if pool:
+        b = getrandbits(k_last)
+        while b >= last:
             b = getrandbits(k_last)
-            while b >= last:
-                b = getrandbits(k_last)
-            if b == a:
-                b = last
-        else:
-            b = getrandbits(k_vehicles)
-            while b >= n_vehicles or b == a:
-                b = getrandbits(k_vehicles)
+        if b == a:
+            b = last
         return j, a, b, 0.2 * random_() or 0.2
 
     return draw
@@ -451,16 +443,12 @@ def simulated_annealing(fleet, units, params: NetworkParams,
     changed, takes the other column terms from the current ones and sums
     the energy in vehicle order, so every energy equals a full evaluation
     bit for bit; a rejected move puts the old row back, and only a new best
-    record copies the rows.  A move whose canonical row equals the current
-    one only counts as an evaluation and extends the trace: its energy
-    would equal the current one, which it accepts without an acceptance
-    draw and which no best record is above.  A move moves nothing exactly
-    when its row holds 0 at a or 1 at b; its row is then taken from the unit
-    row's no-op slot, (row, _canonical_row(row)), refilled only when the
-    current row is another object.  The slot caches rather than skips:
-    _canonical_row is not idempotent, so a few such moves still change the
-    row by an ulp and are scored as any other.  Every restart starts from
-    the same row-uniform allocation, so it is scored once, after the vertices.
+    record copies the rows.  A move that moves nothing (its row holds 0 at
+    a or 1 at b) or whose canonical row equals the current one only counts
+    as an evaluation and extends the trace: its energy would equal the
+    current one, which it accepts without an acceptance draw and which no
+    best record is above.  Every restart starts from the same row-uniform
+    allocation, so it is scored once, after the vertices.
     """
     kernel = _ColumnKernel(fleet, units, params)
     n_vehicles, n_units = len(kernel.fleet), len(kernel.units)
@@ -493,22 +481,14 @@ def simulated_annealing(fleet, units, params: NetworkParams,
         rng = random.Random(config.seed + restart)
         draw, random_ = _draws(rng, n_units, n_vehicles), rng.random
         current, terms, e_cur = list(start), start_terms, e_start
-        # the no-op slot of each unit row: (row, _canonical_row(row)) for the
-        # last row a move that moves nothing was drawn on
-        still = [(None, None)] * n_units
         t = t0
         while t >= t_min:
             evaluations += len(steps)
             for _ in steps:
                 j, a, b, delta = draw()
                 old = current[j]
-                if old[a] == 0.0 or old[b] == 1.0:  # the move moves nothing
-                    seen, row = still[j]
-                    if seen is not old:
-                        row = _canonical_row(old)
-                        still[j] = old, row
-                else:
-                    row = _moved(old, a, b, delta)
+                # a move that moves nothing keeps the row it found
+                row = old if old[a] == 0.0 or old[b] == 1.0 else _moved(old, a, b, delta)
                 if row != old:
                     current[j] = row
                     new_terms = [column(current, i) if row[i] != old[i] else terms[i]

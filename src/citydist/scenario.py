@@ -96,9 +96,10 @@ def _require_list(node, path: str) -> list:
 
 
 def _check_keys(node: dict, allowed, required, path: str):
-    unknown = node.keys() - allowed
+    # YAML reads keys such as 1, yes and ~ as int, bool and None
+    unknown = sorted(map(str, node.keys() - allowed))
     if unknown:
-        raise ScenarioParseError(path, f"unknown field(s): {', '.join(sorted(unknown))}")
+        raise ScenarioParseError(path, f"unknown field(s): {', '.join(unknown)}")
     missing = [key for key in required if key not in node]
     if missing:
         raise ScenarioParseError(path, f"missing required field(s): {', '.join(sorted(missing))}")
@@ -232,7 +233,7 @@ class Scenario:
                  "pos_count": rec.pos_count,
                  "fleet": [{"vehicle": v.id, "share": share}
                            for v, share in rec.supplier.fleet_shares],
-                 "demand": [{"unit": u.id.split(":", 1)[1], "stops": u.stops,
+                 "demand": [{"unit": u.id.removeprefix(f"{rec.supplier.name}:"), "stops": u.stops,
                              "avg_weight_kg": u.avg_weight_kg}
                             for u in rec.supplier.demand.units]}
                 for rec in self.suppliers],

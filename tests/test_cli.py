@@ -15,7 +15,7 @@ import yaml
 from citydist.cli import run
 from citydist.model import InfeasibleError
 from citydist.scenario import MAX_HUB_COUNT, load_scenario
-from citydist.schemes import compare_schemes, evaluate_scheme
+from citydist.schemes import compare_schemes, evaluate_scheme, merge_demands
 from citydist.sweep import SweepSpec, sweep_parameter
 
 from conftest import BORDEAUX, SINGLE_SUPPLIER
@@ -338,6 +338,18 @@ def test_output_file_holds_what_stdout_would(tmp_path):
     assert out.read_text(encoding="utf-8") == stdout
 
 
+@pytest.mark.parametrize("target, reason", [
+    ("missing/out.txt", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing_directory", "directory"])
+def test_unwritable_output_exits_2_without_traceback(tmp_path, target, reason):
+    path = str(tmp_path / target)
+    argv = ["evaluate", "--scenario", str(BORDEAUX), "--scheme", "pi", "--output", path]
+    message = f"invalid request: cannot write --output {path!r}: {reason}\n"
+    assert _in_process(argv) == (2, "", message)
+    assert _entry_point(argv) == (2, "", message)
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "--scenario", str(BORDEAUX)],
     ["sweep", "--scenario", str(BORDEAUX), "--scheme", "pi", "--layer", "2",
@@ -395,6 +407,28 @@ def test_scheme_field_refusal_names_its_path(tmp_path, capsys, field, value, mes
     # scheme path
     assert _validate_mutated(tmp_path, field, value) == 2
     assert f"scenario error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("vehicles.1.id", "van_2p3t_city",
+     "vehicles[van_2p3t_city]: duplicate vehicle id 'van_2p3t_city'"),
+    ("unit_classes.1.id", "parcel", "unit_classes[parcel]: duplicate unit class 'parcel'"),
+    ("suppliers.1.name", "supplier_1", "suppliers[supplier_1]: duplicate supplier 'supplier_1'"),
+    ("schemes.1.name", "original", "schemes[original]: duplicate scheme 'original'"),
+    ("suppliers.0.demand", [{"unit": "mixed_drop", "stops": k} for k in (6, 2)],
+     "suppliers[supplier_1].demand[1].unit: duplicate demand row for unit 'mixed_drop'"),
+    ("suppliers.0.demand.0.unit", "crate",
+     "suppliers[supplier_1].demand[0].unit: unknown unit class 'crate'"),
+    ("schemes.1.shuttle_vehicle", "blimp",
+     "schemes[ucc].shuttle_vehicle: unknown vehicle 'blimp'"),
+    ("suppliers.0.temperature_classes", ["Q"],
+     "suppliers[supplier_1].temperature_classes[0]: unknown temperature class 'Q'"),
+    ("vehicles", [], "vehicles: at least one vehicle is required"),
+], ids=["vehicle_id", "unit_class", "supplier", "scheme", "demand_row", "unknown_unit_class",
+        "unknown_shuttle_vehicle", "unknown_temperature_class", "no_vehicles"])
+def test_reference_and_duplicate_errors_name_their_path(tmp_path, capsys, field, value, message):
+    assert _validate_mutated(tmp_path, field, value) == 2
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
 
 
 def test_external_factor_error_is_the_same_under_every_hash_seed(tmp_path):
@@ -495,7 +529,8 @@ _FULL_DOC["schemes"][_SCHEMES.index("pi")].update(hub_weights=[0.5, 0.5],
                                                   shuttle_tours_per_hub=1)
 _FULL_DOC["network_defaults"].update(radius_km=30, area_km2=186, stop_time_h=0.25)
 # the documents the mutation test mutates, and the scheme names of each
-_MUTATED_DOCS = (_FULL_DOC, yaml.safe_load(SINGLE_SUPPLIER.read_text()))
+_SINGLE_DOC = yaml.safe_load(SINGLE_SUPPLIER.read_text())
+_MUTATED_DOCS = (_FULL_DOC, _SINGLE_DOC)
 _MUTATED_SCHEMES = tuple(tuple(scheme["name"] for scheme in doc["schemes"])
                          for doc in _MUTATED_DOCS)
 _LEAVES = tuple((k, path) for k, doc in enumerate(_MUTATED_DOCS) for path in _leaf_paths(doc))
@@ -528,6 +563,41 @@ def _run_quietly(command, path, *options) -> tuple[int, str]:
     with redirect_stdout(out), redirect_stderr(err):
         code = run([command, "--scenario", path, *options])
     return code, out.getvalue() + err.getvalue()
+
+
+@pytest.mark.parametrize("base, edit, options, message", [
+    (_DOC, None, ["--scheme", "ucc", "--layer", "1"],
+     "layer 1 of 'ucc' is not an analytical layer"),
+    (_DOC, None, ["--scheme", "pi", "--layer", "2", "--vehicles", "nope,also"],
+     "unknown vehicle id(s): nope, also"),
+    (_SINGLE_DOC, (("optimization",), _DROP), ["--scheme", "original", "--layer", "1"],
+     "no vehicles given: pass --vehicles or add an optimization block to the scenario"),
+    (_SINGLE_DOC, (("suppliers", 0, "demand"), []), ["--scheme", "original", "--layer", "1"],
+     "layer 1 of 'original' carries no unit demand"),
+], ids=["shuttle_layer", "unknown_vehicles", "no_vehicles", "no_unit_demand"])
+def test_optimize_refusal_exits_2(tmp_path, capsys, base, edit, options, message):
+    path = _written(_mutated(*edit, base) if edit else base, tmp_path)
+    assert run(["optimize", "--scenario", path, *options]) == 2
+    assert capsys.readouterr().err == f"invalid request: {message}\n"
+
+
+def test_unequal_hub_weights_give_one_city_layer_per_hub(tmp_path, capsys):
+    weights = [0.25, 0.25, 0.5]
+    doc = copy.deepcopy(_DOC)
+    doc["schemes"][_SCHEMES.index("pi")].update(hub_count=3, hub_weights=weights)
+    path = _written(doc, tmp_path)
+    scenario = load_scenario(path)
+    pooled = merge_demands(rec.supplier.demand for rec in scenario.suppliers)
+    layers = scenario.scheme("pi").layers[1:]
+    assert [layer.name for layer in layers] == ["hub1_to_stops", "hub2_to_stops",
+                                                "hub3_to_stops"]
+    for layer, weight in zip(layers, weights):
+        assert [a.demand for a in layer.fleet] == [pooled.scale(weight)]
+        assert layer.subregion_count == 1
+    assert run(["evaluate", "--scenario", path, "--scheme", "pi"]) == 0
+    assert run(["sweep", "--scenario", path, "--scheme", "pi", "--layer", "4",
+                "--param", "lead_time_h", "--range", "1:8:1"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("key", ["radius_km", "area_km2", "stop_time_h"])

@@ -251,10 +251,24 @@ def test_transfer_that_moves_nothing_still_canonicalizes():
     assert _moved(row, a, b, delta) == (0.23883131223243495, 0.7611686877675651, 0.0)
 
 
-def _parent_transfer(rows, rng, vehicles):
-    """The draws before getrandbits, kept as the reference they must repeat."""
+def _list_pool_pair(rng, n):
+    """Two distinct picks of range(n) as random.sample draws them from its
+    list pool (CPython 3.11, up to 21 items): the second is drawn below
+    n - 1, and the first pick's slot holds the last item."""
+    a = rng.randrange(n)
+    b = rng.randrange(n - 1)
+    return a, n - 1 if b == a else b
+
+
+def _parent_transfer(rows, rng, n_vehicles):
+    """The draws before getrandbits, kept as the reference they must repeat;
+    above 21 vehicles, where sample() switches to a set of picks, the
+    second vehicle is still drawn the list-pool way."""
     j = rng.randrange(len(rows))
-    a, b = rng.sample(vehicles, 2)
+    if n_vehicles <= 21:
+        a, b = rng.sample(range(n_vehicles), 2)
+    else:
+        a, b = _list_pool_pair(rng, n_vehicles)
     delta = rng.uniform(0.0, 0.2) or 0.2  # (0, 0.2]
     row = list(rows[j])
     moved = min(delta, row[a], 1.0 - row[b])
@@ -264,7 +278,7 @@ def _parent_transfer(rows, rng, vehicles):
 
 
 # 21 and 22 straddle the size at which random.sample switches from a list
-# pool to a set of picks
+# pool to a set of picks; the drawer keeps the list pool on both sides
 @pytest.mark.parametrize("n_vehicles", [*range(2, 12), 21, 22, 30])
 def test_transfer_draws_equal_randrange_sample_uniform(n_vehicles):
     for seed in range(200):
@@ -275,7 +289,7 @@ def test_transfer_draws_equal_randrange_sample_uniform(n_vehicles):
         for _ in range(50):
             j, a, b, delta = draw()
             move = j, _moved(rows[j], a, b, delta)
-            assert move == _parent_transfer(rows, reference, range(n_vehicles))
+            assert move == _parent_transfer(rows, reference, n_vehicles)
             j, row = move
             rows = rows[:j] + (row,) + rows[j + 1:]
         assert ours.getstate() == reference.getstate()
@@ -618,9 +632,11 @@ def _reference_anneal(fleet, units, params, config):
     """simulated_annealing as a plain loop, kept as the reference the walk
     must equal: every vertex seed and every step is scored by a full
     kernel.energy, and every step draws its move with a fresh _draws drawer
-    and applies it with _moved.  A move that leaves the rows as they are is
-    scored and accepted like any other (its energy is the current one, so
-    no acceptance draw is taken).
+    and applies it with _moved.  A move that moves nothing (its row holds 0
+    at a or 1 at b) is skipped: it is not scored and takes no acceptance
+    draw, but counts as an evaluation and extends the trace.  A move that
+    leaves the rows as they are is scored and accepted like any other (its
+    energy is the current one, so no acceptance draw is taken).
     Returns (rows, objective, feasible, evaluations, trace)."""
     kernel = _ColumnKernel(fleet, units, params)
     n_vehicles, n_units = len(fleet), len(units)
@@ -647,6 +663,9 @@ def _reference_anneal(fleet, units, params, config):
             for _ in range(config.steps_per_temperature):
                 evaluations += 1
                 j, a, b, delta = _draws(rng, n_units, n_vehicles)()
+                if current[j][a] == 0.0 or current[j][b] == 1.0:
+                    trace.append(any_e if best_rows is None else best_e)
+                    continue
                 candidate = current[:j] + (_moved(current[j], a, b, delta),) + current[j + 1:]
                 e_new, _, feasible = kernel.energy(candidate)
                 if e_new < any_e:
@@ -664,7 +683,8 @@ def _reference_anneal(fleet, units, params, config):
 
 def _many_vehicles(n_vehicles):
     """n_vehicles vehicles and two unit types; 21 and 22 vehicles straddle
-    the size at which random.sample switches from a list pool to a set."""
+    the size at which random.sample switches from a list pool to a set,
+    where the drawer keeps the list pool."""
     rng = random.Random(n_vehicles)
     fleet = [vt(f"v{i}", float(rng.randrange(4000, 25001, 500)), float(rng.randint(3, 9)),
                 speed=rng.choice((10, 20, 30)))
@@ -686,8 +706,8 @@ def test_sa_equals_the_reference_walk(label, monkeypatch):
     elif label.startswith("interior-"):
         # The interior-optimum instance of test_sa_seeded_walk_is_pinned.
         # Its walks draw moves that move nothing on rows whose canonical
-        # row differs by an ulp; had they been skipped, seed 22 would end
-        # one ulp off in its second row and seed 0 with another trace.
+        # row differs by an ulp; had such a move been scored, seed 22 would
+        # end one ulp off in its second row and seed 0 with another trace.
         fleet = [vt("a", 25000, 7), vt("b", 4000, 5), vt("c", 9000, 9)]
         units = [DeliveryUnitType("u1", 450.0, 43), DeliveryUnitType("u2", 20.0, 5)]
         params = PARAMS

@@ -114,6 +114,18 @@ def test_round_trip_is_fixpoint(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("edits", [
+    {"suppliers.0.name": "north:dc"},
+    {"unit_classes.0.id": "pal:let", "suppliers.0.demand": [{"unit": "pal:let", "stops": 6}]},
+], ids=["supplier_name", "unit_class_id"])
+def test_round_trip_keeps_a_colon_in_a_name(tmp_path, edits):
+    # each demand row's unit id is "<supplier>:<unit class>"
+    first = parse_scenario(_variant(**edits))
+    out = tmp_path / "echo.scenario"
+    emit_scenario(first, str(out))
+    assert load_scenario(str(out)).to_dict() == first.to_dict()
+
+
 def test_round_tripped_scenario_evaluates_identically(tmp_path):
     first = load_scenario(str(BORDEAUX))
     out = tmp_path / "echo.scenario"
@@ -175,6 +187,19 @@ def test_non_finite_number_rejected_with_path(tmp_path, field, value):
     with pytest.raises(ScenarioParseError) as e:
         load_scenario(str(path))
     assert str(e.value) == f"vehicles[truck].{field}: expected a finite number"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("name:", "1: x\nname:", "scenario: unknown field(s): 1"),
+    ("{id: truck,", "{yes: 1, id: truck,", "vehicles[0]: unknown field(s): True"),
+    ("params: {", "params: {null: 1, ", "schemes[original].params: unknown field(s): None"),
+], ids=["int_top_level", "yes_in_vehicle", "null_in_params"])
+def test_key_that_is_not_a_string_is_named_with_path(tmp_path, capsys, old, new, message):
+    # YAML reads these keys as int, bool and None
+    path = tmp_path / "keys.scenario"
+    path.write_text(MINIMAL.replace(old, new, 1))
+    assert run(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
 
 
 @pytest.mark.parametrize("sa, message", [
