@@ -64,6 +64,12 @@ Run it on two checkouts and compare the lines.  Groups:
          c5_instance seeds 0-39, with C5_PARAMS at lead_time_h 1, 2, 3 and
          24 h, for each vehicle i in turn: the grid groups hash only each
          grid's argmin, so a drift in one table entry would go unseen there
+  records  repr() of each bundled scenario as loaded from its relative path
+         (the Scenario, holding its SupplierRecords and every scheme's
+         FleetAssignments), of compare_schemes over all its schemes (a lone
+         scheme against itself), and of solve_tour_plan (or of its
+         InfeasibleError) on every assignment of every analytical layer, with
+         that layer's params
 
 perfbench is only imported, never written to.  The whole run takes under
 a minute on one core (about 45 s on a 2-core VM, under half of it the scenario
@@ -97,6 +103,7 @@ from citydist.model import (  # noqa: E402
     InfeasibleError,
     TemperatureClass,
     VehicleType,
+    solve_tour_plan,
 )
 from citydist.optimize import (  # noqa: E402
     AllocationMatrix,
@@ -115,6 +122,7 @@ from citydist.schemes import (  # noqa: E402
     LayerMode,
     LayerSpec,
     SchemeSpec,
+    compare_schemes,
     evaluate_scheme,
 )
 from citydist.sweep import SweepSpec, sweep_parameter  # noqa: E402
@@ -299,6 +307,25 @@ def table_outputs():
                     yield table.tobytes()
 
 
+def record_outputs():
+    for path in SCENARIOS:
+        scenario = load_scenario(str(path.relative_to(ROOT)))  # no checkout path in the repr
+        schemes = [scenario.scheme(name) for name in scenario.scheme_names()]
+        # a lone scheme against itself, as the benchmark's cold_cli compares it
+        table = compare_schemes(schemes if len(schemes) > 1 else schemes * 2)
+        yield f"{scenario!r}\n{table!r}\n"
+        for scheme in schemes:
+            for layer in scheme.layers:
+                if layer.mode is not LayerMode.ANALYTICAL:
+                    continue
+                for a in layer.fleet:
+                    try:
+                        plan = solve_tour_plan(a.vehicle, a.demand, layer.params)
+                    except InfeasibleError as exc:
+                        plan = exc
+                    yield f"{scheme.name} {layer.name} {a.vehicle.id}\n{plan!r}\n"
+
+
 def interior_rows(rng: random.Random, n_units: int, n_vehicles: int):
     """One allocation's rows: random shares, about 30% of them zero."""
     rows = []
@@ -416,7 +443,8 @@ def main():
                            ("splice", splice_outputs), ("allsweeps", allsweep_outputs),
                            ("anneal", anneal_outputs), ("scenario", scenario_outputs),
                            ("scenario_defaults", lambda: scenario_outputs(defaults=True)),
-                           ("tables", table_outputs), ("hubs", hub_outputs)):
+                           ("tables", table_outputs), ("hubs", hub_outputs),
+                           ("records", record_outputs)):
         digest = hashlib.sha256()
         count = 0
         for out in outputs():

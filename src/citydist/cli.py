@@ -90,6 +90,14 @@ def _layer_index(scheme, number: int) -> int:
     return number - 1
 
 
+def _entries(flag: str, text: str) -> list[str]:
+    """The comma-separated entries of a flag's value; an empty one is refused."""
+    entries = text.split(",")
+    if "" in entries:
+        raise DomainError(f"{flag}: entry {entries.index('') + 1} of {text!r} is empty")
+    return entries
+
+
 def _optimize(args, scenario) -> object:
     from .optimize import GridTooLargeError, vertex_optimum
     scheme = scenario.scheme(args.scheme)
@@ -97,8 +105,13 @@ def _optimize(args, scenario) -> object:
     layer = scheme.layers[idx]
     if layer.mode is not LayerMode.ANALYTICAL:
         raise DomainError(f"layer {args.layer} of '{args.scheme}' is not an analytical layer")
-    vehicle_ids = (args.vehicles.split(",") if args.vehicles
-                   else scenario.optimization_vehicles)
+    if args.vehicles is None:
+        vehicle_ids = scenario.optimization_vehicles
+    else:
+        vehicle_ids = _entries("--vehicles", args.vehicles)
+        for i, v in enumerate(vehicle_ids):
+            if v in vehicle_ids[:i]:
+                raise DomainError(f"--vehicles: vehicle id '{v}' is given twice")
     if not vehicle_ids:
         raise DomainError("no vehicles given: pass --vehicles or add an "
                           "optimization block to the scenario")
@@ -151,7 +164,9 @@ def run(argv=None) -> int:
             from .schemes import evaluate_scheme
             report = evaluate_scheme(scenario.scheme(args.scheme))
         elif args.command == "compare":
-            names = args.schemes.split(",")
+            names = _entries("--schemes", args.schemes)
+            if args.baseline == "":
+                raise DomainError("--baseline: the scheme name is empty")
             report = compare_schemes([scenario.scheme(n) for n in names],
                                      baseline_name=args.baseline)
         elif args.command == "optimize":

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from operator import attrgetter
+from typing import NamedTuple
 
 
 class ModelError(Exception):
@@ -230,8 +231,7 @@ DEFAULT_EXTERNAL_FACTORS = ExternalCostFactors(
     accident=3.4, air_pollution=20.5, climate_change=6.3, noise=27.4, congestion=4.0)
 
 
-@dataclass(frozen=True, slots=True)
-class TourPlan:
+class TourPlan(NamedTuple):
     """Fixed-point solution for one (vehicle, demand) pair; time_h is the
     hours on the road plus the hours stopped, the shift ceiling's numerator."""
 

@@ -19,6 +19,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .model import (
     DemandProfile,
@@ -88,8 +89,7 @@ class AllocationMatrix:
                          for j, u in enumerate(units)) / total
 
 
-@dataclass(frozen=True)
-class ConstraintSlack:
+class ConstraintSlack(NamedTuple):
     """Signed slack of one constraint for one vehicle; positive means violated.
     Report-only: feasibility is the tour solver's verdict."""
 

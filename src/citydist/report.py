@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import KpiReport
 from .schemes import ComparisonTable
@@ -27,8 +26,7 @@ INVALID_VALUE = "invalid value: "
 
 # The optimizer's and the sweep's results live here, next to their rendering,
 # so that commands rendering other reports import neither of those modules.
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(NamedTuple):
     allocation: AllocationMatrix
     objective: float
     feasible: bool
@@ -38,8 +36,7 @@ class OptimizationResult:
     evaluations: int = 0
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     value: float
     report: KpiReport | None
     error: str | None = None
@@ -58,8 +55,7 @@ class SweepRow:
         return tuple(sorted(self.report.tours_by_vehicle.items()))
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     parameter: str
     rows: tuple[SweepRow, ...]
     detected_threshold: float | None = None

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, fields
+from typing import NamedTuple
 
 import yaml
 
@@ -180,14 +181,12 @@ def _number(node: dict, key: str, path: str, default=None):
     return _finite(node[key], f"{path}.{key}") if key in node else default
 
 
-@dataclass
-class SupplierRecord:
+class SupplierRecord(NamedTuple):
     supplier: Supplier
     pos_count: int | None = None
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     """A fully validated scenario document; schemes maps each name to the
     scheme built at load, scheme_templates keeps its form for to_dict."""
 

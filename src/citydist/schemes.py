@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .model import (
     EXTERNAL_CATEGORIES,
@@ -39,8 +40,7 @@ class LayerMode(str, Enum):
     FIXED_SHUTTLE = "fixed_shuttle"
 
 
-@dataclass(frozen=True)
-class FleetAssignment:
+class FleetAssignment(NamedTuple):
     """One vehicle type serving one slice of a layer's demand.
 
     shuttle_tours pins the round-trip count in fixed-shuttle mode; None
@@ -78,6 +78,8 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class SchemeSpec:
+    """A named distribution scheme: its layers in order and its external cost rates."""
+
     name: str
     layers: tuple[LayerSpec, ...]
     external_factors: ExternalCostFactors
@@ -226,15 +228,13 @@ def evaluate_scheme(scheme: SchemeSpec) -> KpiReport:
                                 for layer in scheme.layers])
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     scheme: str
     report: KpiReport | None
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
+class ComparisonTable(NamedTuple):
     baseline: str
     rows: tuple[ComparisonRow, ...]
 
@@ -257,7 +257,7 @@ def compare_schemes(schemes, baseline_name: str | None = None) -> ComparisonTabl
     schemes = list(schemes)
     if len(schemes) < 2:
         raise DomainError("compare_schemes: need at least 2 schemes")
-    baseline = baseline_name or schemes[0].name
+    baseline = schemes[0].name if baseline_name is None else baseline_name
     if baseline not in {s.name for s in schemes}:
         raise DomainError(f"compare_schemes: baseline '{baseline}' not among schemes")
     rows = []

@@ -46,6 +46,9 @@ MAX_POINTS = 10 ** 6
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """One sweep: parameter (a NetworkParams field or speed_kmh) from start to
+    stop by step on layer layer_index of scheme, stop included."""
+
     parameter: str
     start: float
     stop: float

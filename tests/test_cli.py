@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 from citydist.cli import run
-from citydist.model import InfeasibleError
+from citydist.model import DomainError, InfeasibleError
 from citydist.scenario import MAX_HUB_COUNT, load_scenario
 from citydist.schemes import compare_schemes, evaluate_scheme, merge_demands
 from citydist.sweep import SweepSpec, sweep_parameter
@@ -574,11 +574,38 @@ def _run_quietly(command, path, *options) -> tuple[int, str]:
      "no vehicles given: pass --vehicles or add an optimization block to the scenario"),
     (_SINGLE_DOC, (("suppliers", 0, "demand"), []), ["--scheme", "original", "--layer", "1"],
      "layer 1 of 'original' carries no unit demand"),
-], ids=["shuttle_layer", "unknown_vehicles", "no_vehicles", "no_unit_demand"])
+    # a repeated id gave two report columns that could not be told apart
+    (_SINGLE_DOC, None, ["--scheme", "original", "--layer", "1",
+                         "--vehicles", "truck_25t,truck_25t"],
+     "--vehicles: vehicle id 'truck_25t' is given twice"),
+    (_SINGLE_DOC, None, ["--scheme", "original", "--layer", "1", "--vehicles", "truck_25t,,x"],
+     "--vehicles: entry 2 of 'truck_25t,,x' is empty"),
+    (_SINGLE_DOC, None, ["--scheme", "original", "--layer", "1", "--vehicles", ""],
+     "--vehicles: entry 1 of '' is empty"),
+], ids=["shuttle_layer", "unknown_vehicles", "no_vehicles", "no_unit_demand",
+        "repeated_vehicle", "empty_vehicle", "empty_vehicles"])
 def test_optimize_refusal_exits_2(tmp_path, capsys, base, edit, options, message):
     path = _written(_mutated(*edit, base) if edit else base, tmp_path)
     assert run(["optimize", "--scenario", path, *options]) == 2
     assert capsys.readouterr().err == f"invalid request: {message}\n"
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--schemes", "original,,original"], "--schemes: entry 2 of 'original,,original' is empty"),
+    (["--schemes", "original,"], "--schemes: entry 2 of 'original,' is empty"),
+    (["--schemes", "original,ucc", "--baseline", ""], "--baseline: the scheme name is empty"),
+], ids=["inner_scheme", "trailing_scheme", "baseline"])
+def test_compare_empty_name_exits_2(capsys, options, message):
+    assert run(["compare", "--scenario", str(BORDEAUX), *options]) == 2
+    assert capsys.readouterr() == ("", f"invalid request: {message}\n")
+
+
+def test_compare_schemes_refuses_an_empty_baseline():
+    scenario = load_scenario(str(BORDEAUX))
+    schemes = [scenario.scheme("original"), scenario.scheme("ucc")]
+    assert compare_schemes(schemes).baseline == "original"
+    with pytest.raises(DomainError, match="baseline '' not among schemes"):
+        compare_schemes(schemes, baseline_name="")
 
 
 def test_unequal_hub_weights_give_one_city_layer_per_hub(tmp_path, capsys):

@@ -377,11 +377,17 @@ def test_sweep_points_build_no_layer_or_assignment(monkeypatch, scheme_name, par
                                                    start, stop, step):
     scheme = BORDEAUX_SCENARIO.scheme(scheme_name)  # built at load, before any count
     built = []
-    for cls in (LayerSpec, FleetAssignment):
-        def counted(self, *args, _init=cls.__init__, **kwargs):
-            built.append(self)
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counted)
+    init, new = LayerSpec.__init__, FleetAssignment.__new__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_new(cls, *args, **kwargs):  # a NamedTuple is built in __new__
+        built.append(new(cls, *args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(LayerSpec, "__init__", counted_init)
+    monkeypatch.setattr(FleetAssignment, "__new__", counted_new)
     solves = []
     solve = schemes_module.solve_tour_plan
     monkeypatch.setattr(schemes_module, "solve_tour_plan",
